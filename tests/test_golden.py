@@ -1,0 +1,103 @@
+"""Golden SHA-256 digests of CLI report bytes.
+
+Each case pins the exact bytes of one report, both on stdout and written
+with ``--output`` (so the trailing newline is pinned too).  Any change to
+report formatting that alters a single byte fails here.
+"""
+
+import hashlib
+
+import pytest
+from click.testing import CliRunner
+
+from phtree.cli import main
+
+#: a small tabulated boundary; "{tabulated}" in a case's arguments is its path
+TABULATED_CSV = "t,value\n0,0.5\n0.25,-1\n0.625,0.75\n1,0.125\n"
+
+CASES = {
+    "solve-m2-n6-linear-json": (
+        ["solve", "--m", "2", "--alpha", "0.5", "--boundary", "linear", "--n", "6"],
+        "9b395372fa10f3afd35bb757cd8def32e02846f4c4d98b70bf238806ffeb15c4",
+    ),
+    "solve-m2-n6-linear-csv": (
+        ["solve", "--m", "2", "--alpha", "0.5", "--boundary", "linear", "--n", "6",
+         "--format", "csv"],
+        "8d4fa2efda37ee96b01b8cd8dde40235633d2093c3422ad93fd4864dcf5afe99",
+    ),
+    "solve-m3-n4-quadratic-json": (
+        ["solve", "--m", "3", "--alpha", "0.3", "--boundary", "quadratic-centered",
+         "--n", "4"],
+        "4a41b000d835a0b2abe88ba948d986b5238abb99bc50f56e6d255f288007d0c9",
+    ),
+    "solve-m3-n4-quadratic-csv": (
+        ["solve", "--m", "3", "--alpha", "0.3", "--boundary", "quadratic-centered",
+         "--n", "4", "--format", "csv"],
+        "8f9e21c74bcd2d56111f36626ee725e76d5cbfa40ad64de1a59837ac7463a093",
+    ),
+    "solve-m5-n3-constant-json": (
+        ["solve", "--m", "5", "--alpha", "0.8", "--boundary", "constant:0.25", "--n", "3"],
+        "aed4e71e00853c5730491063c5fb6eaa3f34f4bc267bdc31d16f959ef7a1d97d",
+    ),
+    "solve-m5-n3-constant-csv": (
+        ["solve", "--m", "5", "--alpha", "0.8", "--boundary", "constant:0.25", "--n", "3",
+         "--format", "csv"],
+        "878a3310454d289666b03db22a4098ca13aa9273c79d0e95c2175e037ee2657a",
+    ),
+    "solve-m3-n3-tabulated-json": (
+        ["solve", "--m", "3", "--alpha", "0.5", "--boundary", "{tabulated}", "--n", "3"],
+        "b08b8dd18b3073925514b3f9ae08b1dc8f2af9dc13c3d7f923c9d47b9c3bbba1",
+    ),
+    "solve-m3-n3-tabulated-csv": (
+        ["solve", "--m", "3", "--alpha", "0.5", "--boundary", "{tabulated}", "--n", "3",
+         "--format", "csv"],
+        "93083c0e6ba4604164870cc125f46d206a2f1a36e22aa751e8d82cf62f7f63b6",
+    ),
+    "solve-m3-tol-linear-json": (
+        ["solve", "--m", "3", "--alpha", "0.5", "--boundary", "linear", "--tol", "0.02"],
+        "3ab208a9ebac9f1f40c3ba72b8cd984594dfa7a68c4a8a0d39b123e95ce7a168",
+    ),
+    "simulate-greedy": (
+        ["simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear", "--plays", "2000",
+         "--depth", "10", "--seed", "5", "--advice-n", "4"],
+        "b9708860752e96c134d99ed6fe3fd67632a0e81992c6dc4a5ce0797ce2b406f2",
+    ),
+    "simulate-random": (
+        ["simulate", "--m", "3", "--alpha", "0.5", "--boundary", "{tabulated}",
+         "--plays", "200", "--depth", "8", "--seed", "3",
+         "--strategy-i", "random:7", "--strategy-ii", "random:8"],
+        "4b81e4a75a82b3252e7fcab870426f41c7c89f9adad760c5fee7b7b1134e05c9",
+    ),
+    "ucp-rho": (
+        ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,4,1,8,1,16", "--kmax", "6"],
+        "5555b0c12d8b20a9d65a255932ec46a8732c16efe3f3722acf92a6b2935cb212",
+    ),
+    "dim": (
+        ["dim", "--m", "3", "--alpha", "0.5"],
+        "f8394175f9563c543d5e66075b15dee8e33205428c49d427993c5cd978ddc238",
+    ),
+}
+
+
+@pytest.fixture()
+def tabulated(tmp_path):
+    path = tmp_path / "boundary.csv"
+    path.write_text(TABULATED_CSV, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes(name, tabulated, tmp_path):
+    template, digest = CASES[name]
+    args = [a.replace("{tabulated}", str(tabulated)) for a in template]
+    runner = CliRunner()
+
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+    out = tmp_path / "report.out"
+    result = runner.invoke(main, args + ["--output", str(out)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == b""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
