@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,8 +57,14 @@ class BoundarySpec:
                     raise ValidationError("tabulated t values must be strictly increasing")
             if any(t < 0.0 or t > 1.0 for t in ts):
                 raise ValidationError("tabulated t values must lie in [0, 1]")
-        if self.lipschitz_bound is not None and self.lipschitz_bound < 0:
-            raise ValidationError("lipschitz_bound must be >= 0")
+        if not math.isfinite(self.value):
+            raise ValidationError(f"boundary value must be finite, got {self.value}")
+        if self.vs is not None and not all(math.isfinite(v) for v in self.vs):
+            raise ValidationError("tabulated boundary values must be finite")
+        if self.lipschitz_bound is not None and not 0 <= self.lipschitz_bound < math.inf:
+            raise ValidationError(
+                f"lipschitz_bound must be finite and >= 0, got {self.lipschitz_bound}"
+            )
 
     # -- constructors -------------------------------------------------
 
@@ -122,8 +129,11 @@ class BoundarySpec:
         for row in rows[1:]:
             if len(row) != 2:
                 raise ValidationError(f"malformed CSV row {row!r}")
-            ts.append(float(row[0]))
-            vs.append(float(row[1]))
+            try:
+                ts.append(float(row[0]))
+                vs.append(float(row[1]))
+            except ValueError as exc:
+                raise ValidationError(f"non-numeric CSV row {row!r}") from exc
         return cls.tabulated(ts, vs)
 
     @classmethod

@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 
 import click
 
@@ -46,6 +45,12 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if all(type(v) is float for v in obj):
+            # one %-format call for a whole level array; "%.17g" % x gives
+            # the same bytes as _format_float(x)
+            row = ",\n" + child_pad + "%.17g"
+            template = "[\n" + child_pad + "%.17g" + row * (len(obj) - 1) + "\n" + pad + "]"
+            return template % tuple(obj)
         items = [child_pad + canonical_json(v, indent + 1) for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool):
@@ -65,7 +70,10 @@ def _write_report(text: str, output: str | None) -> None:
     if output is None or output == "-":
         click.echo(text)
     else:
-        Path(output).write_text(text + "\n", encoding="utf-8")
+        # two writes rather than text + "\n", which would copy the whole report
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
 
 
 def _build_params(m: int, alpha: float, beta: float | None) -> GameParams:

@@ -83,12 +83,20 @@ def build_un(
     check_level_size(m, n, cap)
     sampled = sample_Fn(spec, m, n, cap)
     levels: list[np.ndarray] = [np.array(sampled.values, dtype=float)]
-    for k in range(n - 1, -1, -1):
-        children = levels[0].reshape(m**k, m)
-        parent = (params.alpha / 2.0) * (children.max(axis=1) + children.min(axis=1)) + (
-            params.beta / m
-        ) * children.sum(axis=1)
-        levels.insert(0, parent)
+    # an overflow is reported by the finiteness check below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n - 1, -1, -1):
+            children = levels[0].reshape(m**k, m)
+            parent = (params.alpha / 2.0) * (children.max(axis=1) + children.min(axis=1)) + (
+                params.beta / m
+            ) * children.sum(axis=1)
+            levels.insert(0, parent)
+    # a non-finite value anywhere in the sweep propagates to the root
+    if not math.isfinite(levels[0][0]):
+        raise ValidationError(
+            f"field is not finite (root value {levels[0][0]}): the boundary data is "
+            f"non-finite or the sweep overflowed"
+        )
     return LevelField(params=params, n=n, levels=tuple(levels), boundary=sampled)
 
 
@@ -130,7 +138,7 @@ def solve_to_tolerance(
     as an uncertified empirical bound.  Hitting the size cap or `max_n`
     first yields a partial, not-certified result.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
     m = params.m
     if spec.lipschitz_bound is not None:
@@ -192,20 +200,31 @@ def compare_fields(field_f: LevelField, field_g: LevelField) -> bool:
 # -- serialization ------------------------------------------------------
 
 CSV_HEADER = ["level", "index", "psi_left", "value"]
+#: rows formatted by one %-format call; bounds the temporary tuple and string
+CSV_BLOCK_ROWS = 1 << 15
 
 
 def field_to_csv(field: LevelField, stream=None) -> str | None:
-    """Write the field as CSV rows ``level,index,psi_left,value``."""
+    """Write the field as CSV rows ``level,index,psi_left,value``.
+
+    Floats use the ``.17g`` format; none of the fields needs CSV quoting.
+    """
     own = stream is None
     if own:
         stream = io.StringIO()
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    stream.write(",".join(CSV_HEADER) + "\n")
     m = field.params.m
     for k, arr in enumerate(field.levels):
-        denom = float(m**k)
-        for j, value in enumerate(arr):
-            writer.writerow([k, j, format(j / denom, ".17g"), format(float(value), ".17g")])
+        # columns index, psi_left = index / m**k, value; the index is exact
+        # as a float below 2**53 and "%d" prints it as an integer
+        table = np.empty((arr.size, 3))
+        table[:, 0] = np.arange(arr.size)
+        table[:, 1] = table[:, 0] / float(m**k)
+        table[:, 2] = arr
+        row = f"{k},%d,%.17g,%.17g\n"
+        for start in range(0, arr.size, CSV_BLOCK_ROWS):
+            block = table[start : start + CSV_BLOCK_ROWS]
+            stream.write((row * len(block)) % tuple(block.ravel().tolist()))
     if own:
         return stream.getvalue()
     return None
@@ -220,15 +239,24 @@ def field_from_csv(source, params: GameParams) -> LevelField:
         raise ValidationError(f"expected CSV header {','.join(CSV_HEADER)}")
     by_level: dict[int, dict[int, float]] = {}
     for row in rows[1:]:
-        k, j, _, value = int(row[0]), int(row[1]), row[2], float(row[3])
+        try:
+            k, j, value = int(row[0]), int(row[1]), float(row[3])
+        except (IndexError, ValueError) as exc:
+            raise ValidationError(f"malformed CSV row {row!r}") from exc
+        if k < 0 or j < 0:
+            raise ValidationError(f"negative level or index in CSV row {row!r}")
         by_level.setdefault(k, {})[j] = value
+    if not by_level:
+        raise ValidationError("CSV has a header but no field rows")
     n = max(by_level)
     m = params.m
     levels = []
     for k in range(n + 1):
         entries = by_level.get(k, {})
-        if len(entries) != m**k:
-            raise ValidationError(f"level {k} has {len(entries)} values, expected {m**k}")
+        if len(entries) != m**k or max(entries, default=0) >= m**k:
+            raise ValidationError(
+                f"level {k} must hold indices 0..{m**k - 1}, got {len(entries)} values"
+            )
         levels.append(np.array([entries[j] for j in range(m**k)], dtype=float))
     boundary = SampledBoundary(m=m, n=n, values=levels[-1], spec=None)
     return LevelField(params=params, n=n, levels=tuple(levels), boundary=boundary)
@@ -242,5 +270,5 @@ def field_to_json_obj(field: LevelField) -> dict:
             "beta": field.params.beta,
         },
         "n": field.n,
-        "levels": [[float(v) for v in arr] for arr in field.levels],
+        "levels": [arr.astype(float, copy=False).tolist() for arr in field.levels],
     }

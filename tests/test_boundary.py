@@ -77,6 +77,19 @@ class TestValidation:
         with pytest.raises(ValidationError):
             BoundarySpec.from_csv(io.StringIO("x,y\n0,0\n1,1\n"))
 
+    def test_csv_non_numeric_rejected(self):
+        with pytest.raises(ValidationError):
+            BoundarySpec.from_csv(io.StringIO("t,value\n0,0\n0.5,abc\n1,1\n"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_data_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            BoundarySpec.constant(bad)
+        with pytest.raises(ValidationError):
+            BoundarySpec.tabulated([0.0, 0.5, 1.0], [0.0, bad, 1.0])
+        with pytest.raises(ValidationError):
+            BoundarySpec.tabulated([0.0, 1.0], [0.0, 1.0], lipschitz_bound=bad)
+
 
 class TestSampleFn:
     def test_linear_level_one(self):

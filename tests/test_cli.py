@@ -87,6 +87,31 @@ class TestSolve:
         ])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize(
+        "boundary",
+        ["constant:nan", "constant:inf", "constant:1.7e308", "inf.csv", "nan.csv", "text.csv"],
+    )
+    def test_non_finite_data_exits_2(self, runner, tmp_path, boundary):
+        samples = {"inf.csv": "inf", "nan.csv": "nan", "text.csv": "abc"}
+        if boundary in samples:
+            path = tmp_path / boundary
+            path.write_text(f"t,value\n0,0\n0.5,{samples[boundary]}\n1,1\n", encoding="utf-8")
+            boundary = str(path)
+        result = runner.invoke(main, [
+            "solve", "--m", "3", "--alpha", "0.5", "--boundary", boundary, "--n", "1",
+        ])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.output
+
+    def test_nan_tolerance_exits_2(self, runner):
+        result = runner.invoke(main, [
+            "solve", "--m", "3", "--alpha", "0.5", "--boundary", "linear", "--tol", "nan",
+        ])
+        assert result.exit_code == 2
+        assert "tolerance" in result.stderr
+
     def test_byte_reproducibility(self, runner, tmp_path):
         outputs = []
         for name in ("a.json", "b.json"):

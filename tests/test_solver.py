@@ -12,6 +12,7 @@ from phtree import (
     ContractViolationError,
     GameParams,
     UnsupportedError,
+    ValidationError,
     Vertex,
     build_un,
     check_field,
@@ -56,10 +57,13 @@ class TestBuildUn:
     def test_capacity_and_depth_validation(self):
         with pytest.raises(CapacityError):
             build_un(LINEAR, P, 8, cap=100)
-        from phtree import ValidationError
-
         with pytest.raises(ValidationError):
             build_un(LINEAR, P, 0)
+
+    def test_overflowing_sweep_rejected(self):
+        # finite samples whose max + min overflows to inf in the sweep
+        with pytest.raises(ValidationError, match="not finite"):
+            build_un(BoundarySpec.constant(1.7e308), P, 2)
 
 
 class TestEvaluate:
@@ -129,6 +133,11 @@ class TestSolveToTolerance:
         result = solve_to_tolerance(LINEAR, P, 1e-9, cap=3**4)
         assert not result.certified
         assert result.n_used == 4
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+    def test_non_positive_tolerance_rejected(self, tol):
+        with pytest.raises(ValidationError):
+            solve_to_tolerance(LINEAR, P, tol)
 
 
 class TestCompareFields:
@@ -272,7 +281,21 @@ class TestSerialization:
         assert len(obj["levels"]) == 3
 
     def test_bad_header_rejected(self):
-        from phtree import ValidationError
-
         with pytest.raises(ValidationError):
             field_from_csv("a,b,c\n", P)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "",  # header only
+            "0,0,0\n",  # short row
+            "0,0,0,abc\n",  # non-numeric value
+            "0,x,0,1.5\n",  # non-numeric index
+            "-1,0,0,1.5\n",  # negative level
+            "0,-1,0,1.5\n",  # negative index
+            "0,1,0,1.5\n",  # level 0 without index 0
+        ],
+    )
+    def test_malformed_rows_rejected(self, body):
+        with pytest.raises(ValidationError):
+            field_from_csv("level,index,psi_left,value\n" + body, P)
