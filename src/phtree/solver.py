@@ -207,7 +207,7 @@ CSV_BLOCK_ROWS = 1 << 15
 def field_to_csv(field: LevelField, stream=None) -> str | None:
     """Write the field as CSV rows ``level,index,psi_left,value``.
 
-    Floats use the ``.17g`` format; none of the fields needs CSV quoting.
+    Floats use the ``.17g`` format, so no field needs CSV quoting.
     """
     own = stream is None
     if own:
@@ -243,20 +243,16 @@ def field_from_csv(source, params: GameParams) -> LevelField:
             k, j, value = int(row[0]), int(row[1]), float(row[3])
         except (IndexError, ValueError) as exc:
             raise ValidationError(f"malformed CSV row {row!r}") from exc
-        if k < 0 or j < 0:
-            raise ValidationError(f"negative level or index in CSV row {row!r}")
         by_level.setdefault(k, {})[j] = value
-    if not by_level:
-        raise ValidationError("CSV has a header but no field rows")
+    if not by_level or min(by_level) < 0:
+        raise ValidationError("CSV must hold the field rows of levels 0..n")
     n = max(by_level)
     m = params.m
     levels = []
     for k in range(n + 1):
         entries = by_level.get(k, {})
-        if len(entries) != m**k or max(entries, default=0) >= m**k:
-            raise ValidationError(
-                f"level {k} must hold indices 0..{m**k - 1}, got {len(entries)} values"
-            )
+        if entries.keys() != set(range(m**k)):
+            raise ValidationError(f"level {k} must hold the indices 0..{m**k - 1}")
         levels.append(np.array([entries[j] for j in range(m**k)], dtype=float))
     boundary = SampledBoundary(m=m, n=n, values=levels[-1], spec=None)
     return LevelField(params=params, n=n, levels=tuple(levels), boundary=boundary)
