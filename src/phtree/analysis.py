@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .dpp import GameParams
+from .dpp import GameParams, operator_average
 from .errors import ValidationError
 
 
@@ -87,15 +87,9 @@ class MinimizationResult:
     converged: bool
 
 
-def _constraint_value(params: GameParams, x: np.ndarray) -> float:
-    return (params.alpha / 2.0) * (float(x.max()) + float(x.min())) + (
-        params.beta / params.m
-    ) * float(x.sum())
-
-
 def _project(params: GameParams, x: np.ndarray) -> np.ndarray:
     # shifting all coordinates by -c shifts the operator average by exactly -c
-    return x - _constraint_value(params, x)
+    return x - float(operator_average(params, x))
 
 
 def kl_minimization_oracle(

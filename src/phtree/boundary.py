@@ -165,7 +165,8 @@ class BoundarySpec:
 def eval_F(spec: BoundarySpec, t):
     """Evaluate F at a scalar or array of points in [0, 1]."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    # written so that NaN fails the check too
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise DomainError(f"boundary data is defined on [0, 1]; got {t}")
     if spec.kind == KIND_LINEAR:
         out = arr

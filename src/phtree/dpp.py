@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, MissingValueError, ValidationError
-from .tree import Vertex, vertex_from_index
+from .tree import Vertex, _validate_branching, vertex_from_index
 
 #: residual classifications, also used for whole-field reports
 HARMONIOUS = "harmonious"
@@ -49,10 +49,7 @@ class GameParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 2:
-            raise ValidationError(
-                f"branching factor m must be an integer >= 2, got {self.m!r}"
-            )
+        object.__setattr__(self, "m", _validate_branching(self.m))
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
@@ -78,7 +75,11 @@ class Residual:
 
 
 def dpp_average(params: GameParams, succ_values: Sequence[float]) -> float:
-    """Apply the averaging operator to exactly m successor values."""
+    """Apply the averaging operator to exactly m successor values.
+
+    This is the validated scalar form, summed with ``math.fsum``;
+    :func:`operator_average` is the array form the sweeps use.
+    """
     values = [float(v) for v in succ_values]
     if len(values) != params.m:
         raise ContractViolationError(
@@ -90,6 +91,13 @@ def dpp_average(params: GameParams, succ_values: Sequence[float]) -> float:
     return (params.alpha / 2.0) * (max(values) + min(values)) + (
         params.beta / params.m
     ) * math.fsum(values)
+
+
+def operator_average(params: GameParams, values: np.ndarray) -> np.ndarray:
+    """Apply the averaging operator over the last axis of an ``(..., m)`` array."""
+    return (params.alpha / 2.0) * (values.max(axis=-1) + values.min(axis=-1)) + (
+        params.beta / params.m
+    ) * values.sum(axis=-1)
 
 
 def residual_at(
@@ -162,10 +170,7 @@ def check_field(field, params: GameParams | None = None, tol: float = DEFAULT_TO
     max_resid = 0.0
     for k in range(field.n):
         children = np.asarray(field.levels[k + 1], dtype=float).reshape(-1, m)
-        averages = (params.alpha / 2.0) * (children.max(axis=1) + children.min(axis=1)) + (
-            params.beta / m
-        ) * children.sum(axis=1)
-        residuals = averages - np.asarray(field.levels[k], dtype=float)
+        residuals = operator_average(params, children) - np.asarray(field.levels[k], dtype=float)
         checked += residuals.size
         min_resid = min(min_resid, float(residuals.min()))
         max_resid = max(max_resid, float(residuals.max()))

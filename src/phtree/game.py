@@ -137,10 +137,15 @@ def strategy_from_name(name: str, m: int, advice: LevelField | None) -> Strategy
         if advice is None:
             raise ValidationError(f"strategy {name!r} needs an advice field")
         return GreedyMaxStrategy(advice) if name == "greedy-max" else GreedyMinStrategy(advice)
-    if name.startswith("fixed:"):
-        return FixedDigitStrategy(int(name.split(":", 1)[1]), m)
-    if name.startswith("random:"):
-        return UniformRandomStrategy(int(name.split(":", 1)[1]), m)
+    kind, colon, arg = name.partition(":")
+    if colon and kind in ("fixed", "random"):
+        try:
+            value = int(arg)
+        except ValueError as exc:
+            raise ValidationError(f"strategy {name!r} needs an integer after {kind}:") from exc
+        if kind == "fixed":
+            return FixedDigitStrategy(value, m)
+        return UniformRandomStrategy(value, m)
     raise ValidationError(
         f"unknown strategy {name!r}: expected greedy-max, greedy-min, "
         f"fixed:<digit>, or random:<seed>"

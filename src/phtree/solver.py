@@ -20,7 +20,7 @@ import numpy as np
 
 from .boundary import BoundarySpec, SampledBoundary, modulus_bound, sample_Fn
 from .capacity import check_level_size
-from .dpp import GameParams
+from .dpp import GameParams, operator_average
 from .errors import (
     CapacityError,
     ContractViolationError,
@@ -86,11 +86,7 @@ def build_un(
     # an overflow is reported by the finiteness check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, -1, -1):
-            children = levels[0].reshape(m**k, m)
-            parent = (params.alpha / 2.0) * (children.max(axis=1) + children.min(axis=1)) + (
-                params.beta / m
-            ) * children.sum(axis=1)
-            levels.insert(0, parent)
+            levels.insert(0, operator_average(params, levels[0].reshape(m**k, m)))
     # a non-finite value anywhere in the sweep propagates to the root
     if not math.isfinite(levels[0][0]):
         raise ValidationError(

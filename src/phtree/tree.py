@@ -13,6 +13,7 @@ All types are immutable; all operations are pure.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -21,9 +22,11 @@ from .capacity import check_level_size
 from .errors import ValidationError
 
 
-def _validate_branching(m: int) -> None:
-    if not isinstance(m, int) or m < 2:
+def _validate_branching(m: int) -> int:
+    """Return m as a plain int; any integer type except bool is accepted."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 2:
         raise ValidationError(f"branching factor m must be an integer >= 2, got {m!r}")
+    return int(m)
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,7 @@ class Vertex:
     digits: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        _validate_branching(self.m)
+        object.__setattr__(self, "m", _validate_branching(self.m))
         digits = tuple(int(d) for d in self.digits)
         object.__setattr__(self, "digits", digits)
         for d in digits:
@@ -127,7 +130,7 @@ class ExactPoint:
     level: int
 
     def __post_init__(self) -> None:
-        _validate_branching(self.m)
+        object.__setattr__(self, "m", _validate_branching(self.m))
         if self.level < 0:
             raise ValidationError(f"level must be >= 0, got {self.level}")
         if not 0 <= self.numerator <= self.m**self.level:

@@ -25,12 +25,20 @@ The machinery:
   per-stage maxima ``M_k = prod 1/(1 - delta**rho_i)``.
 * ``unboundedness_probe`` -- the same products as lower bounds forcing
   unboundedness in the divergent case.
+
+Each subset compiles to a digit automaton whose ``fixpoint`` flag says its
+states are finite and its membership ignores the level.  One scan,
+``_first_member``, advances the set of reachable states a level at a time
+and stops at a member, at a repeated set (on a ``fixpoint`` machine, proof
+that no member lies deeper) or at its offset budget.  Density, hitting and
+the ladder probes all run it; ``_advance_map`` keeps the exact per-class
+vertex counts behind (P1)/(P2).  Both check the size cap on every level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -42,7 +50,7 @@ from .errors import (
     StructuralCheckError,
     ValidationError,
 )
-from .tree import Interval, Vertex, interval_of, parse_vertex
+from .tree import Interval, Vertex, _validate_branching, interval_of, parse_vertex
 
 #: membership decidable at every depth
 UNBOUNDED_DEPTH = 10**9
@@ -175,8 +183,7 @@ _DEAD = "<dead>"
 
 
 class _LastDigitMachine:
-    level_sensitive = False
-    finite_state = True
+    fixpoint = True
 
     def __init__(self, m: int, digit: int):
         self.m = m
@@ -193,8 +200,7 @@ class _LastDigitMachine:
 
 
 class _DigitAvoidingMachine:
-    level_sensitive = False
-    finite_state = True
+    fixpoint = True
 
     def __init__(self, m: int, digit: int):
         self.m = m
@@ -213,8 +219,7 @@ class _DigitAvoidingMachine:
 
 
 class _FullLevelsMachine:
-    level_sensitive = True
-    finite_state = True
+    fixpoint = False  # membership depends on the level
 
     def __init__(self, m: int, spec: "SubsetSpec"):
         self.m = m
@@ -235,13 +240,11 @@ class _RhoGeneratedMachine:
     stage root in U); membership happens exactly at stage boundaries on
     all-distinguished paths whose stage root was not a member."""
 
-    level_sensitive = False
-
     def __init__(self, m: int, pattern: RhoPattern, digit: int):
         self.m = m
         self.pattern = pattern
         self.digit = digit
-        self.finite_state = pattern.continuation == CYCLE
+        self.fixpoint = pattern.continuation == CYCLE
 
     def initial(self):
         return (1, 0, True, False)
@@ -265,8 +268,7 @@ class _RhoGeneratedMachine:
 
 
 class _ExplicitSetMachine:
-    level_sensitive = False
-    finite_state = True
+    fixpoint = True
 
     def __init__(self, m: int, members: frozenset[tuple[int, ...]]):
         self.m = m
@@ -291,8 +293,7 @@ class _ExplicitSetMachine:
 
 
 class _PredicateMachine:
-    level_sensitive = False
-    finite_state = False
+    fixpoint = False
 
     def __init__(self, m: int, fn: Callable[[Vertex], bool]):
         self.m = m
@@ -333,6 +334,9 @@ class SubsetSpec:
     rho: RhoPattern | None = None
     predicate_fn: Callable[[Vertex], bool] | None = field(default=None, compare=False)
     members: frozenset[tuple[int, ...]] | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _validate_branching(self.m))
 
     # -- constructors ---------------------------------------------------
 
@@ -427,6 +431,8 @@ class SubsetSpec:
                 return cls.digit_avoiding(m, int(rest))
             if head == "full-levels":
                 parts = [p.strip() for p in rest.split(";") if p.strip()]
+                if not parts:
+                    raise ValidationError(f"set descriptor {text!r} lists no levels")
                 levels = [int(x) for x in parts[0].split(",")]
                 rule = None
                 for suffix in parts[1:]:
@@ -481,16 +487,7 @@ class SubsetSpec:
         return machine.is_member(state, v.level)
 
     def is_full_level(self, level: int) -> bool:
-        if self.kind != KIND_FULL_LEVELS:
-            return False
-        if level in self.levels:
-            return True
-        if self.level_rule == "doubling" and level > self.levels[-1]:
-            l = self.levels[-1]
-            while l < level:
-                l *= 2
-            return l == level
-        return False
+        return self.next_full_level_after(level - 1) == level
 
     def next_full_level_after(self, level: int) -> int | None:
         if self.kind != KIND_FULL_LEVELS:
@@ -518,8 +515,7 @@ class SubsetSpec:
 
 
 def _check_digit(m: int, digit: int) -> None:
-    if not isinstance(m, int) or m < 2:
-        raise ValidationError(f"branching factor m must be an integer >= 2, got {m!r}")
+    _validate_branching(m)
     if not 0 <= digit < m:
         raise ValidationError(f"digit {digit} out of range for branching {m}")
 
@@ -542,88 +538,83 @@ def _initial_map(machine) -> _LevelMap:
     return _LevelMap(level=0, states={(machine.initial(), False): [1, ()]})
 
 
-def _advance_map(machine, lmap: _LevelMap, cap: int) -> _LevelMap:
-    new: dict = {}
-    for (ks, below), (count, rep) in lmap.states.items():
-        child_below = below or machine.is_member(ks, lmap.level)
-        for d in range(machine.m):
-            key = (machine.step(ks, d), child_below)
-            entry = new.get(key)
-            if entry is None:
-                new[key] = [count, rep + (d,)]
-            else:
-                entry[0] += count
-    if len(new) > cap:
+def _advance_map(machine, lmap: _LevelMap, cap: int, levels: int = 1) -> _LevelMap:
+    """Advance the map by `levels` levels, keeping every level under the cap."""
+    for _ in range(levels):
+        new: dict = {}
+        for (ks, below), (count, rep) in lmap.states.items():
+            child_below = below or machine.is_member(ks, lmap.level)
+            for d in range(machine.m):
+                key = (machine.step(ks, d), child_below)
+                entry = new.get(key)
+                if entry is None:
+                    new[key] = [count, rep + (d,)]
+                else:
+                    entry[0] += count
+        _check_scan_size(lmap.level + 1, len(new), cap)
+        lmap = _LevelMap(level=lmap.level + 1, states=new)
+    return lmap
+
+
+def _members(machine, lmap: _LevelMap) -> int:
+    """Exact number of member vertices on the map's level."""
+    return sum(
+        count
+        for (ks, _below), (count, _rep) in lmap.states.items()
+        if machine.is_member(ks, lmap.level)
+    )
+
+
+def _check_scan_size(level: int, size: int, cap: int) -> None:
+    if size > cap:
         raise CapacityError(
-            f"level {lmap.level + 1} scan needs {len(new)} state classes, "
+            f"level {level} scan needs {size} state classes, "
             f"exceeding the size cap of {cap}"
         )
-    return _LevelMap(level=lmap.level + 1, states=new)
 
 
-def _min_member_offset(machine, start_states, start_level: int, max_offset: int):
-    """Least offset n >= 1 at which a member is reachable from any start state.
+def _first_member(machine, starts, level: int, max_offset: int, cap: int):
+    """Least offset n in 1..max_offset at which a member is reachable from
+    the start states at `level`.
 
-    Returns (offset | None, definitive).  For finite automata whose
-    membership does not depend on the level, a repeated reachable-state
-    set with no member proves no member exists at any depth.
+    Returns (offset | None, definitive, levels_scanned).  Without a member,
+    only a repeated state set on a ``fixpoint`` machine is definitive.
     """
-    current = frozenset(start_states)
+    current = frozenset(starts)
     seen = {current}
-    use_fixpoint = machine.finite_state and not machine.level_sensitive
     n = 0
     while n < max_offset:
         n += 1
         current = frozenset(
             machine.step(ks, d) for ks in current for d in range(machine.m)
         )
-        if any(machine.is_member(ks, start_level + n) for ks in current):
-            return n, True
-        if use_fixpoint:
+        _check_scan_size(level + n, len(current), cap)
+        if any(machine.is_member(ks, level + n) for ks in current):
+            return n, True, n
+        if machine.fixpoint:
             if current in seen:
-                return None, True
+                return None, True, n
             seen.add(current)
-    return None, False
+    return None, False, n
 
 
-def _member_count_at_offset(machine, start_state, start_level: int, offset: int) -> int:
-    counts = {start_state: 1}
-    for _ in range(offset):
-        new: dict = {}
-        for ks, c in counts.items():
-            for d in range(machine.m):
-                key = machine.step(ks, d)
-                new[key] = new.get(key, 0) + c
-        counts = new
-    return sum(
-        c for ks, c in counts.items() if machine.is_member(ks, start_level + offset)
-    )
+class _InteriorMachine:
+    """A machine paired with the flag "every digit so far was 0"; its
+    members are the wrapped machine's members off the all-zero path, whose
+    expansion points lie in the open interior of the start interval."""
 
+    def __init__(self, machine):
+        self.machine = machine
+        self.m = machine.m
+        self.fixpoint = machine.fixpoint
 
-def _interior_member_below(machine, start_state, start_level: int, max_offset: int):
-    """Is there a member strictly below whose expansion point falls in the
-    open interior of the start vertex's interval (i.e. its extension is
-    not all zeros)?  Returns (found, definitive)."""
-    current = frozenset({(start_state, True)})
-    seen = {current}
-    use_fixpoint = machine.finite_state and not machine.level_sensitive
-    n = 0
-    while n < max_offset:
-        n += 1
-        current = frozenset(
-            (machine.step(ks, d), az and d == 0)
-            for ks, az in current
-            for d in range(machine.m)
-        )
-        if any(
-            not az and machine.is_member(ks, start_level + n) for ks, az in current
-        ):
-            return True, True
-        if use_fixpoint:
-            if current in seen:
-                return False, True
-            seen.add(current)
-    return False, False
+    def step(self, state, digit):
+        ks, all_zero = state
+        return self.machine.step(ks, digit), all_zero and digit == 0
+
+    def is_member(self, state, level) -> bool:
+        ks, all_zero = state
+        return not all_zero and self.machine.is_member(ks, level)
 
 
 # ----------------------------------------------------------------------
@@ -662,19 +653,18 @@ def density_check(U: SubsetSpec, resolution_level: int, cap: int | None = None) 
         return DensityResult(False, witness, resolution_level, True)
     machine = U.machine()
     active_cap = size_cap(cap)
-    lmap = _initial_map(machine)
-    for _ in range(resolution_level):
-        lmap = _advance_map(machine, lmap, active_cap)
+    lmap = _advance_map(machine, _initial_map(machine), active_cap, resolution_level)
+    interior = _InteriorMachine(machine)
     max_offset = min(U.depth_bound - resolution_level, _DENSITY_OFFSET_LIMIT)
-    definitive = True
     for (ks, _below), (_count, rep) in lmap.states.items():
-        found, sure = _interior_member_below(machine, ks, resolution_level, max_offset)
-        if not found:
+        offset, definitive, _scanned = _first_member(
+            interior, {(ks, True)}, resolution_level, max_offset, active_cap
+        )
+        if offset is None:
             return DensityResult(
-                False, interval_of(Vertex(U.m, rep)), resolution_level, sure
+                False, interval_of(Vertex(U.m, rep)), resolution_level, definitive
             )
-        definitive = definitive and sure
-    return DensityResult(True, None, resolution_level, definitive)
+    return DensityResult(True, None, resolution_level, True)
 
 
 @dataclass(frozen=True)
@@ -705,7 +695,7 @@ def pa_check(
     worst = 0
     for level in range(scan_depth + 1):
         for (ks, _below), (_count, rep) in lmap.states.items():
-            offset, _definitive = _min_member_offset(machine, {ks}, level, n_max)
+            offset = _first_member(machine, {ks}, level, n_max, active_cap)[0]
             if offset is None:
                 return PaResult(
                     holds=False,
@@ -820,77 +810,50 @@ def compute_rho(
 
     for k in range(1, k_max + 1):
         base = lmap.level
-        if k == 1:
-            eligible = list(lmap.states.items())
-        else:
-            eligible = [
-                (key, entry)
-                for key, entry in lmap.states.items()
-                if not machine.is_member(key[0], base)
-            ]
-            if not eligible:
-                frontier_empty_at = base
-                notes.append(f"level {base} is fully contained in U")
-                break
-        a_k = [
-            (key[0], entry[1])
-            for key, entry in eligible
-            if not key[1] and not machine.is_member(key[0], base)
+        eligible = [
+            (ks, below)
+            for ks, below in lmap.states
+            if k == 1 or not machine.is_member(ks, base)
         ]
-        probe = frozenset(key[0] for key, _entry in eligible)
-        probe_seen = {probe}
-        use_fixpoint = machine.finite_state and not machine.level_sensitive
+        if not eligible:
+            frontier_empty_at = base
+            notes.append(f"level {base} is fully contained in U")
+            break
+        untouched = [
+            ks for ks, below in eligible if not below and not machine.is_member(ks, base)
+        ]
         max_probe = min(U.depth_bound - base, _RHO_PROBE_LIMIT)
-
-        offset = None
-        steps = 0
-        while steps < max_probe:
-            steps += 1
-            lmap = _advance_map(machine, lmap, active_cap)
-            probe = frozenset(
-                machine.step(ks, d) for ks in probe for d in range(machine.m)
-            )
-            if any(machine.is_member(ks, base + steps) for ks in probe):
-                offset = steps
-                break
-            if use_fixpoint:
-                if probe in probe_seen:
-                    terminated = True
-                    break
-                probe_seen.add(probe)
+        offset, definitive, scanned = _first_member(
+            machine, {ks for ks, _below in eligible}, base, max_probe, active_cap
+        )
+        lmap = _advance_map(machine, lmap, active_cap, scanned)
         if offset is None:
-            if terminated:
-                notes.append(
-                    f"no members exist below the level-{base} frontier at any depth"
-                )
-            else:
-                inconclusive = True
-                notes.append(
-                    f"no member found below level {base} within the trusted depth"
-                )
+            # a fixpoint proves the ladder ends; a spent budget leaves it open
+            terminated, inconclusive = definitive, not definitive
+            notes.append(
+                f"no members exist below the level-{base} frontier at any depth"
+                if terminated
+                else f"no member found below level {base} within the trusted depth"
+            )
             break
 
         rho.append(offset)
         eta.append(base + offset)
         if k == 1:
-            total = sum(
-                entry[0]
-                for key, entry in lmap.states.items()
-                if machine.is_member(key[0], lmap.level)
-            )
+            total = _members(machine, lmap)
             p1_ok = total == 1
             if not p1_ok:
                 notes.append(f"{total} members at level {eta[0]}, so (P1) fails")
         else:
-            counts = {
-                ks: _member_count_at_offset(machine, ks, base, offset)
-                for ks, _rep in a_k
-            }
+            # members at the new gap below each untouched frontier class
+            counts = []
+            for ks in untouched:
+                own = _LevelMap(base, {(ks, False): [1, ()]})
+                counts.append(_members(machine, _advance_map(machine, own, active_cap, offset)))
             if counts:
-                stage_ok = all(c == 1 for c in counts.values())
-                if not stage_ok:
+                if any(c != 1 for c in counts):
                     p2_failed.append(k)
-                if all(c == 0 for c in counts.values()):
+                if all(c == 0 for c in counts):
                     # the witness for this gap lives below a frontier vertex
                     # that already sits under an earlier member
                     divergence.append(k)
@@ -1062,27 +1025,15 @@ class CounterexampleField:
     def value(self, v: Vertex) -> float:
         if v.m != self.params.m:
             raise ValidationError("vertex branching differs from the field's")
-        self._ensure_depth(v.level)
-        digits = v.digits
-        k = 1
-        while True:
-            start, end = self._eta[k - 1], self._eta[k]
-            if len(digits) <= start:
-                return self._maxima[k - 1]
-            segment = digits[start : min(len(digits), end)]
-            branch = next(
-                (i for i, d in enumerate(segment, 1) if d != self.digit), None
-            )
-            if branch is None:
-                if len(digits) >= end:
-                    # at or strictly below the stage's member vertex
-                    return 0.0
-                i = len(digits) - start
-                r = self._rho[k - 1]
-                return self._maxima[k] * (1.0 - self._delta ** (r - i))
-            if len(digits) <= end:
-                return self._maxima[k]
-            k += 1
+        tag = self._classify(v.digits)
+        if tag[0] == "zero":
+            return 0.0
+        if tag[0] == "frontier":
+            return self._maxima[tag[1] - 1]
+        if tag[0] == "const":
+            return self._maxima[tag[1]]
+        _path, k, i = tag
+        return self._maxima[k] * (1.0 - self._delta ** (self._rho[k - 1] - i))
 
     __call__ = value
 
@@ -1091,7 +1042,12 @@ class CounterexampleField:
     def _classify(self, digits: tuple[int, ...]):
         """Self-similarity class of a vertex; values and whole subtrees
         coincide within a class, so one representative per class covers
-        every vertex of its level."""
+        every vertex of its level.
+
+        Tags: ``("frontier", 1)`` is the root, ``("path", k, i)`` is i steps
+        down stage k's distinguished path, ``("const", k, i)`` is off it, and
+        ``("zero",)`` is at or below a member vertex.
+        """
         self._ensure_depth(len(digits))
         k = 1
         while True:
@@ -1289,19 +1245,8 @@ def analyze(
         verdict = f"inconclusive-at-depth-{depth}"
         reason = "finite-depth evidence does not decide unique continuation"
 
-    return UcpReport(
-        m=report.m,
-        rho=report.rho,
-        eta=report.eta,
-        partial_sum=report.partial_sum,
-        p1_ok=report.p1_ok,
-        p2_ok=report.p2_ok,
-        p2_failed_stages=report.p2_failed_stages,
-        quantifier_divergence=report.quantifier_divergence,
-        frontier_empty_at=report.frontier_empty_at,
-        ladder_terminated=report.ladder_terminated,
-        inconclusive_ladder=report.inconclusive_ladder,
-        depth_scanned=report.depth_scanned,
+    return replace(
+        report,
         notes=tuple(notes),
         density=density,
         pa=pa,

@@ -1,6 +1,7 @@
 """Boundary data: builtin families, tabulated ingestion, discretisation."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ class TestEval:
             eval_F(BoundarySpec.linear(), 1.5)
         with pytest.raises(DomainError):
             eval_F(BoundarySpec.linear(), np.array([0.2, -0.1]))
+
+    def test_nan_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            eval_F(BoundarySpec.linear(), math.nan)
+        with pytest.raises(DomainError):
+            eval_F(BoundarySpec.quadratic_centered(), np.array([0.2, math.nan]))
 
     def test_tabulated_interpolation(self):
         spec = BoundarySpec.tabulated([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])

@@ -175,6 +175,14 @@ class TestUcp:
         ])
         assert result.exit_code == 2
 
+    def test_empty_level_list_exits_2(self, runner):
+        result = runner.invoke(main, [
+            "ucp", "--m", "3", "--alpha", "0.5", "--set", "full-levels:",
+        ])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no uncaught exception
+        assert "lists no levels" in result.stderr
+
 
 class TestSimulate:
     def test_report_schema_and_determinism(self, runner):
@@ -191,6 +199,16 @@ class TestSimulate:
         assert set(payload) >= {"mean", "std_error", "plays", "truncation_error"}
         assert payload["plays"] == 500
         assert payload["truncation_error"] == pytest.approx(3.0**-10)
+
+    @pytest.mark.parametrize("strategy", ["random:x", "fixed:x", "random:"])
+    def test_malformed_strategy_exits_2(self, runner, strategy):
+        result = runner.invoke(main, [
+            "simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear",
+            "--plays", "10", "--depth", "3", "--strategy-i", strategy,
+        ])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no uncaught exception
+        assert "strategy" in result.stderr
 
     def test_constant_boundary(self, runner):
         result = runner.invoke(main, [

@@ -21,7 +21,7 @@ from phtree import (
     residual_at,
     root,
 )
-from phtree.dpp import HARMONIOUS, SUBHARMONIOUS, SUPERHARMONIOUS
+from phtree.dpp import HARMONIOUS, SUBHARMONIOUS, SUPERHARMONIOUS, operator_average
 
 P = GameParams(3, 0.5, 0.5)
 
@@ -51,6 +51,12 @@ class TestGameParams:
             GameParams(3, 0.7, 0.5)
         with pytest.raises(ValidationError):
             GameParams(3, -0.1, 1.1)
+        with pytest.raises(ValidationError):
+            GameParams(True, 0.5, 0.5)
+
+    def test_numpy_integer_branching(self):
+        params = GameParams(np.int64(3), 0.5, 0.5)
+        assert params == P and type(params.m) is int
 
 
 class TestDppAverage:
@@ -69,6 +75,17 @@ class TestDppAverage:
     def test_arity_error(self):
         with pytest.raises(ContractViolationError):
             dpp_average(P, [0.0, 1.0])
+
+    def test_array_form_matches_scalar_form(self):
+        rng = np.random.default_rng(4)
+        for params in (P, GameParams(2, 1.0, 0.0), GameParams(5, 0.0, 1.0)):
+            values = rng.uniform(-3.0, 3.0, size=(2, 7, params.m))
+            averages = operator_average(params, values)
+            assert averages.shape == (2, 7)
+            for idx in np.ndindex(2, 7):
+                assert averages[idx] == pytest.approx(
+                    dpp_average(params, values[idx]), abs=1e-14
+                )
 
     def test_nonfinite_error(self):
         with pytest.raises(ContractViolationError):

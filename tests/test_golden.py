@@ -14,6 +14,8 @@ from phtree.cli import main
 
 #: a small tabulated boundary; "{tabulated}" in a case's arguments is its path
 TABULATED_CSV = "t,value\n0,0.5\n0.25,-1\n0.625,0.75\n1,0.125\n"
+#: a small explicit subset for m=3; "{set_file}" in a case's arguments is its path
+SET_FILE = "1\n0.2\n2.1.0\n2.2.2.1\n"
 
 CASES = {
     "solve-m2-n6-linear-json": (
@@ -72,6 +74,33 @@ CASES = {
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,4,1,8,1,16", "--kmax", "6"],
         "5555b0c12d8b20a9d65a255932ec46a8732c16efe3f3722acf92a6b2935cb212",
     ),
+    # one ucp report per scan path: density refuted by the interior scan,
+    # uniform hitting, the full-levels closed form, a long probe ladder with
+    # P2 counts, a ladder that runs out of trusted depth, and an explicit set
+    "ucp-digit-avoiding": (
+        ["ucp", "--m", "3", "--alpha", "0.5", "--set", "digit-avoiding:1"],
+        "0c7576cf70e63b82dcf8976e5410558ffa875cc1a383c91eebc26f85218dc003",
+    ),
+    "ucp-last-digit": (
+        ["ucp", "--m", "3", "--alpha", "0.5", "--set", "last-digit:2"],
+        "2b9dfaa86e88f0a466de4e7fc48ec98099dc5e54d69ef313825a909b3d160329",
+    ),
+    "ucp-full-levels-doubling": (
+        ["ucp", "--m", "3", "--alpha", "0.5", "--set", "full-levels:1,3;doubling"],
+        "e98c7572efcaa4b956e0134bbbb7c29b2ada4b96c022f621a4b1a8866f3c4c3e",
+    ),
+    "ucp-rho-arith": (
+        ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,2;arith=1", "--kmax", "40"],
+        "236f527129f6ee066aa243a53d9467a3db0dcfc40ac85e4ec4f26cc899e909e0",
+    ),
+    "ucp-rho-finite": (
+        ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,2,3;finite"],
+        "8fa71b95b867dabdc7867daa6ffcd1fd9a272e0d18dab1a5286d7c74eedc25b5",
+    ),
+    "ucp-set-file": (
+        ["ucp", "--m", "3", "--alpha", "0.5", "--set-file", "{set_file}"],
+        "a891b77315695c5951e665084566bc3d94014596f4731cb3a17382b670336256",
+    ),
     "dim": (
         ["dim", "--m", "3", "--alpha", "0.5"],
         "f8394175f9563c543d5e66075b15dee8e33205428c49d427993c5cd978ddc238",
@@ -86,10 +115,20 @@ def tabulated(tmp_path):
     return path
 
 
+@pytest.fixture()
+def set_file(tmp_path):
+    path = tmp_path / "set.txt"
+    path.write_text(SET_FILE, encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_bytes(name, tabulated, tmp_path):
+def test_report_bytes(name, tabulated, set_file, tmp_path):
     template, digest = CASES[name]
-    args = [a.replace("{tabulated}", str(tabulated)) for a in template]
+    args = [
+        a.replace("{tabulated}", str(tabulated)).replace("{set_file}", str(set_file))
+        for a in template
+    ]
     runner = CliRunner()
 
     result = runner.invoke(main, args)

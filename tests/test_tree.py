@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,15 @@ class TestVertex:
             Vertex(3, (0, 3))
         with pytest.raises(ValidationError):
             Vertex(1, (0,))
+
+    def test_numpy_integer_branching_accepted(self):
+        v = Vertex(np.int64(3), (0, 2))
+        assert v.m == 3 and type(v.m) is int
+        assert v == Vertex(3, (0, 2))
+
+    def test_bool_branching_rejected(self):
+        with pytest.raises(ValidationError):
+            Vertex(True, ())
 
     def test_index_round_trip(self):
         for level in range(4):

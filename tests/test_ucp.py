@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from phtree import (
+    CapacityError,
     GameParams,
     InsufficientDepthError,
     RhoPattern,
@@ -122,11 +123,41 @@ class TestMembership:
             SubsetSpec.parse("nonsense", 3)
         with pytest.raises(ValidationError):
             SubsetSpec.parse("last-digit:9", 3)
+        with pytest.raises(ValidationError, match="lists no levels"):
+            SubsetSpec.parse("full-levels:", 3)
+
+    def test_numpy_integer_branching(self):
+        U = SubsetSpec.last_digit(np.int64(3), 1)
+        assert U == SubsetSpec.last_digit(3, 1) and type(U.m) is int
+        with pytest.raises(ValidationError):
+            SubsetSpec.last_digit(True, 0)
 
     def test_depth_bound_enforced(self):
         U = SubsetSpec.predicate(3, lambda v: v.level == 1, depth_bound=4)
         with pytest.raises(InsufficientDepthError):
             U.contains(Vertex(3, (0,) * 5))
+
+
+class TestSizeCap:
+    """Every scan checks the size cap on each level it builds."""
+
+    NEVER = SubsetSpec.predicate(3, lambda v: False, depth_bound=10)
+
+    def test_density_check(self):
+        with pytest.raises(CapacityError, match="level 5 scan needs 243 state classes"):
+            density_check(self.NEVER, 0, cap=100)
+
+    def test_pa_check(self):
+        with pytest.raises(CapacityError, match="level 5 scan needs 243 state classes"):
+            pa_check(self.NEVER, 6, cap=100)
+
+    def test_compute_rho(self):
+        with pytest.raises(CapacityError, match="level 5 scan needs 243 state classes"):
+            compute_rho(self.NEVER, P, 3, cap=100)
+
+    def test_within_cap_unchanged(self):
+        assert not density_check(self.NEVER, 0, cap=10**5).dense_up_to
+        assert compute_rho(self.NEVER, P, 3, cap=10**5).inconclusive_ladder
 
 
 class TestDensity:
