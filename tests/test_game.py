@@ -144,6 +144,29 @@ class _PythonFixedDigit(Strategy):
         return self.digit
 
 
+class _HistoryLength(Strategy):
+    """Digit ``len(history) % m``, read from the history of the play."""
+
+    def __init__(self, x0):
+        self.x0 = x0
+
+    def choose(self, history):
+        assert history[0] == self.x0
+        assert all(b.parent() == a for a, b in zip(history, history[1:]))
+        return len(history) % self.x0.m
+
+
+class _StepDigit(Strategy):
+    """The batched form of _HistoryLength: the history has one vertex per
+    level from x0 up to the current one."""
+
+    def __init__(self, x0):
+        self.x0 = x0
+
+    def choose_batch(self, level, indices):
+        return np.full(indices.shape, (level - self.x0.level + 1) % self.x0.m, dtype=np.int64)
+
+
 class TestEstimator:
     def test_constant_boundary_zero_variance(self):
         est = estimate_value(
@@ -163,16 +186,24 @@ class TestEstimator:
 
     def test_slow_path_matches_batched_path(self):
         # randomness is drawn up front, so a strategy without batch support
-        # must reproduce the batched payoffs decision for decision
-        fast = simulate_batch(
-            root(3), FixedDigitStrategy(2, 3), FixedDigitStrategy(0, 3),
-            LINEAR, P, depth=10, plays=300, master_seed=9,
-        )
-        slow = simulate_batch(
-            root(3), _PythonFixedDigit(2), _PythonFixedDigit(0),
-            LINEAR, P, depth=10, plays=300, master_seed=9,
-        )
-        np.testing.assert_array_equal(fast.payoffs, slow.payoffs)
+        # must reproduce the batched payoffs decision for decision; the
+        # history-reading pair also checks that a non-root play's history
+        # starts at x0
+        x0 = Vertex(3, (0, 2))
+        cases = [
+            (root(3), FixedDigitStrategy(2, 3), _PythonFixedDigit(2)),
+            (x0, _StepDigit(x0), _HistoryLength(x0)),
+        ]
+        for start, batched, per_play in cases:
+            fast = simulate_batch(
+                start, batched, FixedDigitStrategy(0, 3),
+                LINEAR, P, depth=10, plays=300, master_seed=9,
+            )
+            slow = simulate_batch(
+                start, per_play, _PythonFixedDigit(0),
+                LINEAR, P, depth=10, plays=300, master_seed=9,
+            )
+            np.testing.assert_array_equal(fast.payoffs, slow.payoffs)
 
     def test_pure_random_walk_mean(self):
         params = GameParams(3, 0.0, 1.0)

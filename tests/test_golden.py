@@ -70,6 +70,14 @@ CASES = {
          "--strategy-i", "random:7", "--strategy-ii", "random:8"],
         "4b81e4a75a82b3252e7fcab870426f41c7c89f9adad760c5fee7b7b1134e05c9",
     ),
+    # a history-reading strategy from a non-root start: the per-play path
+    # must hand it the history from x0, not from the root
+    "simulate-random-x0": (
+        ["simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear", "--x0", "0.2",
+         "--strategy-i", "random:7", "--strategy-ii", "greedy-min", "--advice-n", "4",
+         "--plays", "300", "--depth", "7", "--seed", "4"],
+        "9b2ba982b3762d50c4b6308577c6dce66c8b4328d777421bf6d2f62222d86946",
+    ),
     "ucp-rho": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,4,1,8,1,16", "--kmax", "6"],
         "5555b0c12d8b20a9d65a255932ec46a8732c16efe3f3722acf92a6b2935cb212",
