@@ -8,6 +8,10 @@ N and paid off with ``F(psi(x_N))``; every branch extension of ``x_N``
 stays within tree distance ``m**-N``, so :func:`truncation_error` turns
 the boundary modulus at that scale into a rigorous payoff uncertainty.
 
+:func:`simulate_batch` is the one engine.  It advances all plays in
+lockstep and asks each strategy for the moves of many plays at once, or
+play by play for a strategy without ``choose_batch``.
+
 Randomness contract: ``estimate_value`` draws all coin, turn, and random-
 move variates as ``(plays, depth)`` blocks from ``default_rng(master_seed)``
 in a fixed order; play p consumes row p, so each play's stream is a fixed
@@ -24,23 +28,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundarySpec, eval_F, modulus_bound
+from .capacity import size_cap
 from .dpp import GameParams
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .solver import LevelField
-from .tree import Vertex
-
-TAG_PLAYER_I = "player-I"
-TAG_PLAYER_II = "player-II"
-TAG_RANDOM = "random"
+from .tree import Vertex, vertex_from_index
 
 
 class Strategy:
     """A deterministic rule mapping a play history to a successor index.
 
-    Builtins are Markov (they only look at the last vertex), but `choose`
-    receives the whole history so custom history-dependent strategies fit
-    the same interface.  Subclasses may provide `choose_batch` for the
-    vectorised estimator; those without it are called play by play.
+    The history is the path of the play from its start vertex ``x0`` to the
+    current vertex.  Builtins are Markov (they only look at the last
+    vertex), but `choose` receives the whole history so custom
+    history-dependent strategies fit the same interface.  Subclasses may
+    provide ``choose_batch(level, indices)``, which picks the moves of many
+    plays at once from their current level and vertex indices; the engine
+    calls a strategy without it (``choose_batch is None``) play by play.
     """
 
     def choose(self, history: tuple[Vertex, ...]) -> int:
@@ -49,52 +53,45 @@ class Strategy:
     choose_batch = None  # type: ignore[assignment]
 
 
-class GreedyMaxStrategy(Strategy):
-    """Step to an argmax of the advice field over the successors.
+class _GreedyStrategy(Strategy):
+    """Step to the successor that `_pick` selects from the advice field.
 
-    Ties break to the lowest successor index (fixed for reproducibility).
+    `_pick` is ``np.argmax`` or ``np.argmin``; both break ties to the lowest
+    successor index (fixed for reproducibility).
     """
 
+    _pick = None
+
     def __init__(self, advice: LevelField):
         self.advice = advice
 
     def choose(self, history: tuple[Vertex, ...]) -> int:
         v = history[-1]
         values = [self.advice.value(y) for y in v.successors()]
-        return int(np.argmax(values))
+        return int(self._pick(values))
 
     def choose_batch(self, level: int, indices: np.ndarray) -> np.ndarray:
-        return _greedy_batch(self.advice, level, indices, maximize=True)
+        m = self.advice.params.m
+        if level + 1 > self.advice.n:
+            # advice is constant on subtrees below its depth: every move
+            # ties, and ties break to index 0
+            return np.zeros(indices.shape, dtype=np.int64)
+        child_values = self.advice.levels[level + 1][
+            indices[:, None] * m + np.arange(m)[None, :]
+        ]
+        return self._pick(child_values, axis=1).astype(np.int64)
 
 
-class GreedyMinStrategy(Strategy):
+class GreedyMaxStrategy(_GreedyStrategy):
+    """Step to an argmax of the advice field (lowest index on ties)."""
+
+    _pick = staticmethod(np.argmax)
+
+
+class GreedyMinStrategy(_GreedyStrategy):
     """Step to an argmin of the advice field (lowest index on ties)."""
 
-    def __init__(self, advice: LevelField):
-        self.advice = advice
-
-    def choose(self, history: tuple[Vertex, ...]) -> int:
-        v = history[-1]
-        values = [self.advice.value(y) for y in v.successors()]
-        return int(np.argmin(values))
-
-    def choose_batch(self, level: int, indices: np.ndarray) -> np.ndarray:
-        return _greedy_batch(self.advice, level, indices, maximize=False)
-
-
-def _greedy_batch(
-    advice: LevelField, level: int, indices: np.ndarray, maximize: bool
-) -> np.ndarray:
-    m = advice.params.m
-    if level + 1 > advice.n:
-        # advice is constant on subtrees below its depth: every move ties,
-        # and ties break to index 0
-        return np.zeros(indices.shape, dtype=np.int64)
-    child_values = advice.levels[level + 1][
-        indices[:, None] * m + np.arange(m)[None, :]
-    ]
-    picker = np.argmax if maximize else np.argmin
-    return picker(child_values, axis=1).astype(np.int64)
+    _pick = staticmethod(np.argmin)
 
 
 class FixedDigitStrategy(Strategy):
@@ -122,6 +119,8 @@ class UniformRandomStrategy(Strategy):
 
     def __init__(self, seed: int, m: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValidationError(f"random strategy seed must be >= 0, got {seed}")
         self.m = m
 
     def choose(self, history: tuple[Vertex, ...]) -> int:
@@ -153,61 +152,12 @@ def strategy_from_name(name: str, m: int, advice: LevelField | None) -> Strategy
 
 
 @dataclass(frozen=True)
-class PlayRecord:
-    """One truncated play: the visited path, per-step move tags, and payoff."""
-
-    path: tuple[Vertex, ...]
-    coin_outcomes: tuple[str, ...]
-    payoff: float
-    truncation_depth: int
-
-
-@dataclass(frozen=True)
 class McEstimate:
     mean: float
     std_error: float
     plays: int
     params: GameParams
     truncation_depth: int
-
-
-def play_once(
-    x0: Vertex,
-    strategy_i: Strategy,
-    strategy_ii: Strategy,
-    spec: BoundarySpec,
-    params: GameParams,
-    depth: int,
-    rng_seed,
-) -> PlayRecord:
-    """Run a single seeded play of `depth` steps starting at `x0`."""
-    if depth < 1:
-        raise ValidationError(f"depth must be >= 1, got {depth}")
-    if x0.m != params.m:
-        raise ValidationError("starting vertex and params disagree on branching")
-    rng = np.random.default_rng(rng_seed)
-    path = [x0]
-    tags: list[str] = []
-    for _ in range(depth):
-        if rng.random() < params.alpha:
-            if rng.random() < 0.5:
-                tags.append(TAG_PLAYER_I)
-                digit = strategy_i.choose(tuple(path))
-            else:
-                tags.append(TAG_PLAYER_II)
-                digit = strategy_ii.choose(tuple(path))
-        else:
-            tags.append(TAG_RANDOM)
-            digit = int(rng.integers(params.m))
-        path.append(path[-1].child(digit))
-    final = path[-1]
-    payoff = float(eval_F(spec, final.index / params.m**final.level))
-    return PlayRecord(
-        path=tuple(path),
-        coin_outcomes=tuple(tags),
-        payoff=payoff,
-        truncation_depth=depth,
-    )
 
 
 @dataclass(frozen=True)
@@ -242,15 +192,20 @@ def simulate_batch(
             f"depth {depth} from level {x0.level} overflows exact 64-bit indices "
             f"at branching {m}; reduce the truncation depth"
         )
-    rng = np.random.default_rng(master_seed)
+    cells = 3 * plays * depth
+    cap = size_cap()
+    if cells > cap:
+        raise CapacityError(
+            f"{plays} plays of depth {depth} draw {cells} random values, "
+            f"exceeding the size cap of {cap} (set PHTREE_SIZE_CAP to raise it)"
+        )
+    try:
+        rng = np.random.default_rng(master_seed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid master seed {master_seed!r}: {exc}") from exc
     coin = rng.random((plays, depth))
     turn = rng.random((plays, depth))
     random_digits = rng.integers(0, m, size=(plays, depth), dtype=np.int64)
-
-    batched = all(
-        s.choose_batch is not None for s in (strategy_i, strategy_ii)
-    )
-    digit_history = None if batched else np.zeros((plays, depth), dtype=np.int64)
 
     indices = np.full(plays, x0.index, dtype=np.int64)
     n_i = n_ii = n_rand = 0
@@ -267,10 +222,11 @@ def simulate_batch(
                 digits[mask] = strat.choose_batch(level, indices[mask])
             else:
                 for p in np.nonzero(mask)[0]:
-                    history = _rebuild_history(x0, digit_history[p, :step])
+                    # the path from x0 to v: its prefixes from x0's level on
+                    v = vertex_from_index(m, level, int(indices[p]))
+                    prefixes = (Vertex(m, v.digits[:k]) for k in range(x0.level, level))
+                    history = (*prefixes, v)
                     digits[p] = strat.choose(history)
-        if digit_history is not None:
-            digit_history[:, step] = digits
         indices = indices * m + digits
         n_i += int(to_i.sum())
         n_ii += int(to_ii.sum())
@@ -284,13 +240,6 @@ def simulate_batch(
         moves_player_ii=n_ii,
         moves_random=n_rand,
     )
-
-
-def _rebuild_history(x0: Vertex, digits: np.ndarray) -> tuple[Vertex, ...]:
-    history = [x0]
-    for d in digits:
-        history.append(history[-1].child(int(d)))
-    return tuple(history)
 
 
 def estimate_value(
@@ -309,8 +258,14 @@ def estimate_value(
     batch = simulate_batch(
         x0, strategy_i, strategy_ii, spec, params, depth, plays, master_seed
     )
-    mean = float(np.mean(batch.payoffs))
-    std_error = float(np.std(batch.payoffs, ddof=1) / math.sqrt(plays))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(batch.payoffs))
+        std_error = float(np.std(batch.payoffs, ddof=1) / math.sqrt(plays))
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise ValidationError(
+            f"the estimate is not finite (mean {mean}, standard error {std_error}); "
+            f"the payoffs overflow float64"
+        )
     return McEstimate(
         mean=mean,
         std_error=std_error,

@@ -200,14 +200,12 @@ CSV_HEADER = ["level", "index", "psi_left", "value"]
 CSV_BLOCK_ROWS = 1 << 15
 
 
-def field_to_csv(field: LevelField, stream=None) -> str | None:
-    """Write the field as CSV rows ``level,index,psi_left,value``.
+def field_to_csv(field: LevelField) -> str:
+    """Render the field as CSV rows ``level,index,psi_left,value``.
 
     Floats use the ``.17g`` format, so no field needs CSV quoting.
     """
-    own = stream is None
-    if own:
-        stream = io.StringIO()
+    stream = io.StringIO()
     stream.write(",".join(CSV_HEADER) + "\n")
     m = field.params.m
     for k, arr in enumerate(field.levels):
@@ -221,9 +219,7 @@ def field_to_csv(field: LevelField, stream=None) -> str | None:
         for start in range(0, arr.size, CSV_BLOCK_ROWS):
             block = table[start : start + CSV_BLOCK_ROWS]
             stream.write((row * len(block)) % tuple(block.ravel().tolist()))
-    if own:
-        return stream.getvalue()
-    return None
+    return stream.getvalue()
 
 
 def field_from_csv(source, params: GameParams) -> LevelField:

@@ -200,7 +200,7 @@ class TestSimulate:
         assert payload["plays"] == 500
         assert payload["truncation_error"] == pytest.approx(3.0**-10)
 
-    @pytest.mark.parametrize("strategy", ["random:x", "fixed:x", "random:"])
+    @pytest.mark.parametrize("strategy", ["random:x", "fixed:x", "random:", "random:-1"])
     def test_malformed_strategy_exits_2(self, runner, strategy):
         result = runner.invoke(main, [
             "simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear",
@@ -209,6 +209,38 @@ class TestSimulate:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # no uncaught exception
         assert "strategy" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--seed", "-5"],
+            # payoffs of 1e308 overflow the mean to inf
+            ["--alpha", "1", "--beta", "0", "--boundary", "constant:1e308"],
+        ],
+        ids=["negative-seed", "non-finite-estimate"],
+    )
+    def test_invalid_run_exits_2(self, runner, args):
+        result = runner.invoke(main, [
+            "simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear",
+            "--strategy-i", "fixed:0", "--strategy-ii", "fixed:0",
+            "--plays", "10", "--depth", "5", *args,
+        ])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.output
+
+    def test_capacity_exit_code(self, runner, monkeypatch):
+        # the engine draws 3 * plays * depth values up front
+        monkeypatch.setenv("PHTREE_SIZE_CAP", "1000")
+        args = [
+            "simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear",
+            "--strategy-i", "fixed:0", "--strategy-ii", "fixed:1", "--depth", "5",
+        ]
+        result = runner.invoke(main, args + ["--plays", "100"])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error:")
+        assert runner.invoke(main, args + ["--plays", "50"]).exit_code == 0
 
     def test_constant_boundary(self, runner):
         result = runner.invoke(main, [

@@ -1,4 +1,4 @@
-"""Monte Carlo tug-of-war: plays, strategies, and estimator contracts."""
+"""Monte Carlo tug-of-war: strategies, the engine, and estimator contracts."""
 
 import math
 
@@ -17,61 +17,14 @@ from phtree import (
     Vertex,
     build_un,
     estimate_value,
-    play_once,
     psi,
     root,
     simulate_batch,
     truncation_error,
 )
-from phtree.game import TAG_PLAYER_I, TAG_PLAYER_II, TAG_RANDOM
 
 P = GameParams(3, 0.5, 0.5)
 LINEAR = BoundarySpec.linear()
-
-
-class TestPlayOnce:
-    def test_pure_random_tags(self):
-        params = GameParams(3, 0.0, 1.0)
-        rec = play_once(
-            root(3), FixedDigitStrategy(0, 3), FixedDigitStrategy(0, 3),
-            LINEAR, params, depth=12, rng_seed=5,
-        )
-        assert set(rec.coin_outcomes) == {TAG_RANDOM}
-        assert rec.truncation_depth == 12
-
-    def test_pure_competitive_forced_moves(self):
-        params = GameParams(3, 1.0, 0.0)
-        rec = play_once(
-            root(3), FixedDigitStrategy(0, 3), FixedDigitStrategy(0, 3),
-            LINEAR, params, depth=9, rng_seed=11,
-        )
-        assert set(rec.coin_outcomes) <= {TAG_PLAYER_I, TAG_PLAYER_II}
-        assert rec.path[-1].digits == (0,) * 9
-        assert rec.payoff == 0.0
-
-    def test_constant_payoff(self):
-        rec = play_once(
-            root(3), FixedDigitStrategy(1, 3), FixedDigitStrategy(2, 3),
-            BoundarySpec.constant(4.25), P, depth=6, rng_seed=0,
-        )
-        assert rec.payoff == 4.25
-
-    def test_path_is_a_successor_chain(self):
-        field = build_un(LINEAR, P, 4)
-        rec = play_once(
-            root(3), GreedyMaxStrategy(field), GreedyMinStrategy(field),
-            LINEAR, P, depth=10, rng_seed=77,
-        )
-        assert len(rec.path) == 11
-        for parent, child in zip(rec.path, rec.path[1:]):
-            assert child in parent.successors()
-        expected = float(psi(rec.path[-1]).as_fraction())
-        assert rec.payoff == pytest.approx(expected, abs=1e-15)
-
-    def test_depth_validation(self):
-        with pytest.raises(ValidationError):
-            play_once(root(3), FixedDigitStrategy(0, 3), FixedDigitStrategy(0, 3),
-                      LINEAR, P, depth=0, rng_seed=0)
 
 
 class TestStrategies:
@@ -228,6 +181,22 @@ class TestEstimator:
             0.25 / competitive
         )
 
+    def test_pure_coin_moves(self):
+        # alpha = 0 moves only at random; alpha = 1 only by the players, so
+        # fixed strategies force every play to the same x_N, paid F(psi(x_N))
+        x0 = Vertex(3, (1,))
+        kwargs = dict(depth=9, plays=100, master_seed=5)
+        walk = simulate_batch(x0, FixedDigitStrategy(0, 3), FixedDigitStrategy(0, 3),
+                              LINEAR, GameParams(3, 0.0, 1.0), **kwargs)
+        assert walk.moves_random == 900
+        assert walk.moves_player_i == walk.moves_player_ii == 0
+        forced = simulate_batch(x0, FixedDigitStrategy(2, 3), FixedDigitStrategy(2, 3),
+                                LINEAR, GameParams(3, 1.0, 0.0), **kwargs)
+        assert forced.moves_random == 0
+        assert forced.moves_player_i + forced.moves_player_ii == 900
+        x_n = Vertex(3, (1,) + (2,) * 9)
+        assert set(forced.payoffs.tolist()) == {float(psi(x_n).as_fraction())}
+
     def test_pure_average_estimate_matches_field(self):
         # with alpha = 0 the field is an exact subtree average, and the
         # random walk's payoff mean approaches it as depth and plays grow
@@ -247,9 +216,11 @@ class TestEstimator:
                            LINEAR, P, depth=4, plays=1, master_seed=0)
 
     def test_depth_overflow_guard(self):
-        with pytest.raises(ValidationError):
-            simulate_batch(root(3), FixedDigitStrategy(0, 3), FixedDigitStrategy(0, 3),
-                           LINEAR, P, depth=45, plays=4, master_seed=0)
+        # depth must be positive, and small enough for exact 64-bit indices
+        for depth in (0, 45):
+            with pytest.raises(ValidationError):
+                simulate_batch(root(3), FixedDigitStrategy(0, 3), FixedDigitStrategy(0, 3),
+                               LINEAR, P, depth=depth, plays=4, master_seed=0)
 
 
 class TestTruncationError:
