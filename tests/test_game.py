@@ -27,6 +27,32 @@ P = GameParams(3, 0.5, 0.5)
 LINEAR = BoundarySpec.linear()
 
 
+class TestPlayOnce:
+    """What each play of a `simulate_batch` run does, for pure coins."""
+
+    def test_pure_random_tags(self):
+        # alpha = 0: every move of every play is a random one
+        walk = simulate_batch(
+            root(3), FixedDigitStrategy(0, 3), FixedDigitStrategy(0, 3),
+            LINEAR, GameParams(3, 0.0, 1.0), depth=12, plays=100, master_seed=5,
+        )
+        assert walk.moves_random == 12 * 100
+        assert walk.moves_player_i == walk.moves_player_ii == 0
+
+    def test_pure_competitive_forced_moves(self):
+        # alpha = 1: only the players move, so fixed strategies force every
+        # play from x0 to the same x_N, paid exactly F(psi(x_N))
+        x0 = Vertex(3, (1,))
+        forced = simulate_batch(
+            x0, FixedDigitStrategy(2, 3), FixedDigitStrategy(2, 3),
+            LINEAR, GameParams(3, 1.0, 0.0), depth=9, plays=100, master_seed=11,
+        )
+        assert forced.moves_random == 0
+        assert forced.moves_player_i + forced.moves_player_ii == 9 * 100
+        x_n = Vertex(3, (1,) + (2,) * 9)
+        assert set(forced.payoffs.tolist()) == {float(psi(x_n).as_fraction())}
+
+
 class TestStrategies:
     def test_greedy_ties_break_to_lowest_index(self):
         flat = build_un(BoundarySpec.constant(1.0), P, 3)
@@ -180,22 +206,6 @@ class TestEstimator:
         assert abs(batch.moves_player_i / competitive - 0.5) <= 4 * math.sqrt(
             0.25 / competitive
         )
-
-    def test_pure_coin_moves(self):
-        # alpha = 0 moves only at random; alpha = 1 only by the players, so
-        # fixed strategies force every play to the same x_N, paid F(psi(x_N))
-        x0 = Vertex(3, (1,))
-        kwargs = dict(depth=9, plays=100, master_seed=5)
-        walk = simulate_batch(x0, FixedDigitStrategy(0, 3), FixedDigitStrategy(0, 3),
-                              LINEAR, GameParams(3, 0.0, 1.0), **kwargs)
-        assert walk.moves_random == 900
-        assert walk.moves_player_i == walk.moves_player_ii == 0
-        forced = simulate_batch(x0, FixedDigitStrategy(2, 3), FixedDigitStrategy(2, 3),
-                                LINEAR, GameParams(3, 1.0, 0.0), **kwargs)
-        assert forced.moves_random == 0
-        assert forced.moves_player_i + forced.moves_player_ii == 900
-        x_n = Vertex(3, (1,) + (2,) * 9)
-        assert set(forced.payoffs.tolist()) == {float(psi(x_n).as_fraction())}
 
     def test_pure_average_estimate_matches_field(self):
         # with alpha = 0 the field is an exact subtree average, and the
