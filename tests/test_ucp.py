@@ -160,6 +160,26 @@ class TestSizeCap:
         assert compute_rho(self.NEVER, P, 3, cap=10**5).inconclusive_ladder
 
 
+class TestWitnesses:
+    """Witness vertices come back in root-to-leaf digit order at the scanned level."""
+
+    # every level-4 vertex of m=3 except the three below (2, 0, 1)
+    HOLED = SubsetSpec.explicit(
+        3,
+        [d for d in itertools.product(range(3), repeat=4) if d[:3] != (2, 0, 1)],
+    )
+
+    def test_pa_counterexample(self):
+        result = pa_check(self.HOLED, n_max=4, scan_depth=3)
+        assert not result.holds
+        assert result.counterexample.digits == (2, 0, 1)
+
+    def test_density_witness_gap(self):
+        gap = density_check(self.HOLED, 3).witness_gap
+        assert gap.level == 3
+        assert gap.left.as_fraction() == Fraction(19, 27)
+
+
 class TestDensity:
     def test_digit_avoiding_gap_at_resolution_one(self):
         result = density_check(SubsetSpec.digit_avoiding(3, 1), 1)
