@@ -4,7 +4,7 @@ Every run is fully determined by its flags (seeds included): identical
 invocations produce identical output bytes.  JSON reports use sorted keys
 and fixed 17-significant-digit float formatting; CSV fields use the same
 float format.  Exit codes: 0 success, 2 validation error, 3 capacity
-error.
+error or out of memory.
 """
 
 from __future__ import annotations
@@ -92,7 +92,9 @@ def _run_guarded(fn) -> None:
         fn()
     except CapacityError as exc:
         _fail(str(exc), EXIT_CAPACITY)
-    except (ValidationError, PHTreeError) as exc:
+    except MemoryError:
+        _fail("out of memory; ask for a smaller problem", EXIT_CAPACITY)
+    except PHTreeError as exc:
         _fail(str(exc), EXIT_VALIDATION)
 
 

@@ -187,14 +187,6 @@ class Interval:
     def right(self) -> Fraction:
         return self.left.as_fraction() + self.width
 
-    def contains_point(self, point: "ExactPoint | Fraction") -> bool:
-        value = point.as_fraction() if isinstance(point, ExactPoint) else point
-        return self.left.as_fraction() <= value <= self.right
-
-    def contains_interior(self, point: "ExactPoint | Fraction") -> bool:
-        value = point.as_fraction() if isinstance(point, ExactPoint) else point
-        return self.left.as_fraction() < value < self.right
-
     def contains_interval(self, other: "Interval") -> bool:
         return (
             self.left.as_fraction() <= other.left.as_fraction()

@@ -31,14 +31,17 @@ states are finite and its membership ignores the level.  One scan,
 ``_first_member``, advances the set of reachable states a level at a time
 and stops at a member, at a repeated set (on a ``fixpoint`` machine, proof
 that no member lies deeper) or at its offset budget.  Density, hitting and
-the ladder probes all run it; ``_advance_map`` keeps the exact per-class
-vertex counts behind (P1)/(P2).  Both check the size cap on every level.
+the ladder probes all run it; ``_advance`` keeps one witness vertex index
+per (state, below a member) class of a level, and ``_member_count`` the
+exact member counts behind (P1)/(P2).  All three check the size cap on
+every level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -50,7 +53,14 @@ from .errors import (
     StructuralCheckError,
     ValidationError,
 )
-from .tree import Interval, Vertex, _validate_branching, interval_of, parse_vertex
+from .tree import (
+    Interval,
+    Vertex,
+    _validate_branching,
+    interval_of,
+    parse_vertex,
+    vertex_from_index,
+)
 
 #: membership decidable at every depth
 UNBOUNDED_DEPTH = 10**9
@@ -460,6 +470,7 @@ class SubsetSpec:
 
     # -- structure -------------------------------------------------------
 
+    @cached_property
     def machine(self):
         if self.kind == KIND_LAST_DIGIT:
             return _LastDigitMachine(self.m, self.digit)
@@ -480,7 +491,7 @@ class SubsetSpec:
             raise InsufficientDepthError(
                 f"membership only trusted to depth {self.depth_bound}, asked at {v.level}"
             )
-        machine = self.machine()
+        machine = self.machine
         state = machine.initial()
         for d in v.digits:
             state = machine.step(state, d)
@@ -525,44 +536,36 @@ def _check_digit(m: int, digit: int) -> None:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _LevelMap:
-    """All vertices of one level, grouped by (automaton state, has a member
-    ancestor); each group keeps an exact count and one representative."""
-
-    level: int
-    states: dict  # (kind_state, below_member) -> [count, rep_digits]
-
-
-def _initial_map(machine) -> _LevelMap:
-    return _LevelMap(level=0, states={(machine.initial(), False): [1, ()]})
-
-
-def _advance_map(machine, lmap: _LevelMap, cap: int, levels: int = 1) -> _LevelMap:
-    """Advance the map by `levels` levels, keeping every level under the cap."""
+def _advance(machine, classes: dict, level: int, cap: int, levels: int = 1) -> dict:
+    """Advance a class map of `level` by `levels` levels under the cap.  The
+    map sends (automaton state, has a member ancestor) to the level index of
+    the class's first vertex, its witness."""
+    m = machine.m
     for _ in range(levels):
         new: dict = {}
-        for (ks, below), (count, rep) in lmap.states.items():
-            child_below = below or machine.is_member(ks, lmap.level)
+        for (ks, below), index in classes.items():
+            child_below = below or machine.is_member(ks, level)
+            for d in range(m):
+                new.setdefault((machine.step(ks, d), child_below), index * m + d)
+        level += 1
+        _check_scan_size(level, len(new), cap)
+        classes = new
+    return classes
+
+
+def _member_count(machine, ks, level: int, offset: int, cap: int) -> int:
+    """Exact number of members `offset` levels below one level-`level`
+    vertex in state `ks`."""
+    counts = {ks: 1}
+    for n in range(1, offset + 1):
+        new: dict = {}
+        for state, count in counts.items():
             for d in range(machine.m):
-                key = (machine.step(ks, d), child_below)
-                entry = new.get(key)
-                if entry is None:
-                    new[key] = [count, rep + (d,)]
-                else:
-                    entry[0] += count
-        _check_scan_size(lmap.level + 1, len(new), cap)
-        lmap = _LevelMap(level=lmap.level + 1, states=new)
-    return lmap
-
-
-def _members(machine, lmap: _LevelMap) -> int:
-    """Exact number of member vertices on the map's level."""
-    return sum(
-        count
-        for (ks, _below), (count, _rep) in lmap.states.items()
-        if machine.is_member(ks, lmap.level)
-    )
+                child = machine.step(state, d)
+                new[child] = new.get(child, 0) + count
+        _check_scan_size(level + n, len(new), cap)
+        counts = new
+    return sum(c for state, c in counts.items() if machine.is_member(state, level + offset))
 
 
 def _check_scan_size(level: int, size: int, cap: int) -> None:
@@ -651,19 +654,20 @@ def density_check(U: SubsetSpec, resolution_level: int, cap: int | None = None) 
             return DensityResult(True, None, resolution_level, True)
         witness = interval_of(Vertex(U.m, (0,) * resolution_level))
         return DensityResult(False, witness, resolution_level, True)
-    machine = U.machine()
+    machine = U.machine
     active_cap = size_cap(cap)
-    lmap = _advance_map(machine, _initial_map(machine), active_cap, resolution_level)
+    classes = _advance(
+        machine, {(machine.initial(), False): 0}, 0, active_cap, resolution_level
+    )
     interior = _InteriorMachine(machine)
     max_offset = min(U.depth_bound - resolution_level, _DENSITY_OFFSET_LIMIT)
-    for (ks, _below), (_count, rep) in lmap.states.items():
+    for (ks, _below), index in classes.items():
         offset, definitive, _scanned = _first_member(
             interior, {(ks, True)}, resolution_level, max_offset, active_cap
         )
         if offset is None:
-            return DensityResult(
-                False, interval_of(Vertex(U.m, rep)), resolution_level, definitive
-            )
+            witness = vertex_from_index(U.m, resolution_level, index)
+            return DensityResult(False, interval_of(witness), resolution_level, definitive)
     return DensityResult(True, None, resolution_level, True)
 
 
@@ -689,23 +693,23 @@ def pa_check(
             f"scanning to level {scan_depth} with lookahead {n_max} exceeds "
             f"trusted depth {U.depth_bound}"
         )
-    machine = U.machine()
+    machine = U.machine
     active_cap = size_cap(cap)
-    lmap = _initial_map(machine)
+    classes = {(machine.initial(), False): 0}
     worst = 0
     for level in range(scan_depth + 1):
-        for (ks, _below), (_count, rep) in lmap.states.items():
+        for (ks, _below), index in classes.items():
             offset = _first_member(machine, {ks}, level, n_max, active_cap)[0]
             if offset is None:
                 return PaResult(
                     holds=False,
                     n=None,
                     scan_depth=scan_depth,
-                    counterexample=Vertex(U.m, rep),
+                    counterexample=vertex_from_index(U.m, level, index),
                 )
             worst = max(worst, offset)
         if level < scan_depth:
-            lmap = _advance_map(machine, lmap, active_cap)
+            classes = _advance(machine, classes, level, active_cap)
     return PaResult(holds=True, n=worst, scan_depth=scan_depth)
 
 
@@ -789,11 +793,12 @@ def compute_rho(
         raise ValidationError("params branching factor differs from the subset's")
     if k_max < 0:
         raise ValidationError("k_max must be >= 0")
-    machine = U.machine()
+    machine = U.machine
     active_cap = size_cap(cap)
     delta = params.delta
 
-    lmap = _initial_map(machine)
+    level = 0
+    classes = {(machine.initial(), False): 0}
     rho: list[int] = []
     eta: list[int] = []
     notes: list[str] = []
@@ -809,10 +814,10 @@ def compute_rho(
         notes.append("the root itself is a member; ladder starts at level 1")
 
     for k in range(1, k_max + 1):
-        base = lmap.level
+        base = level
         eligible = [
             (ks, below)
-            for ks, below in lmap.states
+            for ks, below in classes
             if k == 1 or not machine.is_member(ks, base)
         ]
         if not eligible:
@@ -826,7 +831,8 @@ def compute_rho(
         offset, definitive, scanned = _first_member(
             machine, {ks for ks, _below in eligible}, base, max_probe, active_cap
         )
-        lmap = _advance_map(machine, lmap, active_cap, scanned)
+        classes = _advance(machine, classes, base, active_cap, scanned)
+        level = base + scanned
         if offset is None:
             # a fixpoint proves the ladder ends; a spent budget leaves it open
             terminated, inconclusive = definitive, not definitive
@@ -840,16 +846,15 @@ def compute_rho(
         rho.append(offset)
         eta.append(base + offset)
         if k == 1:
-            total = _members(machine, lmap)
+            total = _member_count(machine, machine.initial(), 0, offset, active_cap)
             p1_ok = total == 1
             if not p1_ok:
                 notes.append(f"{total} members at level {eta[0]}, so (P1) fails")
         else:
             # members at the new gap below each untouched frontier class
-            counts = []
-            for ks in untouched:
-                own = _LevelMap(base, {(ks, False): [1, ()]})
-                counts.append(_members(machine, _advance_map(machine, own, active_cap, offset)))
+            counts = [
+                _member_count(machine, ks, base, offset, active_cap) for ks in untouched
+            ]
             if counts:
                 if any(c != 1 for c in counts):
                     p2_failed.append(k)
@@ -874,7 +879,7 @@ def compute_rho(
         frontier_empty_at=frontier_empty_at,
         ladder_terminated=terminated,
         inconclusive_ladder=inconclusive,
-        depth_scanned=lmap.level,
+        depth_scanned=level,
         notes=tuple(notes),
     )
 
@@ -1000,10 +1005,6 @@ class CounterexampleField:
             self._rho.append(r)
             self._eta.append(self._eta[-1] + r)
             self._maxima.append(self._maxima[-1] / (1.0 - self._delta**r))
-
-    @property
-    def rho_terms(self) -> tuple[int, ...]:
-        return tuple(self._rho[: self.stages])
 
     @property
     def eta(self) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from phtree import GameParams, check_field
+from phtree import solver as solver_mod
 from phtree.cli import canonical_json, main
 from phtree.solver import field_from_csv
 
@@ -86,6 +87,19 @@ class TestSolve:
             "solve", "--m", "3", "--alpha", "0.5", "--boundary", "linear", "--n", "5",
         ])
         assert result.exit_code == 3
+
+    def test_out_of_memory_exit_code(self, runner, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(solver_mod, "build_un", exhausted)
+        result = runner.invoke(main, [
+            "solve", "--m", "3", "--alpha", "0.5", "--boundary", "linear", "--tol", "1e-300",
+        ])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
         "boundary",

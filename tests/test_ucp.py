@@ -132,6 +132,15 @@ class TestMembership:
         with pytest.raises(ValidationError):
             SubsetSpec.last_digit(True, 0)
 
+    def test_machine_built_once(self):
+        U = SubsetSpec.explicit(3, [(0, 1), (2,)])
+        twin = SubsetSpec.explicit(3, [(2,), (0, 1)])
+        assert U.machine is U.machine
+        assert U.contains(Vertex(3, (0, 1)))
+        # the cached machine is not a field: equality and hashing ignore it
+        assert U == twin and hash(U) == hash(twin)
+        assert len({U, twin}) == 1
+
     def test_depth_bound_enforced(self):
         U = SubsetSpec.predicate(3, lambda v: v.level == 1, depth_bound=4)
         with pytest.raises(InsufficientDepthError):
