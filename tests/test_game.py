@@ -1,5 +1,6 @@
 """Monte Carlo tug-of-war: strategies, the engine, and estimator contracts."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -183,6 +184,24 @@ class TestEstimator:
                 LINEAR, P, depth=10, plays=300, master_seed=9,
             )
             np.testing.assert_array_equal(fast.payoffs, slow.payoffs)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [5, np.int64(5), np.random.SeedSequence(5), np.random.default_rng(5)],
+        ids=["int", "int64", "SeedSequence", "Generator"],
+    )
+    def test_master_seed_forms_give_pinned_payoffs(self, seed):
+        field = build_un(LINEAR, P, 4)
+        batch = simulate_batch(
+            Vertex(3, (1,)), GreedyMaxStrategy(field), GreedyMinStrategy(field),
+            LINEAR, P, depth=7, plays=500, master_seed=seed,
+        )
+        assert hashlib.sha256(batch.payoffs.tobytes()).hexdigest() == (
+            "fec8360679800ffb254524fc9ad4e1c1f3c6ed58b4ed94cc154f444c9be41167"
+        )
+        assert (batch.moves_player_i, batch.moves_player_ii, batch.moves_random) == (
+            881, 901, 1718,
+        )
 
     def test_pure_random_walk_mean(self):
         params = GameParams(3, 0.0, 1.0)

@@ -78,6 +78,12 @@ CASES = {
          "--plays", "300", "--depth", "7", "--seed", "4"],
         "9b2ba982b3762d50c4b6308577c6dce66c8b4328d777421bf6d2f62222d86946",
     ),
+    # 70,001 plays span more than one chunk of the engine, plus a remainder
+    "simulate-chunks": (
+        ["simulate", "--m", "2", "--alpha", "0.7", "--boundary", "linear", "--advice-n", "6",
+         "--plays", "70001", "--depth", "9", "--seed", "13"],
+        "2979a998411698e968c2ea4f258fa14331a205993e95febeba858b38d8f5230b",
+    ),
     "ucp-rho": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,4,1,8,1,16", "--kmax", "6"],
         "5555b0c12d8b20a9d65a255932ec46a8732c16efe3f3722acf92a6b2935cb212",
