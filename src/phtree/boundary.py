@@ -204,7 +204,8 @@ def sample_Fn(spec: BoundarySpec, m: int, n: int, cap: int | None = None) -> Sam
     if n < 0:
         raise ValidationError(f"level must be >= 0, got {n}")
     count = check_level_size(m, n, cap)
-    t = np.arange(count, dtype=float) / float(m**n)
+    t = np.arange(count, dtype=float)
+    t /= float(m**n)
     return SampledBoundary(m=m, n=n, values=np.asarray(eval_F(spec, t), dtype=float), spec=spec)
 
 

@@ -94,10 +94,27 @@ def dpp_average(params: GameParams, succ_values: Sequence[float]) -> float:
 
 
 def operator_average(params: GameParams, values: np.ndarray) -> np.ndarray:
-    """Apply the averaging operator over the last axis of an ``(..., m)`` array."""
-    return (params.alpha / 2.0) * (values.max(axis=-1) + values.min(axis=-1)) + (
-        params.beta / params.m
-    ) * values.sum(axis=-1)
+    """Apply the averaging operator over the last axis of an ``(..., m)`` array.
+
+    numpy reduces a short last axis slowly, so for m < 8 column ufuncs take
+    the max, min and sum.  numpy sums fewer than 8 terms left to right from
+    +0.0, as the columns do, so the bits match; from 8 terms on it sums
+    pairwise, so m >= 8 keeps the axis reductions.
+    """
+    if values.shape[-1] < 8:
+        hi = values[..., 0].astype(float)
+        lo, total = hi.copy(), hi + 0.0  # a row of -0.0 sums to +0.0
+        for column in np.moveaxis(values, -1, 0)[1:]:
+            np.maximum(hi, column, out=hi)
+            np.minimum(lo, column, out=lo)
+            total += column
+    else:
+        hi, lo, total = values.max(axis=-1), values.min(axis=-1), values.sum(axis=-1)
+    hi += lo
+    hi *= params.alpha / 2.0
+    total *= params.beta / params.m
+    hi += total
+    return hi
 
 
 def residual_at(
@@ -162,12 +179,8 @@ def check_field(field, params: GameParams | None = None, tol: float = DEFAULT_TO
     if params.m != field.params.m:
         raise ContractViolationError("params branching factor differs from the field's")
     m = params.m
-    worst = 0.0
-    worst_level = 0
-    worst_index = 0
-    checked = 0
-    min_resid = 0.0
-    max_resid = 0.0
+    worst = min_resid = max_resid = 0.0
+    worst_level = worst_index = checked = 0
     for k in range(field.n):
         children = np.asarray(field.levels[k + 1], dtype=float).reshape(-1, m)
         residuals = operator_average(params, children) - np.asarray(field.levels[k], dtype=float)

@@ -12,16 +12,19 @@ the boundary modulus at that scale into a rigorous payoff uncertainty.
 lockstep and asks each strategy for the moves of many plays at once, or
 play by play for a strategy without ``choose_batch``.
 
-Randomness contract: ``estimate_value`` draws all coin, turn, and random-
-move variates as ``(plays, depth)`` blocks from ``default_rng(master_seed)``
-in a fixed order; play p consumes row p, so each play's stream is a fixed
-function of (master_seed, play index) and estimates are reproducible
-bit-for-bit.  Means and standard errors use numpy's pairwise summation,
-so merging is order-independent at the 1e-12 level.
+Randomness contract: the coin, turn and random-move variates are three
+``(plays, depth)`` row-major blocks of the ``default_rng(master_seed)``
+stream, at offsets 0, ``plays*depth`` and ``2*plays*depth``; play p reads
+row p of each, so estimates are reproducible bit-for-bit.  Copies of the
+master's bit generator, placed with ``advance``, draw them in chunks of
+``CHUNK_PLAYS`` rows: memory is bounded by one chunk, and a passed-in
+generator is not consumed.  Means and standard errors use numpy's pairwise
+summation, so merging is order-independent at the 1e-12 level.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -151,6 +154,28 @@ def strategy_from_name(name: str, m: int, advice: LevelField | None) -> Strategy
     )
 
 
+#: plays advanced together; a chunk holds 3 * CHUNK_PLAYS * depth variates
+CHUNK_PLAYS = 1 << 16
+
+
+def _streams(master_seed, stride: int) -> list[np.random.Generator]:
+    """Copies of the master generator at offsets 0, `stride` and 2 * `stride`."""
+    try:
+        bits = np.random.default_rng(master_seed).bit_generator
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid master seed {master_seed!r}: {exc}") from exc
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise ValidationError(
+            f"master seed {master_seed!r} cannot advance its {type(bits).__name__} stream; "
+            f"pass an integer, a SeedSequence, or a PCG64 or PCG64DXSM generator"
+        )
+    clones = [copy.deepcopy(bits).advance(offset) for offset in (0, stride, 2 * stride)]
+    # advance() drops the master's buffered 32-bit half, which the digits read first
+    buffered = {key: bits.state[key] for key in ("has_uint32", "uinteger")}
+    clones[2].state = {**clones[2].state, **buffered}
+    return [np.random.Generator(clone) for clone in clones]
+
+
 @dataclass(frozen=True)
 class McEstimate:
     mean: float
@@ -199,47 +224,42 @@ def simulate_batch(
             f"{plays} plays of depth {depth} draw {cells} random values, "
             f"exceeding the size cap of {cap} (set PHTREE_SIZE_CAP to raise it)"
         )
-    try:
-        rng = np.random.default_rng(master_seed)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"invalid master seed {master_seed!r}: {exc}") from exc
-    coin = rng.random((plays, depth))
-    turn = rng.random((plays, depth))
-    random_digits = rng.integers(0, m, size=(plays, depth), dtype=np.int64)
+    coins, turns, moves = _streams(master_seed, plays * depth)
 
-    indices = np.full(plays, x0.index, dtype=np.int64)
+    final = np.empty(plays, dtype=np.int64)
     n_i = n_ii = n_rand = 0
-    for step in range(depth):
-        level = x0.level + step
-        competitive = coin[:, step] < params.alpha
-        to_i = competitive & (turn[:, step] < 0.5)
+    for start in range(0, plays, CHUNK_PLAYS):
+        rows = min(CHUNK_PLAYS, plays - start)
+        competitive = coins.random((rows, depth)) < params.alpha
+        to_i = competitive & (turns.random((rows, depth)) < 0.5)
         to_ii = competitive & ~to_i
-        digits = random_digits[:, step].copy()
-        for mask, strat in ((to_i, strategy_i), (to_ii, strategy_ii)):
-            if not mask.any():
-                continue
-            if strat.choose_batch is not None:
-                digits[mask] = strat.choose_batch(level, indices[mask])
-            else:
-                for p in np.nonzero(mask)[0]:
-                    # the path from x0 to v: its prefixes from x0's level on
-                    v = vertex_from_index(m, level, int(indices[p]))
-                    prefixes = (Vertex(m, v.digits[:k]) for k in range(x0.level, level))
-                    history = (*prefixes, v)
-                    digits[p] = strat.choose(history)
-        indices = indices * m + digits
-        n_i += int(to_i.sum())
-        n_ii += int(to_ii.sum())
-        n_rand += int((~competitive).sum())
+        n_i += int(np.count_nonzero(to_i))
+        n_ii += int(np.count_nonzero(to_ii))
+        n_rand += competitive.size - int(np.count_nonzero(competitive))
+        # transposed once, so each step reads one contiguous row
+        to_i, to_ii = to_i.T.copy(), to_ii.T.copy()
+        random_digits = moves.integers(0, m, size=(rows, depth), dtype=np.int64).T.copy()
+        indices = final[start : start + rows]
+        indices[:] = x0.index
+        for step in range(depth):
+            level = x0.level + step
+            digits = random_digits[step]
+            for mask, strat in ((to_i[step], strategy_i), (to_ii[step], strategy_ii)):
+                if not mask.any():
+                    continue
+                if strat.choose_batch is not None:
+                    digits[mask] = strat.choose_batch(level, indices[mask])
+                else:
+                    for p in np.nonzero(mask)[0]:
+                        # the path from x0 to v: its prefixes from x0's level on
+                        v = vertex_from_index(m, level, int(indices[p]))
+                        prefixes = (Vertex(m, v.digits[:k]) for k in range(x0.level, level))
+                        digits[p] = strat.choose((*prefixes, v))
+            indices *= m
+            indices += digits
 
-    t = indices / float(m**final_level)
-    payoffs = np.asarray(eval_F(spec, t), dtype=float)
-    return SimulationBatch(
-        payoffs=payoffs,
-        moves_player_i=n_i,
-        moves_player_ii=n_ii,
-        moves_random=n_rand,
-    )
+    payoffs = np.asarray(eval_F(spec, final / float(m**final_level)), dtype=float)
+    return SimulationBatch(payoffs, moves_player_i=n_i, moves_player_ii=n_ii, moves_random=n_rand)
 
 
 def estimate_value(
@@ -255,9 +275,7 @@ def estimate_value(
     """Estimate the expected payoff from `plays` independent seeded plays."""
     if plays < 2:
         raise ValidationError(f"plays must be >= 2 for a standard error, got {plays}")
-    batch = simulate_batch(
-        x0, strategy_i, strategy_ii, spec, params, depth, plays, master_seed
-    )
+    batch = simulate_batch(x0, strategy_i, strategy_ii, spec, params, depth, plays, master_seed)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.mean(batch.payoffs))
         std_error = float(np.std(batch.payoffs, ddof=1) / math.sqrt(plays))
@@ -266,13 +284,7 @@ def estimate_value(
             f"the estimate is not finite (mean {mean}, standard error {std_error}); "
             f"the payoffs overflow float64"
         )
-    return McEstimate(
-        mean=mean,
-        std_error=std_error,
-        plays=plays,
-        params=params,
-        truncation_depth=depth,
-    )
+    return McEstimate(mean, std_error, plays=plays, params=params, truncation_depth=depth)
 
 
 def truncation_error(spec: BoundarySpec, params: GameParams, depth: int) -> float:

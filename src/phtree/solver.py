@@ -82,11 +82,12 @@ def build_un(
     m = params.m
     check_level_size(m, n, cap)
     sampled = sample_Fn(spec, m, n, cap)
-    levels: list[np.ndarray] = [np.array(sampled.values, dtype=float)]
+    levels = [sampled.values]
     # an overflow is reported by the finiteness check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, -1, -1):
-            levels.insert(0, operator_average(params, levels[0].reshape(m**k, m)))
+            levels.append(operator_average(params, levels[-1].reshape(m**k, m)))
+    levels.reverse()
     # a non-finite value anywhere in the sweep propagates to the root
     if not math.isfinite(levels[0][0]):
         raise ValidationError(

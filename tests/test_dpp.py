@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phtree import (
     BoundarySpec,
@@ -24,6 +25,20 @@ from phtree import (
 from phtree.dpp import HARMONIOUS, SUBHARMONIOUS, SUPERHARMONIOUS, operator_average
 
 P = GameParams(3, 0.5, 0.5)
+
+#: values at the edges of float64 for the kernel's bit-equality check; the
+#: NaN is the canonical quiet NaN
+KERNEL_EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+    1e308, -1e308, math.inf, -math.inf, math.nan,
+]
+
+
+def reference_operator_average(params, values):
+    """The operator as three axis reductions, the form the kernel replaced."""
+    return (params.alpha / 2.0) * (values.max(axis=-1) + values.min(axis=-1)) + (
+        params.beta / params.m
+    ) * values.sum(axis=-1)
 
 
 class TestGameParams:
@@ -90,6 +105,37 @@ class TestDppAverage:
     def test_nonfinite_error(self):
         with pytest.raises(ContractViolationError):
             dpp_average(P, [0.0, math.nan, 1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 1.0),
+        values=st.integers(2, 9).flatmap(
+            lambda m: arrays(
+                np.float64,
+                st.sampled_from([(5, m), (1, m), (2, 3, m)]),
+                elements=st.floats(allow_nan=False) | st.sampled_from(KERNEL_EDGE_VALUES),
+            )
+        ),
+    )
+    def test_kernel_matches_axis_reductions_bit_for_bit(self, alpha, values):
+        params = GameParams(values.shape[-1], alpha, 1.0 - alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = reference_operator_average(params, values)
+            got = operator_average(params, values)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_negative_nan_stays_nan(self):
+        # numpy's max reduction turns a leading NaN with the sign bit set
+        # into +NaN and the column ufuncs keep its sign: only NaN-ness matches
+        for m in (2, 3, 7):
+            values = np.zeros((3, m))
+            values[:, 0] = -math.nan
+            values[1, 1:] = math.inf
+            params = GameParams(m, 0.5, 0.5)
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(operator_average(params, values)).all()
+                assert np.isnan(reference_operator_average(params, values)).all()
 
     @settings(max_examples=80, deadline=None)
     @given(

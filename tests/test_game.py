@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from phtree import game
 from phtree import (
     BoundarySpec,
     FixedDigitStrategy,
@@ -202,6 +203,61 @@ class TestEstimator:
         assert (batch.moves_player_i, batch.moves_player_ii, batch.moves_random) == (
             881, 901, 1718,
         )
+
+    def test_chunks_match_one_chunk(self, monkeypatch):
+        # 100 plays in chunks of 7 rows (14 full chunks and a remainder of
+        # 2) must give the payoffs and move counts of one chunk
+        field = build_un(LINEAR, P, 4)
+        x0 = Vertex(3, (0, 2))
+        cases = [
+            (root(3), GreedyMaxStrategy(field), GreedyMinStrategy(field)),
+            (root(3), FixedDigitStrategy(2, 3), FixedDigitStrategy(0, 3)),
+            (x0, _HistoryLength(x0), GreedyMinStrategy(field)),
+        ]
+        for start, strat_i, strat_ii in cases:
+            runs = []
+            for chunk in (game.CHUNK_PLAYS, 7):
+                monkeypatch.setattr(game, "CHUNK_PLAYS", chunk)
+                runs.append(simulate_batch(
+                    start, strat_i, strat_ii, LINEAR, P, depth=10, plays=100, master_seed=9,
+                ))
+            one, chunked = runs
+            np.testing.assert_array_equal(one.payoffs, chunked.payoffs)
+            assert (one.moves_player_i, one.moves_player_ii, one.moves_random) == (
+                chunked.moves_player_i, chunked.moves_player_ii, chunked.moves_random,
+            )
+
+    def test_master_generator_is_not_consumed(self):
+        # a generator holding a buffered 32-bit half: the random moves of a
+        # pure-average run are the third block of its stream, after the
+        # coin and turn blocks, and the buffered half comes first
+        master = np.random.default_rng(6)
+        master.integers(0, 3)
+        state = master.bit_generator.state
+        assert state["has_uint32"] == 1
+        params = GameParams(3, 0.0, 1.0)
+        walk = simulate_batch(
+            root(3), FixedDigitStrategy(0, 3), FixedDigitStrategy(0, 3),
+            LINEAR, params, depth=6, plays=50, master_seed=master,
+        )
+        assert master.bit_generator.state == state
+        reference = np.random.default_rng(6)
+        reference.integers(0, 3)
+        reference.random((2, 50, 6))
+        digits = reference.integers(0, 3, size=(50, 6), dtype=np.int64)
+        indices = digits @ 3 ** np.arange(5, -1, -1)
+        np.testing.assert_array_equal(walk.payoffs, indices / 3.0**6)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [np.random.Generator(np.random.MT19937(5)), np.random.SFC64(5),
+         np.random.Generator(np.random.Philox(5))],
+        ids=["MT19937", "SFC64", "Philox"],
+    )
+    def test_master_seed_that_cannot_advance(self, seed):
+        with pytest.raises(ValidationError, match="PCG64 or PCG64DXSM generator"):
+            simulate_batch(root(3), FixedDigitStrategy(0, 3), FixedDigitStrategy(0, 3),
+                           LINEAR, P, depth=4, plays=4, master_seed=seed)
 
     def test_pure_random_walk_mean(self):
         params = GameParams(3, 0.0, 1.0)
