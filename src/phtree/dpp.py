@@ -179,8 +179,12 @@ def check_field(field, params: GameParams | None = None, tol: float = DEFAULT_TO
     if params.m != field.params.m:
         raise ContractViolationError("params branching factor differs from the field's")
     m = params.m
-    worst = min_resid = max_resid = 0.0
-    worst_level = worst_index = checked = 0
+    worst = 0.0
+    worst_level = 0
+    worst_index = 0
+    checked = 0
+    min_resid = 0.0
+    max_resid = 0.0
     for k in range(field.n):
         children = np.asarray(field.levels[k + 1], dtype=float).reshape(-1, m)
         residuals = operator_average(params, children) - np.asarray(field.levels[k], dtype=float)

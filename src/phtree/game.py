@@ -226,7 +226,7 @@ def simulate_batch(
         )
     coins, turns, moves = _streams(master_seed, plays * depth)
 
-    final = np.empty(plays, dtype=np.int64)
+    final = np.full(plays, x0.index, dtype=np.int64)
     n_i = n_ii = n_rand = 0
     for start in range(0, plays, CHUNK_PLAYS):
         rows = min(CHUNK_PLAYS, plays - start)
@@ -240,7 +240,6 @@ def simulate_batch(
         to_i, to_ii = to_i.T.copy(), to_ii.T.copy()
         random_digits = moves.integers(0, m, size=(rows, depth), dtype=np.int64).T.copy()
         indices = final[start : start + rows]
-        indices[:] = x0.index
         for step in range(depth):
             level = x0.level + step
             digits = random_digits[step]

@@ -80,7 +80,6 @@ def build_un(
     if n < 1:
         raise ValidationError(f"depth n must be >= 1, got {n}")
     m = params.m
-    check_level_size(m, n, cap)
     sampled = sample_Fn(spec, m, n, cap)
     levels = [sampled.values]
     # an overflow is reported by the finiteness check below, not as a warning

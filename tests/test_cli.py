@@ -245,7 +245,7 @@ class TestSimulate:
         assert "Traceback" not in result.output
 
     def test_capacity_exit_code(self, runner, monkeypatch):
-        # the engine draws 3 * plays * depth values up front
+        # the cap counts the 3 * plays * depth values the engine draws
         monkeypatch.setenv("PHTREE_SIZE_CAP", "1000")
         args = [
             "simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear",

@@ -166,7 +166,7 @@ class TestEstimator:
         assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_slow_path_matches_batched_path(self):
-        # randomness is drawn up front, so a strategy without batch support
+        # the variates do not depend on the strategy, so one without batch support
         # must reproduce the batched payoffs decision for decision; the
         # history-reading pair also checks that a non-root play's history
         # starts at x0
