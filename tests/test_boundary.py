@@ -118,11 +118,12 @@ class TestSampleFn:
             fine = sample_Fn(spec, 3, n + 1).values
             np.testing.assert_array_equal(fine[::3], coarse)
 
-    def test_capacity(self):
+    def test_capacity(self, monkeypatch):
         from phtree import CapacityError
 
+        monkeypatch.setenv("PHTREE_SIZE_CAP", "100")
         with pytest.raises(CapacityError):
-            sample_Fn(BoundarySpec.linear(), 3, 8, cap=100)
+            sample_Fn(BoundarySpec.linear(), 3, 8)
 
 
 class TestModulusBound:

@@ -1,5 +1,6 @@
 """CLI behaviour: reports, reproducibility, exit codes."""
 
+import itertools
 import json
 
 import pytest
@@ -196,6 +197,21 @@ class TestUcp:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # no uncaught exception
         assert "lists no levels" in result.stderr
+
+    def test_capacity_exit_code(self, runner, tmp_path, monkeypatch):
+        # all 81 level-4 vertices of m=3, each its own automaton state
+        members = tmp_path / "set.txt"
+        members.write_text(
+            "".join(".".join(map(str, d)) + "\n" for d in itertools.product(range(3), repeat=4)),
+            encoding="utf-8",
+        )
+        monkeypatch.setenv("PHTREE_SIZE_CAP", "50")
+        result = runner.invoke(main, [
+            "ucp", "--m", "3", "--alpha", "0.5", "--set-file", str(members),
+        ])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: level 4 scan needs 81 state classes")
 
 
 class TestSimulate:

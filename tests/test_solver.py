@@ -54,9 +54,10 @@ class TestBuildUn:
         field = build_un(BoundarySpec.quadratic_centered(), P, 5)
         assert check_field(field).max_abs_residual <= 1e-12
 
-    def test_capacity_and_depth_validation(self):
+    def test_capacity_and_depth_validation(self, monkeypatch):
+        monkeypatch.setenv("PHTREE_SIZE_CAP", "100")
         with pytest.raises(CapacityError):
-            build_un(LINEAR, P, 8, cap=100)
+            build_un(LINEAR, P, 8)
         with pytest.raises(ValidationError):
             build_un(LINEAR, P, 0)
 
@@ -129,10 +130,29 @@ class TestSolveToTolerance:
         assert result.empirical_gap is not None
         assert result.empirical_gap <= 5e-4
 
-    def test_capacity_flags_partial(self):
-        result = solve_to_tolerance(LINEAR, P, 1e-9, cap=3**4)
+    def test_capacity_flags_partial(self, monkeypatch):
+        monkeypatch.setenv("PHTREE_SIZE_CAP", str(3**4))
+        result = solve_to_tolerance(LINEAR, P, 1e-9)
         assert not result.certified
         assert result.n_used == 4
+
+    def test_capacity_flags_partial_empirical(self, monkeypatch):
+        monkeypatch.setenv("PHTREE_SIZE_CAP", str(3**4))
+        spec = BoundarySpec.tabulated(
+            [0.0, 0.4, 1.0], [0.0, 1.0, 0.3], lipschitz_bound=None
+        )
+        result = solve_to_tolerance(spec, P, 1e-9)
+        assert result.n_used == 4
+        assert not result.certified
+        assert result.certified_bound is None
+        assert result.empirical_gap == 0.030864197530864224
+
+    @pytest.mark.parametrize("lipschitz_bound", ["auto", None], ids=["lipschitz", "empirical"])
+    def test_cap_below_branching_refuses_level_1(self, monkeypatch, lipschitz_bound):
+        monkeypatch.setenv("PHTREE_SIZE_CAP", "2")
+        spec = BoundarySpec.tabulated([0.0, 1.0], [0.0, 1.0], lipschitz_bound=lipschitz_bound)
+        with pytest.raises(CapacityError, match="level 1 of the 3-branching tree has 3 vertices"):
+            solve_to_tolerance(spec, P, 1e-9)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
     def test_non_positive_tolerance_rejected(self, tol):

@@ -202,9 +202,10 @@ class TestEnumerateLevel:
             for j, v in enumerate(enumerate_level(3, k)):
                 assert psi(v).as_fraction() == Fraction(j, 3**k)
 
-    def test_capacity_error_names_cap(self):
+    def test_capacity_error_names_cap(self, monkeypatch):
+        monkeypatch.setenv("PHTREE_SIZE_CAP", "1000")
         with pytest.raises(CapacityError, match="1000"):
-            list(enumerate_level(3, 10, cap=1000))
+            list(enumerate_level(3, 10))
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("PHTREE_SIZE_CAP", "10")

@@ -152,21 +152,25 @@ class TestSizeCap:
 
     NEVER = SubsetSpec.predicate(3, lambda v: False, depth_bound=10)
 
-    def test_density_check(self):
+    def test_density_check(self, monkeypatch):
+        monkeypatch.setenv("PHTREE_SIZE_CAP", "100")
         with pytest.raises(CapacityError, match="level 5 scan needs 243 state classes"):
-            density_check(self.NEVER, 0, cap=100)
+            density_check(self.NEVER, 0)
 
-    def test_pa_check(self):
+    def test_pa_check(self, monkeypatch):
+        monkeypatch.setenv("PHTREE_SIZE_CAP", "100")
         with pytest.raises(CapacityError, match="level 5 scan needs 243 state classes"):
-            pa_check(self.NEVER, 6, cap=100)
+            pa_check(self.NEVER, 6)
 
-    def test_compute_rho(self):
+    def test_compute_rho(self, monkeypatch):
+        monkeypatch.setenv("PHTREE_SIZE_CAP", "100")
         with pytest.raises(CapacityError, match="level 5 scan needs 243 state classes"):
-            compute_rho(self.NEVER, P, 3, cap=100)
+            compute_rho(self.NEVER, P, 3)
 
-    def test_within_cap_unchanged(self):
-        assert not density_check(self.NEVER, 0, cap=10**5).dense_up_to
-        assert compute_rho(self.NEVER, P, 3, cap=10**5).inconclusive_ladder
+    def test_within_cap_unchanged(self, monkeypatch):
+        monkeypatch.setenv("PHTREE_SIZE_CAP", str(10**5))
+        assert not density_check(self.NEVER, 0).dense_up_to
+        assert compute_rho(self.NEVER, P, 3).inconclusive_ladder
 
 
 class TestWitnesses:
