@@ -199,11 +199,11 @@ class SampledBoundary:
             )
 
 
-def sample_Fn(spec: BoundarySpec, m: int, n: int, cap: int | None = None) -> SampledBoundary:
+def sample_Fn(spec: BoundarySpec, m: int, n: int) -> SampledBoundary:
     """Sample F at the level-n left endpoints ``j / m**n``."""
     if n < 0:
         raise ValidationError(f"level must be >= 0, got {n}")
-    count = check_level_size(m, n, cap)
+    count = check_level_size(m, n)
     t = np.arange(count, dtype=float)
     t /= float(m**n)
     return SampledBoundary(m=m, n=n, values=np.asarray(eval_F(spec, t), dtype=float), spec=spec)

@@ -1,10 +1,11 @@
-"""Size-cap handling for level enumerations and per-level arrays.
+"""The size cap on level enumerations, per-level arrays, scans and draws.
 
-Everything that materialises a full tree level goes through
-:func:`check_level_size` so that an accidental ``m**n`` blow-up fails fast
-with a clear message instead of exhausting memory.  The default cap of
-``2**31`` values can be overridden per call or globally through the
-``PHTREE_SIZE_CAP`` environment variable.
+Everything that materialises a full tree level, a level of ``ucp`` state
+classes or a batch of random draws is checked against one cap, so that an
+accidental ``m**n`` blow-up fails fast with a clear message instead of
+exhausting memory.  The cap is ``2**31`` values unless the
+``PHTREE_SIZE_CAP`` environment variable sets it; there is no other way
+to set it.
 """
 
 from __future__ import annotations
@@ -18,31 +19,39 @@ DEFAULT_SIZE_CAP = 2**31
 _ENV_VAR = "PHTREE_SIZE_CAP"
 
 
-def size_cap(override: int | None = None) -> int:
-    """Resolve the active size cap: explicit override, else env var, else default."""
-    if override is not None:
-        if override < 1:
-            raise ValidationError(f"size cap must be positive, got {override}")
-        return int(override)
+def size_cap() -> int:
+    """The active size cap: the environment variable, else the default."""
     env = os.environ.get(_ENV_VAR)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"{_ENV_VAR} must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ValidationError(f"{_ENV_VAR} must be positive, got {value}")
-        return value
-    return DEFAULT_SIZE_CAP
+    if env is None:
+        return DEFAULT_SIZE_CAP
+    try:
+        value = int(env)
+    except ValueError as exc:
+        raise ValidationError(f"{_ENV_VAR} must be an integer, got {env!r}") from exc
+    if value < 1:
+        raise ValidationError(f"{_ENV_VAR} must be positive, got {value}")
+    return value
 
 
-def check_level_size(m: int, k: int, cap: int | None = None) -> int:
+def exceeded(what: str, cap: int) -> CapacityError:
+    """The error for a request `what` that does not fit under `cap`."""
+    return CapacityError(f"{what}, exceeding the size cap of {cap} (set {_ENV_VAR} to raise it)")
+
+
+def check_level_size(m: int, k: int) -> int:
     """Return ``m**k`` if it fits under the cap, else raise CapacityError."""
-    active = size_cap(cap)
+    cap = size_cap()
     count = m**k
-    if count > active:
-        raise CapacityError(
-            f"level {k} of the {m}-branching tree has {count} vertices, "
-            f"exceeding the size cap of {active} (set {_ENV_VAR} to raise it)"
-        )
+    if count > cap:
+        raise exceeded(f"level {k} of the {m}-branching tree has {count} vertices", cap)
     return count
+
+
+def max_level(m: int) -> int:
+    """The deepest level k whose ``m**k`` vertices fit under the cap (0 if
+    not even level 1 fits)."""
+    cap = size_cap()
+    k = 0
+    while m ** (k + 1) <= cap:
+        k += 1
+    return k

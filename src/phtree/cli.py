@@ -3,8 +3,8 @@
 Every run is fully determined by its flags (seeds included): identical
 invocations produce identical output bytes.  JSON reports use sorted keys
 and fixed 17-significant-digit float formatting; CSV fields use the same
-float format.  Exit codes: 0 success, 2 validation error, 3 capacity
-error or out of memory.
+float format.  Exit codes: 0 success, 2 validation error or an unusable
+input or output file, 3 capacity error or out of memory.
 """
 
 from __future__ import annotations
@@ -96,6 +96,12 @@ def _run_guarded(fn) -> None:
         _fail("out of memory; ask for a smaller problem", EXIT_CAPACITY)
     except PHTreeError as exc:
         _fail(str(exc), EXIT_VALIDATION)
+    except UnicodeDecodeError as exc:
+        # each command reads at most one input file, so the message need not name it
+        _fail(f"input file is not UTF-8 text: {exc.reason} at byte {exc.start}", EXIT_VALIDATION)
+    except OSError as exc:
+        message = f"cannot open {exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        _fail(message, EXIT_VALIDATION)
 
 
 @click.group()

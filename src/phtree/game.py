@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundarySpec, eval_F, modulus_bound
-from .capacity import size_cap
+from .capacity import exceeded, size_cap
 from .dpp import GameParams
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .solver import LevelField
 from .tree import Vertex, vertex_from_index
 
@@ -220,10 +220,7 @@ def simulate_batch(
     cells = 3 * plays * depth
     cap = size_cap()
     if cells > cap:
-        raise CapacityError(
-            f"{plays} plays of depth {depth} draw {cells} random values, "
-            f"exceeding the size cap of {cap} (set PHTREE_SIZE_CAP to raise it)"
-        )
+        raise exceeded(f"{plays} plays of depth {depth} draw {cells} random values", cap)
     coins, turns, moves = _streams(master_seed, plays * depth)
 
     final = np.full(plays, x0.index, dtype=np.int64)

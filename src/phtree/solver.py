@@ -19,14 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundarySpec, SampledBoundary, modulus_bound, sample_Fn
-from .capacity import check_level_size
+from .capacity import max_level
 from .dpp import GameParams, operator_average
-from .errors import (
-    CapacityError,
-    ContractViolationError,
-    UnsupportedError,
-    ValidationError,
-)
+from .errors import ContractViolationError, UnsupportedError, ValidationError
 from .tree import Vertex
 
 
@@ -73,14 +68,12 @@ class LevelField:
         return self.value(v)
 
 
-def build_un(
-    spec: BoundarySpec, params: GameParams, n: int, cap: int | None = None
-) -> LevelField:
+def build_un(spec: BoundarySpec, params: GameParams, n: int) -> LevelField:
     """Build u_n for the given boundary data by one bottom-up sweep."""
     if n < 1:
         raise ValidationError(f"depth n must be >= 1, got {n}")
     m = params.m
-    sampled = sample_Fn(spec, m, n, cap)
+    sampled = sample_Fn(spec, m, n)
     levels = [sampled.values]
     # an overflow is reported by the finiteness check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -119,33 +112,28 @@ class SolveResult:
     empirical_gap: float | None
 
 
-def solve_to_tolerance(
-    spec: BoundarySpec,
-    params: GameParams,
-    tol: float,
-    cap: int | None = None,
-    max_n: int = 24,
-) -> SolveResult:
+#: deepest level `solve_to_tolerance` builds, whatever the size cap allows
+MAX_SOLVE_DEPTH = 24
+
+
+def solve_to_tolerance(spec: BoundarySpec, params: GameParams, tol: float) -> SolveResult:
     """Find the shallowest field meeting `tol`.
 
     With Lipschitz metadata this is the least n with ``L / m**n <= tol``
     (certified).  Otherwise n is increased until consecutive fields agree
     to ``tol/2`` on the coarser field's deepest level, which is reported
-    as an uncertified empirical bound.  Hitting the size cap or `max_n`
-    first yields a partial, not-certified result.
+    as an uncertified empirical bound.  Hitting the size cap or
+    `MAX_SOLVE_DEPTH` first yields a partial, not-certified result.
     """
     if not tol > 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
     m = params.m
+    deepest = min(MAX_SOLVE_DEPTH, max_level(m))
     if spec.lipschitz_bound is not None:
         n = 1
-        while spec.lipschitz_bound / m**n > tol and n < max_n:
-            try:
-                check_level_size(m, n + 1, cap)
-            except CapacityError:
-                break
+        while spec.lipschitz_bound / m**n > tol and n < deepest:
             n += 1
-        field = build_un(spec, params, n, cap)
+        field = build_un(spec, params, n)
         bound = spec.lipschitz_bound / m**n
         return SolveResult(
             field=field,
@@ -154,14 +142,10 @@ def solve_to_tolerance(
             certified_bound=bound,
             empirical_gap=None,
         )
-    current = build_un(spec, params, 1, cap)
+    current = build_un(spec, params, 1)
     gap = math.inf
-    while current.n < max_n:
-        try:
-            check_level_size(m, current.n + 1, cap)
-        except CapacityError:
-            break
-        finer = build_un(spec, params, current.n + 1, cap)
+    while current.n < deepest:
+        finer = build_un(spec, params, current.n + 1)
         coarse_level = current.levels[current.n]
         same_level = finer.levels[current.n]
         gap = float(np.abs(coarse_level - same_level).max())

@@ -243,7 +243,7 @@ def tree_distance(
     return Fraction(1, m**common)
 
 
-def enumerate_level(m: int, k: int, cap: int | None = None) -> Iterator[Vertex]:
+def enumerate_level(m: int, k: int) -> Iterator[Vertex]:
     """Yield the ``m**k`` level-k vertices in lexicographic digit order.
 
     The j-th vertex yielded satisfies ``psi = j / m**k``.
@@ -251,6 +251,6 @@ def enumerate_level(m: int, k: int, cap: int | None = None) -> Iterator[Vertex]:
     _validate_branching(m)
     if k < 0:
         raise ValidationError(f"level must be >= 0, got {k}")
-    check_level_size(m, k, cap)
+    check_level_size(m, k)
     for digits in itertools.product(range(m), repeat=k):
         yield Vertex(m, digits)

@@ -45,14 +45,9 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .capacity import size_cap
+from .capacity import exceeded, size_cap
 from .dpp import GameParams, residual_at
-from .errors import (
-    CapacityError,
-    InsufficientDepthError,
-    StructuralCheckError,
-    ValidationError,
-)
+from .errors import InsufficientDepthError, StructuralCheckError, ValidationError
 from .tree import (
     Interval,
     Vertex,
@@ -570,10 +565,7 @@ def _member_count(machine, ks, level: int, offset: int, cap: int) -> int:
 
 def _check_scan_size(level: int, size: int, cap: int) -> None:
     if size > cap:
-        raise CapacityError(
-            f"level {level} scan needs {size} state classes, "
-            f"exceeding the size cap of {cap}"
-        )
+        raise exceeded(f"level {level} scan needs {size} state classes", cap)
 
 
 def _first_member(machine, starts, level: int, max_offset: int, cap: int):
@@ -638,7 +630,7 @@ class DensityResult:
 _DENSITY_OFFSET_LIMIT = 512
 
 
-def density_check(U: SubsetSpec, resolution_level: int, cap: int | None = None) -> DensityResult:
+def density_check(U: SubsetSpec, resolution_level: int) -> DensityResult:
     """Check that every interval at the given resolution contains an image
     point of U in its interior; on failure return a witness interval."""
     if resolution_level < 0:
@@ -655,15 +647,13 @@ def density_check(U: SubsetSpec, resolution_level: int, cap: int | None = None) 
         witness = interval_of(Vertex(U.m, (0,) * resolution_level))
         return DensityResult(False, witness, resolution_level, True)
     machine = U.machine
-    active_cap = size_cap(cap)
-    classes = _advance(
-        machine, {(machine.initial(), False): 0}, 0, active_cap, resolution_level
-    )
+    cap = size_cap()
+    classes = _advance(machine, {(machine.initial(), False): 0}, 0, cap, resolution_level)
     interior = _InteriorMachine(machine)
     max_offset = min(U.depth_bound - resolution_level, _DENSITY_OFFSET_LIMIT)
     for (ks, _below), index in classes.items():
         offset, definitive, _scanned = _first_member(
-            interior, {(ks, True)}, resolution_level, max_offset, active_cap
+            interior, {(ks, True)}, resolution_level, max_offset, cap
         )
         if offset is None:
             witness = vertex_from_index(U.m, resolution_level, index)
@@ -679,9 +669,7 @@ class PaResult:
     counterexample: Vertex | None = None
 
 
-def pa_check(
-    U: SubsetSpec, n_max: int, scan_depth: int | None = None, cap: int | None = None
-) -> PaResult:
+def pa_check(U: SubsetSpec, n_max: int, scan_depth: int | None = None) -> PaResult:
     """Uniform hitting: from every vertex scanned, some descendant within
     n levels is a member.  Returns the least uniform n <= n_max."""
     if n_max < 1:
@@ -694,12 +682,12 @@ def pa_check(
             f"trusted depth {U.depth_bound}"
         )
     machine = U.machine
-    active_cap = size_cap(cap)
+    cap = size_cap()
     classes = {(machine.initial(), False): 0}
     worst = 0
     for level in range(scan_depth + 1):
         for (ks, _below), index in classes.items():
-            offset = _first_member(machine, {ks}, level, n_max, active_cap)[0]
+            offset = _first_member(machine, {ks}, level, n_max, cap)[0]
             if offset is None:
                 return PaResult(
                     holds=False,
@@ -709,7 +697,7 @@ def pa_check(
                 )
             worst = max(worst, offset)
         if level < scan_depth:
-            classes = _advance(machine, classes, level, active_cap)
+            classes = _advance(machine, classes, level, cap)
     return PaResult(holds=True, n=worst, scan_depth=scan_depth)
 
 
@@ -777,9 +765,7 @@ class UcpReport:
 _RHO_PROBE_LIMIT = 65536
 
 
-def compute_rho(
-    U: SubsetSpec, params: GameParams, k_max: int, cap: int | None = None
-) -> UcpReport:
+def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
     """Compute the gap ladder rho_1..rho_K (K <= k_max) with its checks.
 
     rho_1 is the first level meeting U; later gaps are the least offsets
@@ -794,7 +780,7 @@ def compute_rho(
     if k_max < 0:
         raise ValidationError("k_max must be >= 0")
     machine = U.machine
-    active_cap = size_cap(cap)
+    cap = size_cap()
     delta = params.delta
 
     level = 0
@@ -829,9 +815,9 @@ def compute_rho(
         ]
         max_probe = min(U.depth_bound - base, _RHO_PROBE_LIMIT)
         offset, definitive, scanned = _first_member(
-            machine, {ks for ks, _below in eligible}, base, max_probe, active_cap
+            machine, {ks for ks, _below in eligible}, base, max_probe, cap
         )
-        classes = _advance(machine, classes, base, active_cap, scanned)
+        classes = _advance(machine, classes, base, cap, scanned)
         level = base + scanned
         if offset is None:
             # a fixpoint proves the ladder ends; a spent budget leaves it open
@@ -846,15 +832,13 @@ def compute_rho(
         rho.append(offset)
         eta.append(base + offset)
         if k == 1:
-            total = _member_count(machine, machine.initial(), 0, offset, active_cap)
+            total = _member_count(machine, machine.initial(), 0, offset, cap)
             p1_ok = total == 1
             if not p1_ok:
                 notes.append(f"{total} members at level {eta[0]}, so (P1) fails")
         else:
             # members at the new gap below each untouched frontier class
-            counts = [
-                _member_count(machine, ks, base, offset, active_cap) for ks in untouched
-            ]
+            counts = [_member_count(machine, ks, base, offset, cap) for ks in untouched]
             if counts:
                 if any(c != 1 for c in counts):
                     p2_failed.append(k)
@@ -1145,9 +1129,7 @@ def build_counterexample(
     return CounterexampleField(pattern, params, depth, digit)
 
 
-def unboundedness_probe(
-    U: SubsetSpec, params: GameParams, k_stages: int, cap: int | None = None
-) -> tuple[float, ...]:
+def unboundedness_probe(U: SubsetSpec, params: GameParams, k_stages: int) -> tuple[float, ...]:
     """Per-stage lower bounds ``M_k = prod 1/(1 - delta**rho_i)`` forcing
     any nonzero vanishing-on-U harmonious function to be unbounded when
     the gap series diverges.  Requires the uniqueness checks to hold."""
@@ -1155,7 +1137,7 @@ def unboundedness_probe(
         raise ValidationError("number of stages must be >= 0")
     if k_stages == 0:
         return ()
-    report = compute_rho(U, params, k_max=k_stages, cap=cap)
+    report = compute_rho(U, params, k_max=k_stages)
     if len(report.rho) < k_stages:
         raise StructuralCheckError(
             f"only {len(report.rho)} ladder stages are available "
@@ -1185,12 +1167,10 @@ def analyze(
     k_max: int = 6,
     resolution: int = 3,
     pa_n_max: int = 6,
-    pa_scan_depth: int | None = None,
-    cap: int | None = None,
 ) -> UcpReport:
     """Run the structural ladder, density, and hitting checks, then assemble
     a three-valued verdict with the certifying mechanism spelled out."""
-    report = compute_rho(U, params, k_max, cap)
+    report = compute_rho(U, params, k_max)
     notes = list(report.notes)
 
     # bounded families provably lose density just past their deepest member
@@ -1198,11 +1178,11 @@ def analyze(
     if U.max_member_level is not None:
         effective_resolution = max(resolution, U.max_member_level + 1)
     effective_resolution = min(effective_resolution, U.depth_bound)
-    density = density_check(U, effective_resolution, cap)
+    density = density_check(U, effective_resolution)
 
     pa = None
     try:
-        pa = pa_check(U, pa_n_max, pa_scan_depth, cap)
+        pa = pa_check(U, pa_n_max)
     except InsufficientDepthError:
         notes.append("hitting check skipped: trusted depth too small")
 

@@ -17,6 +17,53 @@ def runner():
     return CliRunner()
 
 
+def _level_4_set_file(tmp_path) -> str:
+    """All 81 level-4 vertices of m=3, each its own automaton state."""
+    members = tmp_path / "set.txt"
+    members.write_text(
+        "".join(".".join(map(str, d)) + "\n" for d in itertools.product(range(3), repeat=4)),
+        encoding="utf-8",
+    )
+    return str(members)
+
+
+class TestFileErrors:
+    """An input or output file the run cannot use exits 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "command, path",
+        [
+            (["ucp", "--set-file"], "missing.txt"),
+            (["ucp", "--set-file"], "directory"),
+            (["ucp", "--set-file"], "latin1.txt"),
+            (["solve", "--n", "2", "--boundary"], "directory"),
+            (["solve", "--n", "2", "--boundary"], "latin1.csv"),
+            (["solve", "--n", "2", "--boundary", "linear", "--output"], "missing/report.json"),
+        ],
+        ids=[
+            "set-file-missing",
+            "set-file-directory",
+            "set-file-not-utf8",
+            "boundary-directory",
+            "boundary-not-utf8",
+            "output-in-missing-directory",
+        ],
+    )
+    def test_exits_2(self, runner, tmp_path, command, path):
+        (tmp_path / "directory").mkdir()
+        (tmp_path / "latin1.txt").write_bytes(b"0\n1.\xe9\n")
+        (tmp_path / "latin1.csv").write_bytes(b"t,value\n0,0\n1,\xe9\n")
+        subcommand, *options = command
+        result = runner.invoke(main, [
+            subcommand, "--m", "3", "--alpha", "0.5", *options, str(tmp_path / path),
+        ])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no uncaught exception
+        assert result.stdout == ""
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.output
+
+
 class TestCanonicalJson:
     def test_sorted_keys_and_float_format(self):
         text = canonical_json({"b": 1 / 3, "a": [1, True, None], "c": "x"})
@@ -199,19 +246,29 @@ class TestUcp:
         assert "lists no levels" in result.stderr
 
     def test_capacity_exit_code(self, runner, tmp_path, monkeypatch):
-        # all 81 level-4 vertices of m=3, each its own automaton state
-        members = tmp_path / "set.txt"
-        members.write_text(
-            "".join(".".join(map(str, d)) + "\n" for d in itertools.product(range(3), repeat=4)),
-            encoding="utf-8",
-        )
         monkeypatch.setenv("PHTREE_SIZE_CAP", "50")
         result = runner.invoke(main, [
-            "ucp", "--m", "3", "--alpha", "0.5", "--set-file", str(members),
+            "ucp", "--m", "3", "--alpha", "0.5", "--set-file", _level_4_set_file(tmp_path),
         ])
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: level 4 scan needs 81 state classes")
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "simulate", "ucp"])
+def test_capacity_error_names_the_env_var(runner, tmp_path, monkeypatch, subcommand):
+    monkeypatch.setenv("PHTREE_SIZE_CAP", "50")
+    options = {
+        "solve": ["--boundary", "linear", "--n", "5"],
+        "simulate": [
+            "--boundary", "linear", "--strategy-i", "fixed:0", "--strategy-ii", "fixed:1",
+            "--depth", "5", "--plays", "100",
+        ],
+        "ucp": ["--set-file", _level_4_set_file(tmp_path)],
+    }[subcommand]
+    result = runner.invoke(main, [subcommand, "--m", "3", "--alpha", "0.5", *options])
+    assert result.exit_code == 3
+    assert result.stderr.rstrip("\n").endswith("(set PHTREE_SIZE_CAP to raise it)")
 
 
 class TestSimulate:
