@@ -222,6 +222,40 @@ class TestUcp:
         payload = json.loads(result.output)
         assert payload["verdict"] == "no-UCP-certified"
 
+    def test_set_file_blank_and_duplicate_lines(self, runner, tmp_path):
+        reports = []
+        for name, text in [("clean", "0.2.1\n1\n"), ("noisy", "0.2.1\n\n  \n1\n0.2.1\n 1 \n")]:
+            members = tmp_path / f"{name}.txt"
+            members.write_text(text, encoding="utf-8")
+            result = runner.invoke(main, [
+                "ucp", "--m", "3", "--alpha", "0.5", "--set-file", str(members),
+            ])
+            assert result.exit_code == 0
+            reports.append(result.stdout)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0\n0.x\n", "malformed vertex label '0.x'"),
+            ("0.5\n", "digit 5 out of range for branching factor 3"),
+            ("-1\n", "digit -1 out of range for branching factor 3"),
+            ("1\n0.x\n2.7\n", "malformed vertex label '0.x'"),
+            ("0.4\n0.x\n", "digit 4 out of range for branching factor 3"),
+        ],
+        ids=["malformed", "digit-too-large", "negative-digit", "first-of-two-malformed", "first-of-two-range"],
+    )
+    def test_bad_set_file_line_exits_2(self, runner, tmp_path, text, message):
+        members = tmp_path / "set.txt"
+        members.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, [
+            "ucp", "--m", "3", "--alpha", "0.5", "--set-file", str(members),
+        ])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no uncaught exception
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
+
     def test_set_options_are_exclusive(self, runner, tmp_path):
         members = tmp_path / "set.txt"
         members.write_text("0\n", encoding="utf-8")

@@ -39,11 +39,17 @@ class TestVertex:
             Vertex(3, (0, 3))
         with pytest.raises(ValidationError):
             Vertex(1, (0,))
+        with pytest.raises(ValidationError, match="^digit 4 out of range for branching factor 3$"):
+            Vertex(3, (0, 4, 7))
+        with pytest.raises(ValidationError, match="^digit -1 out of range"):
+            Vertex(3, (1, -1))
 
     def test_numpy_integer_branching_accepted(self):
         v = Vertex(np.int64(3), (0, 2))
         assert v.m == 3 and type(v.m) is int
         assert v == Vertex(3, (0, 2))
+        assert Vertex(np.int64(3), (1,)) == Vertex(3, (1,))
+        assert Vertex(3, (np.int64(2),)).digits == (2,)
 
     def test_bool_branching_rejected(self):
         with pytest.raises(ValidationError):

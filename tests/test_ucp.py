@@ -520,6 +520,41 @@ class TestAnalyze:
         report = analyze(SubsetSpec.explicit(3, [(0,), (1, 2)]), P)
         assert report.verdict == VERDICT_NO_UCP
 
+    @pytest.mark.parametrize(
+        "members, depth_scanned, notes",
+        [
+            ([()], 2, ["the root itself is a member; ladder starts at level 1"]),
+            ([], 1, []),
+        ],
+        ids=["root-only", "empty"],
+    )
+    def test_root_only_and_empty_explicit_sets(self, members, depth_scanned, notes):
+        report = analyze(SubsetSpec.explicit(3, members), P).to_json_obj()
+        assert report == {
+            "m": 3,
+            "rho": [],
+            "eta": [],
+            "partial_sum": 0.0,
+            "p1_ok": None,
+            "p2_ok": None,
+            "p2_failed_stages": [],
+            "quantifier_divergence": [],
+            "frontier_empty_at": None,
+            "ladder_terminated": True,
+            "inconclusive_ladder": False,
+            "depth_scanned": depth_scanned,
+            "density_dense": False,
+            "density_witness": {"left": 0.0, "right": 1 / 27},
+            "pa_holds": False,
+            "pa_n": None,
+            "verdict": VERDICT_NO_UCP,
+            "verdict_reason": (
+                "image of U misses an interval: a bounded +1/-1 two-subtree field "
+                "inside the gap vanishes on U but not everywhere"
+            ),
+            "notes": [*notes, "no members exist below the level-0 frontier at any depth"],
+        }
+
     def test_unstructured_predicate_is_inconclusive(self):
         U = SubsetSpec.predicate(3, lambda v: v.digits == (0,), depth_bound=6)
         report = analyze(U, P, k_max=2, resolution=2, pa_n_max=2)
