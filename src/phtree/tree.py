@@ -24,9 +24,19 @@ from .errors import ValidationError
 
 def _validate_branching(m: int) -> int:
     """Return m as a plain int; any integer type except bool is accepted."""
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 2:
+    # a plain int skips the slow numbers.Integral ABC check
+    if type(m) is not int and (isinstance(m, bool) or not isinstance(m, numbers.Integral)) or m < 2:
         raise ValidationError(f"branching factor m must be an integer >= 2, got {m!r}")
     return int(m)
+
+
+def _validate_digits(m: int, digits) -> tuple[int, ...]:
+    """Return the digits as a tuple of ints, each in ``range(m)``."""
+    digits = tuple(map(int, digits))
+    if digits and (min(digits) < 0 or max(digits) >= m):
+        bad = next(d for d in digits if not 0 <= d < m)
+        raise ValidationError(f"digit {bad} out of range for branching factor {m}")
+    return digits
 
 
 @dataclass(frozen=True)
@@ -38,13 +48,7 @@ class Vertex:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _validate_branching(self.m))
-        digits = tuple(int(d) for d in self.digits)
-        object.__setattr__(self, "digits", digits)
-        for d in digits:
-            if not 0 <= d < self.m:
-                raise ValidationError(
-                    f"digit {d} out of range for branching factor {self.m}"
-                )
+        object.__setattr__(self, "digits", _validate_digits(self.m, self.digits))
 
     @property
     def level(self) -> int:

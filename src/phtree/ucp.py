@@ -52,6 +52,7 @@ from .tree import (
     Interval,
     Vertex,
     _validate_branching,
+    _validate_digits,
     interval_of,
     parse_vertex,
     vertex_from_index,
@@ -404,9 +405,9 @@ class SubsetSpec:
 
     @classmethod
     def explicit(cls, m: int, vertices: Iterable[Vertex | tuple[int, ...]]) -> "SubsetSpec":
+        m = _validate_branching(m)
         members = frozenset(
-            v.digits if isinstance(v, Vertex) else tuple(int(d) for d in v)
-            for v in vertices
+            _validate_digits(m, v.digits if isinstance(v, Vertex) else v) for v in vertices
         )
         return cls(kind=KIND_EXPLICIT, m=m, depth_bound=UNBOUNDED_DEPTH, members=members)
 

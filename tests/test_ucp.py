@@ -112,6 +112,13 @@ class TestMembership:
         assert U.contains(Vertex(3, (1,)))
         assert not U.contains(Vertex(3, (0, 2)))
 
+    @pytest.mark.parametrize(
+        "digits, bad", [((5,), 5), ((0, 1, 7, 2), 7), ((-1,), -1), (Vertex(4, (3,)), 3)]
+    )
+    def test_explicit_rejects_out_of_range_digits(self, digits, bad):
+        with pytest.raises(ValidationError, match=f"^digit {bad} out of range for branching factor 3$"):
+            SubsetSpec.explicit(3, [(0,), digits])
+
     def test_parse_descriptors(self):
         assert SubsetSpec.parse("last-digit:0", 3).kind == "last-digit"
         assert SubsetSpec.parse("digit-avoiding:1", 3).digit == 1
