@@ -115,7 +115,7 @@ def parse_vertex(text: str, m: int) -> Vertex:
     if not text:
         return root(m)
     try:
-        digits = tuple(int(part) for part in text.split("."))
+        digits = tuple(map(int, text.split(".")))
     except ValueError as exc:
         raise ValidationError(f"malformed vertex label {text!r}") from exc
     return Vertex(m, digits)
@@ -210,12 +210,6 @@ def interval_of(v: Vertex) -> Interval:
     return Interval(psi(v), v.level)
 
 
-def _digits_of(seq: "Vertex | Sequence[int]") -> tuple[int, ...]:
-    if isinstance(seq, Vertex):
-        return seq.digits
-    return tuple(int(d) for d in seq)
-
-
 def tree_distance(
     p: "Vertex | Sequence[int]", q: "Vertex | Sequence[int]", m: int | None = None
 ) -> Fraction:
@@ -233,11 +227,7 @@ def tree_distance(
     if m is None:
         raise ValidationError("branching factor m required for raw digit sequences")
     _validate_branching(m)
-    a = _digits_of(p)
-    b = _digits_of(q)
-    for d in itertools.chain(a, b):
-        if not 0 <= d < m:
-            raise ValidationError(f"digit {d} out of range for branching factor {m}")
+    a, b = (_validate_digits(m, s.digits if isinstance(s, Vertex) else s) for s in (p, q))
     common = min(len(a), len(b))
     for i in range(common):
         if a[i] != b[i]:

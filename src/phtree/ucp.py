@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -185,9 +185,6 @@ class RhoPattern:
 # digit automata for membership
 # ----------------------------------------------------------------------
 
-_DEAD = "<dead>"
-
-
 class _LastDigitMachine:
     fixpoint = True
 
@@ -251,14 +248,14 @@ class _RhoGeneratedMachine:
         self.pattern = pattern
         self.digit = digit
         self.fixpoint = pattern.continuation == CYCLE
+        self._term = cache(pattern.term)
 
     def initial(self):
         return (1, 0, True, False)
 
     def step(self, state, digit):
         k, i, all_d, prev_u = state
-        rho_k = self.pattern.term(k)
-        if i < rho_k:
+        if i < self._term(k):
             return (k, i + 1, all_d and digit == self.digit, prev_u)
         member_here = all_d and not prev_u
         return (
@@ -270,32 +267,40 @@ class _RhoGeneratedMachine:
 
     def is_member(self, state, level) -> bool:
         k, i, all_d, prev_u = state
-        return i >= 1 and i == self.pattern.term(k) and all_d and not prev_u
+        return i >= 1 and i == self._term(k) and all_d and not prev_u
 
 
 class _ExplicitSetMachine:
+    """Explicit sets compile to an integer trie: a state is a node id, -1 is
+    dead, and node s keeps its children at ``_child[s * m : s * m + m]``."""
+
     fixpoint = True
 
     def __init__(self, m: int, members: frozenset[tuple[int, ...]]):
         self.m = m
-        self.members = members
-        prefixes = set()
+        child, member = [-1] * m, [False]
         for digits in members:
-            for k in range(len(digits) + 1):
-                prefixes.add(digits[:k])
-        self.prefixes = prefixes
+            node = 0
+            for d in digits:
+                slot = node * m + d
+                if child[slot] < 0:
+                    child[slot] = len(member)
+                    child += [-1] * m
+                    member.append(False)
+                node = child[slot]
+            member[node] = True
+        # a dead row after the last node, where state -1 wraps around to
+        self._child, self._member = child + [-1] * m, member + [False]
+        self._root = 0 if members else -1
 
     def initial(self):
-        return () if self.prefixes else _DEAD
+        return self._root
 
     def step(self, state, digit):
-        if state == _DEAD:
-            return _DEAD
-        child = state + (digit,)
-        return child if child in self.prefixes else _DEAD
+        return self._child[state * self.m + digit]
 
     def is_member(self, state, level) -> bool:
-        return state != _DEAD and state in self.members
+        return self._member[state]
 
 
 class _PredicateMachine:
@@ -406,10 +411,12 @@ class SubsetSpec:
     @classmethod
     def explicit(cls, m: int, vertices: Iterable[Vertex | tuple[int, ...]]) -> "SubsetSpec":
         m = _validate_branching(m)
-        members = frozenset(
-            _validate_digits(m, v.digits if isinstance(v, Vertex) else v) for v in vertices
-        )
-        return cls(kind=KIND_EXPLICIT, m=m, depth_bound=UNBOUNDED_DEPTH, members=members)
+        members = set()
+        for v in vertices:
+            if isinstance(v, Vertex) and v.m != m:
+                raise ValidationError("vertex branching differs from the subset's")
+            members.add(v.digits if isinstance(v, Vertex) else _validate_digits(m, v))
+        return cls(kind=KIND_EXPLICIT, m=m, depth_bound=UNBOUNDED_DEPTH, members=frozenset(members))
 
     @classmethod
     def from_file(cls, path, m: int) -> "SubsetSpec":

@@ -1,11 +1,14 @@
 """Subset analysis: density, hitting, the gap ladder, and counterexamples."""
 
+import collections
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phtree import (
     CapacityError,
@@ -112,12 +115,16 @@ class TestMembership:
         assert U.contains(Vertex(3, (1,)))
         assert not U.contains(Vertex(3, (0, 2)))
 
-    @pytest.mark.parametrize(
-        "digits, bad", [((5,), 5), ((0, 1, 7, 2), 7), ((-1,), -1), (Vertex(4, (3,)), 3)]
-    )
+    @pytest.mark.parametrize("digits, bad", [((5,), 5), ((0, 1, 7, 2), 7), ((-1,), -1)])
     def test_explicit_rejects_out_of_range_digits(self, digits, bad):
         with pytest.raises(ValidationError, match=f"^digit {bad} out of range for branching factor 3$"):
             SubsetSpec.explicit(3, [(0,), digits])
+
+    def test_explicit_rejects_other_branching(self):
+        with pytest.raises(ValidationError, match="branching differs"):
+            SubsetSpec.explicit(3, [Vertex(4, (3,))])
+        with pytest.raises(ValidationError, match="branching differs"):
+            SubsetSpec.explicit(3, [Vertex(2, (1,))])
 
     def test_parse_descriptors(self):
         assert SubsetSpec.parse("last-digit:0", 3).kind == "last-digit"
@@ -198,6 +205,54 @@ class TestWitnesses:
         gap = density_check(self.HOLED, 3).witness_gap
         assert gap.level == 3
         assert gap.left.as_fraction() == Fraction(19, 27)
+
+
+class _PrefixMachine:
+    """Reference automaton for explicit sets: a state is the digit tuple read
+    so far while it is a prefix of some member, else None (dead)."""
+
+    fixpoint = True
+
+    def __init__(self, m, members):
+        self.m = m
+        self.members = members
+        self.prefixes = {d[:k] for d in members for k in range(len(d) + 1)}
+
+    def initial(self):
+        return () if self.prefixes else None
+
+    def step(self, state, digit):
+        child = None if state is None else state + (digit,)
+        return child if child in self.prefixes else None
+
+    def is_member(self, state, level):
+        return state in self.members
+
+
+@st.composite
+def _explicit_sets(draw):
+    m = draw(st.sampled_from([2, 3, 4]))
+    digits = st.lists(st.integers(0, m - 1), max_size=6).map(tuple)
+    return m, draw(st.lists(digits, max_size=40)), draw(st.lists(digits, max_size=10))
+
+
+class TestExplicitTrie:
+    """The integer trie answers every scan exactly as the prefix automaton."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_explicit_sets(), st.integers(0, 7))
+    def test_matches_prefix_oracle(self, case, resolution):
+        m, members, probes = case
+        params = GameParams(m, 0.5, 0.5)
+        trie = SubsetSpec.explicit(m, members)
+        oracle = SubsetSpec.explicit(m, members)
+        oracle.__dict__["machine"] = _PrefixMachine(m, oracle.members)
+        assert compute_rho(trie, params, 6) == compute_rho(oracle, params, 6)
+        assert density_check(trie, resolution) == density_check(oracle, resolution)
+        assert pa_check(trie, 4) == pa_check(oracle, 4)
+        for digits in probes + members:
+            v = Vertex(m, digits)
+            assert trie.contains(v) == oracle.contains(v)
 
 
 class TestDensity:
@@ -309,6 +364,30 @@ class TestComputeRho:
                 total += g
                 partial_sums.append(total)
             assert report.eta == tuple(partial_sums)
+
+    def test_stage_lengths_looked_up_once(self, monkeypatch):
+        calls = collections.Counter()
+        term = RhoPattern.term
+
+        def counting_term(pattern, k):
+            calls[k] += 1
+            return term(pattern, k)
+
+        monkeypatch.setattr(RhoPattern, "term", counting_term)
+        report = compute_rho(SubsetSpec.parse("rho:1,2;arith=1", 3), P, k_max=40)
+        assert report.rho == tuple(range(1, 41))
+        assert set(calls) >= set(range(1, 41)) and max(calls.values()) == 1
+
+    def test_finite_pattern_still_raises_past_its_prefix(self):
+        machine = SubsetSpec.parse("rho:1,2;finite", 3).machine
+        state = machine.initial()
+        for _ in range(4):
+            state = machine.step(state, 0)
+        for _ in range(2):
+            with pytest.raises(InsufficientDepthError, match="only 2 terms, stage 3 requested"):
+                machine.is_member(state, 4)
+            with pytest.raises(InsufficientDepthError, match="only 2 terms, stage 3 requested"):
+                machine.step(state, 0)
 
     def test_single_vertex_predicate(self):
         U = SubsetSpec.predicate(3, lambda v: v.digits == (0,), depth_bound=5)
