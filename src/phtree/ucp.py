@@ -278,7 +278,7 @@ class _ExplicitSetMachine:
 
     def __init__(self, m: int, members: frozenset[tuple[int, ...]]):
         self.m = m
-        child, member = [-1] * m, [False]
+        self._child, self._member = child, member = [-1] * m, [False]
         for digits in members:
             node = 0
             for d in digits:
@@ -289,8 +289,9 @@ class _ExplicitSetMachine:
                     member.append(False)
                 node = child[slot]
             member[node] = True
-        # a dead row after the last node, where state -1 wraps around to
-        self._child, self._member = child + [-1] * m, member + [False]
+        # the dead row goes last, so state -1 reaches it as a negative index
+        child += [-1] * m
+        member.append(False)
         self._root = 0 if members else -1
 
     def initial(self):
