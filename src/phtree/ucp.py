@@ -27,7 +27,8 @@ The machinery:
   unboundedness in the divergent case.
 
 Each subset compiles to a digit automaton whose ``fixpoint`` flag says its
-states are finite and its membership ignores the level.  One scan,
+states are finite and its membership ignores the level; an explicit set
+compiles to an integer trie whose states are node ids.  One scan,
 ``_first_member``, advances the set of reachable states a level at a time
 and stops at a member, at a repeated set (on a ``fixpoint`` machine, proof
 that no member lies deeper) or at its offset budget.  Density, hitting and
