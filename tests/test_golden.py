@@ -7,9 +7,11 @@ report formatting that alters a single byte fails here.
 
 import hashlib
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from phtree import GameParams, PHTreeError, SubsetSpec, analyze, compute_rho, density_check, pa_check
 from phtree.cli import main
 
 #: a small tabulated boundary; "{tabulated}" in a case's arguments is its path
@@ -154,3 +156,65 @@ def test_report_bytes(name, tabulated, set_file, tmp_path):
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == b""
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+#: one descriptor per ucp scan path and continuation, valid for every m >= 2
+UCP_DESCRIPTORS = (
+    "last-digit:0", "last-digit:1", "digit-avoiding:0", "digit-avoiding:1",
+    "full-levels:2", "full-levels:2,5", "full-levels:1,3;doubling",
+    "rho:1,4,1,8,1,16", "rho:1,2;arith=1", "rho:1,2,3;finite", "rho:2;geom=2",
+    "rho:1,3;digit=1", "rho:2,1;finite;digit=1", "rho:3;arith=0", "rho:1;cycle",
+)
+UCP_MATRIX_DIGEST = "cb6a82e7f913bf5e2c9eecb25a959beceb0aef7d63b9ad93d66a97dce5c83caa"
+
+
+def _ucp_subsets(m):
+    for text in UCP_DESCRIPTORS:
+        yield text, SubsetSpec.parse(text, m)
+    top = m - 1
+    yield "explicit", SubsetSpec.explicit(m, [(1,), (0, top), (top, 1, 0), (top, top, top, 1)])
+    yield "explicit-root", SubsetSpec.explicit(m, [(), (0, 0), (1,)])
+    yield "explicit-divergence", SubsetSpec.explicit(m, [(0,), (1, 0), (top, 1), (0, 1, 0)])
+    rng = np.random.default_rng(m)
+    yield "explicit-random", SubsetSpec.explicit(
+        m, [tuple(int(d) for d in rng.integers(0, m, size=rng.integers(1, 7))) for _ in range(30)]
+    )
+    if m < 4:  # a predicate scan keeps one state per vertex, m**level of them
+        yield "predicate-suffix", SubsetSpec.predicate(
+            m, lambda v: v.digits[-2:] == (0, 1), depth_bound=7
+        )
+        yield "predicate-sum", SubsetSpec.predicate(
+            m, lambda v: v.level % 2 == 1 and sum(v.digits) % m == 0, depth_bound=7
+        )
+
+
+def _outcome(call) -> str:
+    try:
+        return repr(call())
+    except PHTreeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_ucp_matrix(monkeypatch):
+    """Every ucp result, witness and cap message over a matrix of subsets,
+    coin weights, analysis flags and size caps, pinned as one digest."""
+    lines = []
+    for m in (2, 3, 4):
+        for name, U in _ucp_subsets(m):
+            for alpha in (0.0, 0.5, 1.0):
+                params = GameParams(m, alpha, 1.0 - alpha)
+                for flags in ((6, 3, 6), (9, 5, 2)):
+                    result = _outcome(lambda: analyze(U, params, *flags))
+                    lines.append(f"{m} {name} {alpha} {flags} {result}")
+            params = GameParams(m, 0.5, 0.5)
+            for cap in (5, 20, 60):
+                monkeypatch.setenv("PHTREE_SIZE_CAP", str(cap))
+                for call in (
+                    lambda: compute_rho(U, params, 6),
+                    lambda: density_check(U, 3),
+                    lambda: pa_check(U, 3),
+                ):
+                    lines.append(f"{m} {name} cap={cap} {_outcome(call)}")
+            monkeypatch.delenv("PHTREE_SIZE_CAP")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == UCP_MATRIX_DIGEST

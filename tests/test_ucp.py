@@ -408,6 +408,7 @@ class TestComputeRho:
         assert report.rho == (2,)
         assert report.p1_ok is False
         assert report.frontier_empty_at == 2
+        assert "9 members at level 2, so (P1) fails" in report.notes
 
     def test_last_digit_constant_gaps(self):
         report = compute_rho(SubsetSpec.last_digit(3, 0), P, 6)
@@ -423,6 +424,15 @@ class TestComputeRho:
         assert report.p1_ok
         assert report.p2_failed_stages == (3,)
         assert report.quantifier_divergence == (3,)
+
+    def test_p2_counts_members_per_untouched_class(self):
+        # below (1,) two members share the second gap, below (2,) one
+        U = SubsetSpec.explicit(3, [(0,), (1, 0), (1, 1), (2, 0)])
+        report = compute_rho(U, P, 3)
+        assert report.rho == (1, 1)
+        assert report.p1_ok
+        assert report.p2_failed_stages == (2,)
+        assert report.quantifier_divergence == ()
 
 
 class TestCriterionVerdict:
