@@ -22,10 +22,14 @@ from .capacity import check_level_size
 from .errors import ValidationError
 
 
+def _is_integer(value) -> bool:
+    """Any integer type except bool; a plain int skips the slow ABC check."""
+    return type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
 def _validate_branching(m: int) -> int:
     """Return m as a plain int; any integer type except bool is accepted."""
-    # a plain int skips the slow numbers.Integral ABC check
-    if type(m) is not int and (isinstance(m, bool) or not isinstance(m, numbers.Integral)) or m < 2:
+    if not _is_integer(m) or m < 2:
         raise ValidationError(f"branching factor m must be an integer >= 2, got {m!r}")
     return int(m)
 

@@ -26,16 +26,15 @@ The machinery:
 * ``unboundedness_probe`` -- the same products as lower bounds forcing
   unboundedness in the divergent case.
 
-Each subset compiles to a digit automaton whose ``fixpoint`` flag says its
-states are finite and its membership ignores the level; an explicit set
-compiles to an integer trie whose states are node ids.  One scan,
-``_first_member``, advances the set of reachable states a level at a time
-and stops at a member, at a repeated set (on a ``fixpoint`` machine, proof
-that no member lies deeper) or at its offset budget.  Density, hitting and
-the ladder probes all run it; ``_advance`` keeps one witness vertex index
-per (state, below a member) class of a level, and ``_member_count`` the
-exact member counts behind (P1)/(P2).  All three check the size cap on
-every level.
+Each subset compiles to a digit automaton (``initial()``, ``step(state,
+digit)``, ``is_member(state)``, ``m`` and a ``fixpoint`` flag for finite
+states).  Digit rules and explicit sets compile to one integer table.
+``_first_member`` steps a {state: vertex count} map a level at a time and
+stops at a member, with the member count behind (P1)/(P2), at a repeated
+state set (on a ``fixpoint`` machine, proof that no member lies deeper) or
+at its offset budget; density, hitting and the ladder all run it.
+``_advance`` keeps one witness vertex index per (state, below a member)
+class of a level.  Both check the size cap on every level.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ from .errors import InsufficientDepthError, StructuralCheckError, ValidationErro
 from .tree import (
     Interval,
     Vertex,
+    _is_integer,
     _validate_branching,
     _validate_digits,
     interval_of,
@@ -90,8 +90,9 @@ class RhoPattern:
     step: int = 0
 
     def __post_init__(self) -> None:
-        prefix = tuple(int(r) for r in self.prefix)
+        prefix = tuple(_integer(r, "rho term") for r in self.prefix)
         object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "step", _integer(self.step, "rho step"))
         if not prefix:
             raise ValidationError("rho pattern needs at least one explicit term")
         if any(r < 1 for r in prefix):
@@ -150,7 +151,7 @@ class RhoPattern:
     def coerce(cls, value) -> "RhoPattern":
         if isinstance(value, RhoPattern):
             return value
-        return cls(tuple(int(r) for r in value), FINITE)
+        return cls(tuple(value), FINITE)
 
     @classmethod
     def parse(cls, text: str, default_continuation: str = CYCLE) -> "RhoPattern":
@@ -159,6 +160,14 @@ class RhoPattern:
         A bare list defaults to cyclic continuation, which is what makes a
         finite descriptor denote a genuinely infinite set.
         """
+        try:
+            return cls._parse(text, default_continuation)
+        except ValueError as exc:
+            raise ValidationError(f"malformed rho descriptor {text!r}") from exc
+
+    @classmethod
+    def _parse(cls, text: str, default_continuation: str = CYCLE) -> "RhoPattern":
+        """`parse`, except that a malformed suffix number raises ValueError."""
         parts = [p.strip() for p in text.split(";") if p.strip()]
         if not parts:
             raise ValidationError("empty rho descriptor")
@@ -186,44 +195,8 @@ class RhoPattern:
 # digit automata for membership
 # ----------------------------------------------------------------------
 
-class _LastDigitMachine:
-    fixpoint = True
-
-    def __init__(self, m: int, digit: int):
-        self.m = m
-        self.digit = digit
-
-    def initial(self):
-        return -1
-
-    def step(self, state, digit):
-        return digit
-
-    def is_member(self, state, level) -> bool:
-        return state == self.digit
-
-
-class _DigitAvoidingMachine:
-    fixpoint = True
-
-    def __init__(self, m: int, digit: int):
-        self.m = m
-        self.digit = digit
-
-    def initial(self):
-        return "root"
-
-    def step(self, state, digit):
-        if state == "tainted" or digit == self.digit:
-            return "tainted"
-        return "clean"
-
-    def is_member(self, state, level) -> bool:
-        return state == "clean"
-
-
 class _FullLevelsMachine:
-    fixpoint = False  # membership depends on the level
+    fixpoint = False  # a state is its level, one per level
 
     def __init__(self, m: int, spec: "SubsetSpec"):
         self.m = m
@@ -233,10 +206,10 @@ class _FullLevelsMachine:
         return 0
 
     def step(self, state, digit):
-        return 0
+        return state + 1
 
-    def is_member(self, state, level) -> bool:
-        return self._spec.is_full_level(level)
+    def is_member(self, state) -> bool:
+        return self._spec.is_full_level(state)
 
 
 class _RhoGeneratedMachine:
@@ -266,34 +239,24 @@ class _RhoGeneratedMachine:
             member_here,
         )
 
-    def is_member(self, state, level) -> bool:
+    def is_member(self, state) -> bool:
         k, i, all_d, prev_u = state
         return i >= 1 and i == self._term(k) and all_d and not prev_u
 
 
-class _ExplicitSetMachine:
-    """Explicit sets compile to an integer trie: a state is a node id, -1 is
-    dead, and node s keeps its children at ``_child[s * m : s * m + m]``."""
+class _TableMachine:
+    """A finite digit automaton as integer tables: a state is a row id, row s
+    keeps its children at ``child[s * m : s * m + m]`` and its membership at
+    ``member[s]``.  -1 is dead: the table takes both lists over and appends
+    the dead row last, where state -1 finds it as a negative index."""
 
     fixpoint = True
 
-    def __init__(self, m: int, members: frozenset[tuple[int, ...]]):
+    def __init__(self, m: int, child: list[int], member: list[bool], root: int):
         self.m = m
-        self._child, self._member = child, member = [-1] * m, [False]
-        for digits in members:
-            node = 0
-            for d in digits:
-                slot = node * m + d
-                if child[slot] < 0:
-                    child[slot] = len(member)
-                    child += [-1] * m
-                    member.append(False)
-                node = child[slot]
-            member[node] = True
-        # the dead row goes last, so state -1 reaches it as a negative index
+        self._child, self._member, self._root = child, member, root
         child += [-1] * m
         member.append(False)
-        self._root = 0 if members else -1
 
     def initial(self):
         return self._root
@@ -301,8 +264,24 @@ class _ExplicitSetMachine:
     def step(self, state, digit):
         return self._child[state * self.m + digit]
 
-    def is_member(self, state, level) -> bool:
+    def is_member(self, state) -> bool:
         return self._member[state]
+
+
+def _trie(m: int, members: frozenset[tuple[int, ...]]) -> _TableMachine:
+    """The table of an explicit set: one row per member prefix, the root first."""
+    child, member = [-1] * m, [False]
+    for digits in members:
+        node = 0
+        for d in digits:
+            slot = node * m + d
+            if child[slot] < 0:
+                child[slot] = len(member)
+                child += [-1] * m
+                member.append(False)
+            node = child[slot]
+        member[node] = True
+    return _TableMachine(m, child, member, 0 if members else -1)
 
 
 class _PredicateMachine:
@@ -318,7 +297,7 @@ class _PredicateMachine:
     def step(self, state, digit):
         return state + (digit,)
 
-    def is_member(self, state, level) -> bool:
+    def is_member(self, state) -> bool:
         return bool(self.fn(Vertex(self.m, state)))
 
 
@@ -356,13 +335,13 @@ class SubsetSpec:
     @classmethod
     def last_digit(cls, m: int, digit: int) -> "SubsetSpec":
         """Vertices whose final digit is `digit` (members at every level >= 1)."""
-        _check_digit(m, digit)
+        digit = _check_digit(m, digit)
         return cls(kind=KIND_LAST_DIGIT, m=m, depth_bound=UNBOUNDED_DEPTH, digit=digit)
 
     @classmethod
     def digit_avoiding(cls, m: int, digit: int) -> "SubsetSpec":
         """Vertices none of whose digits equals `digit` (a Cantor-type set)."""
-        _check_digit(m, digit)
+        digit = _check_digit(m, digit)
         return cls(kind=KIND_DIGIT_AVOIDING, m=m, depth_bound=UNBOUNDED_DEPTH, digit=digit)
 
     @classmethod
@@ -375,7 +354,7 @@ class SubsetSpec:
         doubling, giving an unbounded family; without a rule the listed
         levels are all there is.
         """
-        level_tuple = tuple(sorted({int(l) for l in levels}))
+        level_tuple = tuple(sorted({_integer(l, "full level") for l in levels}))
         if not level_tuple or level_tuple[0] < 1:
             raise ValidationError("full-levels needs levels >= 1")
         if rule not in (None, "doubling"):
@@ -395,7 +374,7 @@ class SubsetSpec:
         """The gap-generated set: below every non-member vertex at each
         stage frontier, the single all-`digit` path of the stage's gap
         length ends in a member."""
-        _check_digit(m, digit)
+        digit = _check_digit(m, digit)
         pattern = RhoPattern.coerce(rho)
         depth = pattern.eta(len(pattern.prefix)) if pattern.is_finite else UNBOUNDED_DEPTH
         return cls(
@@ -465,11 +444,9 @@ class SubsetSpec:
                         digit = int(part.strip().split("=", 1)[1])
                     else:
                         kept.append(part)
-                pattern = RhoPattern.parse(";".join(kept))
+                pattern = RhoPattern._parse(";".join(kept))
                 return cls.rho_generated(m, pattern, digit)
-        except ValidationError:
-            raise
-        except ValueError as exc:
+        except ValueError as exc:  # ValidationError is not a ValueError
             raise ValidationError(f"malformed set descriptor {text!r}") from exc
         raise ValidationError(f"unknown set descriptor kind {head!r}")
 
@@ -477,17 +454,22 @@ class SubsetSpec:
 
     @cached_property
     def machine(self):
+        m, digit = self.m, self.digit
         if self.kind == KIND_LAST_DIGIT:
-            return _LastDigitMachine(self.m, self.digit)
+            # the root, then state 1 + e for the last digit e
+            member = [False] + [e == digit for e in range(m)]
+            return _TableMachine(m, list(range(1, m + 1)) * (m + 1), member, 0)
         if self.kind == KIND_DIGIT_AVOIDING:
-            return _DigitAvoidingMachine(self.m, self.digit)
+            # the root, clean and tainted
+            row = [2 if e == digit else 1 for e in range(m)]
+            return _TableMachine(m, row + row + [2] * m, [False, True, False], 0)
         if self.kind == KIND_FULL_LEVELS:
-            return _FullLevelsMachine(self.m, self)
+            return _FullLevelsMachine(m, self)
         if self.kind == KIND_RHO_GENERATED:
-            return _RhoGeneratedMachine(self.m, self.rho, self.digit)
+            return _RhoGeneratedMachine(m, self.rho, digit)
         if self.kind == KIND_EXPLICIT:
-            return _ExplicitSetMachine(self.m, self.members)
-        return _PredicateMachine(self.m, self.predicate_fn)
+            return _trie(m, self.members)
+        return _PredicateMachine(m, self.predicate_fn)
 
     def contains(self, v: Vertex) -> bool:
         if v.m != self.m:
@@ -500,7 +482,7 @@ class SubsetSpec:
         state = machine.initial()
         for d in v.digits:
             state = machine.step(state, d)
-        return machine.is_member(state, v.level)
+        return machine.is_member(state)
 
     def is_full_level(self, level: int) -> bool:
         return self.next_full_level_after(level - 1) == level
@@ -530,10 +512,17 @@ class SubsetSpec:
         return None
 
 
-def _check_digit(m: int, digit: int) -> None:
+def _check_digit(m: int, digit: int) -> int:
     _validate_branching(m)
-    if not 0 <= digit < m:
+    if not 0 <= _integer(digit, "digit") < m:
         raise ValidationError(f"digit {digit} out of range for branching {m}")
+    return int(digit)
+
+
+def _integer(value, what: str) -> int:
+    if not _is_integer(value):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ----------------------------------------------------------------------
@@ -549,7 +538,7 @@ def _advance(machine, classes: dict, level: int, cap: int, levels: int = 1) -> d
     for _ in range(levels):
         new: dict = {}
         for (ks, below), index in classes.items():
-            child_below = below or machine.is_member(ks, level)
+            child_below = below or machine.is_member(ks)
             for d in range(m):
                 new.setdefault((machine.step(ks, d), child_below), index * m + d)
         level += 1
@@ -558,49 +547,41 @@ def _advance(machine, classes: dict, level: int, cap: int, levels: int = 1) -> d
     return classes
 
 
-def _member_count(machine, ks, level: int, offset: int, cap: int) -> int:
-    """Exact number of members `offset` levels below one level-`level`
-    vertex in state `ks`."""
-    counts = {ks: 1}
-    for n in range(1, offset + 1):
-        new: dict = {}
-        for state, count in counts.items():
-            for d in range(machine.m):
-                child = machine.step(state, d)
-                new[child] = new.get(child, 0) + count
-        _check_scan_size(level + n, len(new), cap)
-        counts = new
-    return sum(c for state, c in counts.items() if machine.is_member(state, level + offset))
-
-
 def _check_scan_size(level: int, size: int, cap: int) -> None:
     if size > cap:
         raise exceeded(f"level {level} scan needs {size} state classes", cap)
 
 
-def _first_member(machine, starts, level: int, max_offset: int, cap: int):
+def _first_member(machine, counts: dict, level: int, max_offset: int, cap: int):
     """Least offset n in 1..max_offset at which a member is reachable from
-    the start states at `level`.
+    the start map {state: vertex count} at `level`.
 
-    Returns (offset | None, definitive, levels_scanned).  Without a member,
-    only a repeated state set on a ``fixpoint`` machine is definitive.
+    Returns (offset | None, definitive, levels_scanned, members), where
+    `members` counts the member vertices at the offset (0 without one).
+    Without a member, only a repeated state set on a ``fixpoint`` machine is
+    definitive.
     """
-    current = frozenset(starts)
-    seen = {current}
+    step, is_member, digits = machine.step, machine.is_member, range(machine.m)
+    seen = {frozenset(counts)}
     n = 0
     while n < max_offset:
         n += 1
-        current = frozenset(
-            machine.step(ks, d) for ks in current for d in range(machine.m)
-        )
-        _check_scan_size(level + n, len(current), cap)
-        if any(machine.is_member(ks, level + n) for ks in current):
-            return n, True, n
+        new: dict = {}
+        for ks, count in counts.items():
+            for d in digits:
+                child = step(ks, d)
+                new[child] = new.get(child, 0) + count
+        counts = new
+        _check_scan_size(level + n, len(counts), cap)
+        # test first: summing on every level would cost more than it saves
+        if any(map(is_member, counts)):
+            return n, True, n, sum(c for ks, c in counts.items() if is_member(ks))
         if machine.fixpoint:
+            current = frozenset(counts)
             if current in seen:
-                return None, True, n
+                return None, True, n, 0
             seen.add(current)
-    return None, False, n
+    return None, False, n, 0
 
 
 class _InteriorMachine:
@@ -617,9 +598,9 @@ class _InteriorMachine:
         ks, all_zero = state
         return self.machine.step(ks, digit), all_zero and digit == 0
 
-    def is_member(self, state, level) -> bool:
+    def is_member(self, state) -> bool:
         ks, all_zero = state
-        return not all_zero and self.machine.is_member(ks, level)
+        return not all_zero and self.machine.is_member(ks)
 
 
 # ----------------------------------------------------------------------
@@ -662,9 +643,9 @@ def density_check(U: SubsetSpec, resolution_level: int) -> DensityResult:
     interior = _InteriorMachine(machine)
     max_offset = min(U.depth_bound - resolution_level, _DENSITY_OFFSET_LIMIT)
     for (ks, _below), index in classes.items():
-        offset, definitive, _scanned = _first_member(
-            interior, {(ks, True)}, resolution_level, max_offset, cap
-        )
+        offset, definitive = _first_member(
+            interior, {(ks, True): 1}, resolution_level, max_offset, cap
+        )[:2]
         if offset is None:
             witness = vertex_from_index(U.m, resolution_level, index)
             return DensityResult(False, interval_of(witness), resolution_level, definitive)
@@ -697,7 +678,7 @@ def pa_check(U: SubsetSpec, n_max: int, scan_depth: int | None = None) -> PaResu
     worst = 0
     for level in range(scan_depth + 1):
         for (ks, _below), index in classes.items():
-            offset = _first_member(machine, {ks}, level, n_max, cap)[0]
+            offset = _first_member(machine, {ks: 1}, level, n_max, cap)[0]
             if offset is None:
                 return PaResult(
                     holds=False,
@@ -806,26 +787,20 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
     terminated = False
     inconclusive = False
 
-    if machine.is_member(machine.initial(), 0):
+    if machine.is_member(machine.initial()):
         notes.append("the root itself is a member; ladder starts at level 1")
 
     for k in range(1, k_max + 1):
         base = level
-        eligible = [
-            (ks, below)
-            for ks, below in classes
-            if k == 1 or not machine.is_member(ks, base)
-        ]
+        eligible = [(ks, below) for ks, below in classes if k == 1 or not machine.is_member(ks)]
         if not eligible:
             frontier_empty_at = base
             notes.append(f"level {base} is fully contained in U")
             break
-        untouched = [
-            ks for ks, below in eligible if not below and not machine.is_member(ks, base)
-        ]
+        untouched = [ks for ks, below in eligible if not below and not machine.is_member(ks)]
         max_probe = min(U.depth_bound - base, _RHO_PROBE_LIMIT)
-        offset, definitive, scanned = _first_member(
-            machine, {ks for ks, _below in eligible}, base, max_probe, cap
+        offset, definitive, scanned, members = _first_member(
+            machine, {ks: 1 for ks, _below in eligible}, base, max_probe, cap
         )
         classes = _advance(machine, classes, base, cap, scanned)
         level = base + scanned
@@ -842,13 +817,14 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
         rho.append(offset)
         eta.append(base + offset)
         if k == 1:
-            total = _member_count(machine, machine.initial(), 0, offset, cap)
-            p1_ok = total == 1
+            # the stage-1 probe starts from the root alone, with count 1
+            p1_ok = members == 1
             if not p1_ok:
-                notes.append(f"{total} members at level {eta[0]}, so (P1) fails")
+                notes.append(f"{members} members at level {eta[0]}, so (P1) fails")
         else:
-            # members at the new gap below each untouched frontier class
-            counts = [_member_count(machine, ks, base, offset, cap) for ks in untouched]
+            # members at the new gap below each untouched frontier class;
+            # none lies nearer, since untouched classes are eligible
+            counts = [_first_member(machine, {ks: 1}, base, offset, cap)[3] for ks in untouched]
             if counts:
                 if any(c != 1 for c in counts):
                     p2_failed.append(k)
@@ -978,7 +954,7 @@ class CounterexampleField:
     def __init__(
         self, pattern: RhoPattern, params: GameParams, depth: int, digit: int = 0
     ):
-        _check_digit(params.m, digit)
+        digit = _check_digit(params.m, digit)
         if depth < 1:
             raise ValidationError("depth must be >= 1")
         self.pattern = pattern

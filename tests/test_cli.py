@@ -271,6 +271,13 @@ class TestUcp:
         ])
         assert result.exit_code == 2
 
+    def test_malformed_rho_step_exits_2(self, runner):
+        result = runner.invoke(main, [
+            "ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1;arith=",
+        ])
+        assert result.exit_code == 2
+        assert "malformed set descriptor 'rho:1;arith='" in result.stderr
+
     def test_empty_level_list_exits_2(self, runner):
         result = runner.invoke(main, [
             "ucp", "--m", "3", "--alpha", "0.5", "--set", "full-levels:",

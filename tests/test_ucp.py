@@ -68,6 +68,29 @@ class TestRhoPattern:
         with pytest.raises(ValidationError):
             RhoPattern.parse("1,2;bogus")
 
+    @pytest.mark.parametrize("text", ["1;arith=", "1;geom=x", "1;arith=1.5"])
+    def test_parse_rejects_malformed_steps(self, text):
+        with pytest.raises(ValidationError, match="malformed rho descriptor"):
+            RhoPattern.parse(text)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RhoPattern((1.5,)),
+            lambda: RhoPattern((2, True), "cycle"),
+            lambda: RhoPattern((1,), "arithmetic", 1.5),
+            lambda: RhoPattern.coerce([2.5]),
+        ],
+    )
+    def test_terms_and_steps_must_be_integers(self, build):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            build()
+
+    def test_numpy_integer_terms(self):
+        pat = RhoPattern((np.int64(2),), "arithmetic", np.int64(1))
+        assert pat.terms(3) == (2, 3, 4)
+        assert type(pat.prefix[0]) is int and type(pat.step) is int
+
 
 class TestMembership:
     def test_last_digit(self):
@@ -139,6 +162,38 @@ class TestMembership:
             SubsetSpec.parse("last-digit:9", 3)
         with pytest.raises(ValidationError, match="lists no levels"):
             SubsetSpec.parse("full-levels:", 3)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SubsetSpec.last_digit(3, 1.5),
+            lambda: SubsetSpec.digit_avoiding(3, True),
+            lambda: SubsetSpec.rho_generated(3, (1,), 1.0),
+            lambda: SubsetSpec.full_levels(3, [1.5]),
+            lambda: SubsetSpec.full_levels(3, [2, True]),
+        ],
+    )
+    def test_descriptor_numbers_must_be_integers(self, build):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            build()
+
+    def test_numpy_integer_descriptors(self):
+        U = SubsetSpec.last_digit(3, np.int64(1))
+        assert U == SubsetSpec.last_digit(3, 1) and type(U.digit) is int
+        assert SubsetSpec.full_levels(3, [np.int64(2)]).levels == (2,)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_digit_rules_match_their_definitions(self, m):
+        vertices = [
+            Vertex(m, digits)
+            for level in range(6)
+            for digits in itertools.product(range(m), repeat=level)
+        ]
+        for d in range(m):
+            last, avoiding = SubsetSpec.last_digit(m, d), SubsetSpec.digit_avoiding(m, d)
+            for v in vertices:
+                assert last.contains(v) == (bool(v.digits) and v.digits[-1] == d)
+                assert avoiding.contains(v) == (bool(v.digits) and d not in v.digits)
 
     def test_numpy_integer_branching(self):
         U = SubsetSpec.last_digit(np.int64(3), 1)
@@ -225,7 +280,7 @@ class _PrefixMachine:
         child = None if state is None else state + (digit,)
         return child if child in self.prefixes else None
 
-    def is_member(self, state, level):
+    def is_member(self, state):
         return state in self.members
 
 
@@ -385,7 +440,7 @@ class TestComputeRho:
             state = machine.step(state, 0)
         for _ in range(2):
             with pytest.raises(InsufficientDepthError, match="only 2 terms, stage 3 requested"):
-                machine.is_member(state, 4)
+                machine.is_member(state)
             with pytest.raises(InsufficientDepthError, match="only 2 terms, stage 3 requested"):
                 machine.step(state, 0)
 
