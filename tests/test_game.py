@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phtree import game
 from phtree import (
@@ -100,6 +102,31 @@ class TestStrategies:
                 batch = strat.choose_batch(level, np.array([v.index]))[0]
                 assert single == batch
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(2, 9), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_batch_matches_argmax_over_gathered_children(self, m, n, seed, data):
+        # integer-valued levels make tied children common; levels up to n + 1
+        # cover moves both inside and at the advice depth
+        rng = np.random.default_rng(seed)
+        field = build_un(LINEAR, GameParams(m, 0.5, 0.5), n)
+        levels = tuple(rng.integers(-2, 3, size=m**k).astype(float) for k in range(n + 1))
+        field = type(field)(params=field.params, n=n, levels=levels, boundary=field.boundary)
+        level = data.draw(st.integers(0, n + 1))
+        indices = np.array(
+            data.draw(st.lists(st.integers(0, m**level - 1), min_size=1, max_size=30)),
+            dtype=np.int64,
+        )
+        # a child below the advice depth takes its depth-n ancestor's value
+        shift = m ** max(0, level + 1 - n)
+        children = levels[min(level + 1, n)][(indices[:, None] * m + np.arange(m)) // shift]
+        for strat, pick in ((GreedyMaxStrategy(field), np.argmax), (GreedyMinStrategy(field), np.argmin)):
+            np.testing.assert_array_equal(
+                strat.choose_batch(level, indices), pick(children, axis=1)
+            )
+
     def test_uniform_random_in_range_and_deterministic(self):
         strat = UniformRandomStrategy(9, 3)
         history = (root(3), Vertex(3, (1,)))
@@ -148,7 +175,37 @@ class _StepDigit(Strategy):
         return np.full(indices.shape, (level - self.x0.level + 1) % self.x0.m, dtype=np.int64)
 
 
+class _Recording(Strategy):
+    """A batched strategy that keeps every index array it is asked about."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.received = []
+
+    def choose_batch(self, level, indices):
+        self.received.append(indices.copy())
+        return self.inner.choose_batch(level, indices)
+
+
 class TestEstimator:
+    def test_each_strategy_is_asked_about_its_own_moves(self, monkeypatch):
+        # over several chunks, each player's strategy is asked about exactly
+        # as many plays as that player moves, and gives the same payoffs
+        monkeypatch.setattr(game, "CHUNK_PLAYS", 128)
+        field = build_un(LINEAR, P, 4)
+        plain = (GreedyMaxStrategy(field), GreedyMinStrategy(field))
+        recording = tuple(_Recording(strat) for strat in plain)
+        runs = [
+            simulate_batch(Vertex(3, (2,)), *strats, LINEAR, P, depth=10, plays=500, master_seed=8)
+            for strats in (plain, recording)
+        ]
+        np.testing.assert_array_equal(runs[0].payoffs, runs[1].payoffs)
+        first, second = recording
+        assert all(len(indices) for indices in first.received + second.received)
+        assert sum(map(len, first.received)) == runs[1].moves_player_i
+        assert sum(map(len, second.received)) == runs[1].moves_player_ii
+
+
     def test_constant_boundary_zero_variance(self):
         est = estimate_value(
             root(3), FixedDigitStrategy(0, 3), FixedDigitStrategy(1, 3),

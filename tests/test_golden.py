@@ -11,11 +11,22 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from phtree import GameParams, PHTreeError, SubsetSpec, analyze, compute_rho, density_check, pa_check
+from phtree import (
+    BoundarySpec, GameParams, PHTreeError, SubsetSpec, analyze, build_un, compute_rho,
+    density_check, pa_check,
+)
 from phtree.cli import main
 
 #: a small tabulated boundary; "{tabulated}" in a case's arguments is its path
 TABULATED_CSV = "t,value\n0,0.5\n0.25,-1\n0.625,0.75\n1,0.125\n"
+#: a tabulated boundary that vanishes on the grid 1/64 of [0, 1/2] but zigzags
+#: between its points, so that advice of depth 3 at m=4 ties there while tied
+#: children lead to different payoffs; "{ties}" in a case's arguments is its path
+TIES_CSV = (
+    "t,value\n"
+    + "".join(f"{k / 128},{k % 2 * (-1) ** (k // 2)}\n" for k in range(65))
+    + "0.75,1\n1,-0.5\n"
+)
 #: a small explicit subset for m=3; "{set_file}" in a case's arguments is its path
 SET_FILE = "1\n0.2\n2.1.0\n2.2.2.1\n"
 
@@ -86,6 +97,13 @@ CASES = {
          "--plays", "70001", "--depth", "9", "--seed", "13"],
         "2979a998411698e968c2ea4f258fa14331a205993e95febeba858b38d8f5230b",
     ),
+    # greedy moves inside the advice depth with tied children: ties break
+    # to the lowest successor index
+    "simulate-greedy-ties": (
+        ["simulate", "--m", "4", "--alpha", "0.7", "--boundary", "{ties}", "--advice-n", "3",
+         "--plays", "3000", "--depth", "8", "--seed", "19"],
+        "3925c9c00b42158f045b8b36b44b5a8ba8f4c2cee6717a842c95df0a2a249dd9",
+    ),
     "ucp-rho": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,4,1,8,1,16", "--kmax", "6"],
         "5555b0c12d8b20a9d65a255932ec46a8732c16efe3f3722acf92a6b2935cb212",
@@ -132,6 +150,13 @@ def tabulated(tmp_path):
 
 
 @pytest.fixture()
+def ties(tmp_path):
+    path = tmp_path / "ties.csv"
+    path.write_text(TIES_CSV, encoding="utf-8")
+    return path
+
+
+@pytest.fixture()
 def set_file(tmp_path):
     path = tmp_path / "set.txt"
     path.write_text(SET_FILE, encoding="utf-8")
@@ -139,12 +164,10 @@ def set_file(tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_bytes(name, tabulated, set_file, tmp_path):
+def test_report_bytes(name, tabulated, ties, set_file, tmp_path):
     template, digest = CASES[name]
-    args = [
-        a.replace("{tabulated}", str(tabulated)).replace("{set_file}", str(set_file))
-        for a in template
-    ]
+    paths = {"{tabulated}": tabulated, "{ties}": ties, "{set_file}": set_file}
+    args = [str(paths.get(a, a)) for a in template]
     runner = CliRunner()
 
     result = runner.invoke(main, args)
@@ -156,6 +179,17 @@ def test_report_bytes(name, tabulated, set_file, tmp_path):
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == b""
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_greedy_ties_advice_has_tied_children(ties):
+    """The advice of "simulate-greedy-ties" ties both its largest and its
+    smallest child values at vertices above its depth."""
+    spec = BoundarySpec.from_csv(ties)
+    field = build_un(spec, GameParams(4, 0.7, 0.3), 3)
+    for k in range(1, field.n):
+        children = field.levels[k + 1].reshape(-1, 4)
+        for extreme in (children.max(axis=1), children.min(axis=1)):
+            assert ((children == extreme[:, None]).sum(axis=1) > 1).any()
 
 
 #: one descriptor per ucp scan path and continuation, valid for every m >= 2
