@@ -9,8 +9,10 @@ stays within tree distance ``m**-N``, so :func:`truncation_error` turns
 the boundary modulus at that scale into a rigorous payoff uncertainty.
 
 :func:`simulate_batch` is the one engine.  It advances all plays in
-lockstep and asks each strategy for the moves of many plays at once, or
-play by play for a strategy without ``choose_batch``.
+lockstep; at each step it lists the plays each player moves as one
+ascending index array (``np.flatnonzero``), asks that player's strategy for
+their moves at once (play by play without ``choose_batch``), and puts the
+picks back by the same indices.  Greedy moves compare children column by column.
 
 Randomness contract: the coin, turn and random-move variates are three
 ``(plays, depth)`` row-major blocks of the ``default_rng(master_seed)``
@@ -60,10 +62,13 @@ class _GreedyStrategy(Strategy):
     """Step to the successor that `_pick` selects from the advice field.
 
     `_pick` is ``np.argmax`` or ``np.argmin``; both break ties to the lowest
-    successor index (fixed for reproducibility).
+    successor index (fixed for reproducibility).  `choose_batch` gathers child
+    d as ``indices * m + d``, one column at a time, and picks it only if it
+    `_beats` the running `_extreme` strictly, so ties keep the lower index.
+    Advice must be finite (`build_un` and `field_from_csv` ensure it).
     """
 
-    _pick = None
+    _pick = _beats = _extreme = None
 
     def __init__(self, advice: LevelField):
         self.advice = advice
@@ -75,26 +80,33 @@ class _GreedyStrategy(Strategy):
 
     def choose_batch(self, level: int, indices: np.ndarray) -> np.ndarray:
         m = self.advice.params.m
+        picks = np.zeros(indices.shape, dtype=np.int64)
         if level + 1 > self.advice.n:
             # advice is constant on subtrees below its depth: every move
             # ties, and ties break to index 0
-            return np.zeros(indices.shape, dtype=np.int64)
-        child_values = self.advice.levels[level + 1][
-            indices[:, None] * m + np.arange(m)[None, :]
-        ]
-        return self._pick(child_values, axis=1).astype(np.int64)
+            return picks
+        children = self.advice.levels[level + 1]
+        first = indices * m
+        best = children[first]
+        for d in range(1, m):
+            values = children[first + d]
+            picks = np.where(self._beats(values, best), d, picks)
+            self._extreme(best, values, out=best)
+        return picks
 
 
 class GreedyMaxStrategy(_GreedyStrategy):
     """Step to an argmax of the advice field (lowest index on ties)."""
 
     _pick = staticmethod(np.argmax)
+    _beats, _extreme = np.greater, np.maximum
 
 
 class GreedyMinStrategy(_GreedyStrategy):
     """Step to an argmin of the advice field (lowest index on ties)."""
 
     _pick = staticmethod(np.argmin)
+    _beats, _extreme = np.less, np.minimum
 
 
 class FixedDigitStrategy(Strategy):
@@ -241,16 +253,17 @@ def simulate_batch(
             level = x0.level + step
             digits = random_digits[step]
             for mask, strat in ((to_i[step], strategy_i), (to_ii[step], strategy_ii)):
-                if not mask.any():
+                movers = np.flatnonzero(mask)
+                if not movers.size:
                     continue
                 if strat.choose_batch is not None:
-                    digits[mask] = strat.choose_batch(level, indices[mask])
+                    digits[movers] = strat.choose_batch(level, indices[movers])
                 else:
-                    for p in np.nonzero(mask)[0]:
-                        # the path from x0 to v: its prefixes from x0's level on
+                    for p in movers:
+                        # the path from x0 to v: its ancestors from x0's level on
                         v = vertex_from_index(m, level, int(indices[p]))
-                        prefixes = (Vertex(m, v.digits[:k]) for k in range(x0.level, level))
-                        digits[p] = strat.choose((*prefixes, v))
+                        history = tuple(v.ancestor(k) for k in range(x0.level, level + 1))
+                        digits[p] = strat.choose(history)
             indices *= m
             indices += digits
 

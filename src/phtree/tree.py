@@ -35,8 +35,12 @@ def _validate_branching(m: int) -> int:
 
 
 def _validate_digits(m: int, digits) -> tuple[int, ...]:
-    """Return the digits as a tuple of ints, each in ``range(m)``."""
-    digits = tuple(map(int, digits))
+    """The digits as a tuple of ints in ``range(m)``; any integer type except bool is accepted."""
+    digits = tuple(digits)
+    if {*map(type, digits)} - {int}:
+        if not all(map(_is_integer, digits)):
+            raise ValidationError(f"digits must be integers, got {digits!r}")
+        digits = tuple(map(int, digits))
     if digits and (min(digits) < 0 or max(digits) >= m):
         bad = next(d for d in digits if not 0 <= d < m)
         raise ValidationError(f"digit {bad} out of range for branching factor {m}")
@@ -54,6 +58,13 @@ class Vertex:
         object.__setattr__(self, "m", _validate_branching(self.m))
         object.__setattr__(self, "digits", _validate_digits(self.m, self.digits))
 
+    @classmethod
+    def _of(cls, m: int, digits: tuple[int, ...]) -> "Vertex":
+        """An unchecked vertex: `m` is a plain int and the int `digits` lie in ``range(m)``."""
+        v = object.__new__(cls)
+        v.__dict__.update(m=m, digits=digits)
+        return v
+
     @property
     def level(self) -> int:
         return len(self.digits)
@@ -70,19 +81,19 @@ class Vertex:
         return Vertex(self.m, self.digits + (int(digit),))
 
     def successors(self) -> tuple["Vertex", ...]:
-        return tuple(self.child(d) for d in range(self.m))
+        return tuple(Vertex._of(self.m, self.digits + (d,)) for d in range(self.m))
 
     def parent(self) -> "Vertex | None":
         if not self.digits:
             return None
-        return Vertex(self.m, self.digits[:-1])
+        return Vertex._of(self.m, self.digits[:-1])
 
     def ancestor(self, level: int) -> "Vertex":
         if not 0 <= level <= self.level:
             raise ValidationError(
                 f"no ancestor at level {level} for a level-{self.level} vertex"
             )
-        return Vertex(self.m, self.digits[:level])
+        return Vertex._of(self.m, self.digits[:level])
 
     def is_prefix_of(self, other: "Vertex") -> bool:
         """True when `other` lies in the subtree rooted at this vertex (or equals it)."""
@@ -104,13 +115,14 @@ def root(m: int) -> Vertex:
 
 def vertex_from_index(m: int, level: int, index: int) -> Vertex:
     """Reconstruct the digit form from the compact (level, offset) encoding."""
-    _validate_branching(m)
-    if level < 0 or not 0 <= index < m**level:
+    m = _validate_branching(m)
+    if not (_is_integer(level) and _is_integer(index)) or level < 0 or not 0 <= index < m**level:
         raise ValidationError(f"index {index} out of range for level {level}")
     digits = [0] * level
+    index = int(index)
     for pos in range(level - 1, -1, -1):
         index, digits[pos] = divmod(index, m)
-    return Vertex(m, tuple(digits))
+    return Vertex._of(m, tuple(digits))
 
 
 def parse_vertex(text: str, m: int) -> Vertex:
@@ -224,10 +236,7 @@ def tree_distance(
     length K it is ``m**-K``; equal sequences are at distance 0.
     """
     if m is None:
-        for seq in (p, q):
-            if isinstance(seq, Vertex):
-                m = seq.m
-                break
+        m = next((seq.m for seq in (p, q) if isinstance(seq, Vertex)), None)
     if m is None:
         raise ValidationError("branching factor m required for raw digit sequences")
     _validate_branching(m)

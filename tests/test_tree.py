@@ -55,6 +55,41 @@ class TestVertex:
         with pytest.raises(ValidationError):
             Vertex(True, ())
 
+    @pytest.mark.parametrize(
+        "digits", [(1.5, 2.9), ("1",), (True,), (0, False), (np.float64(1.0),)],
+        ids=["float", "str", "bool", "false", "numpy-float"],
+    )
+    def test_non_integer_digits_rejected(self, digits):
+        # digits used to be truncated by int(): (1.5, 2.9) was the vertex 1.2
+        with pytest.raises(ValidationError, match="^digits must be integers"):
+            Vertex(3, digits)
+        with pytest.raises(ValidationError, match="^digits must be integers"):
+            tree_distance(digits, (0,), m=3)
+
+    def test_derived_vertices_equal_checked_ones(self):
+        # vertex_from_index, parent, ancestor and successors build their
+        # vertices unchecked; they must be indistinguishable from checked ones
+        v = vertex_from_index(np.int64(3), np.int64(4), np.int64(59))
+        derived = [v, v.parent(), v.ancestor(0), v.ancestor(2), *v.successors()]
+        for w in derived:
+            checked = Vertex(3, w.digits)
+            assert w == checked and hash(w) == hash(checked)
+            assert type(w.m) is int and all(type(d) is int for d in w.digits)
+        assert v.digits == (2, 0, 1, 2)
+        assert [w.digits for w in derived[1:4]] == [(2, 0, 1), (), (2, 0)]
+
+    def test_derived_vertex_range_errors(self):
+        with pytest.raises(ValidationError, match="^index 9 out of range for level 2$"):
+            vertex_from_index(3, 2, 9)
+        with pytest.raises(ValidationError, match="^index -1 out of range for level 2$"):
+            vertex_from_index(3, 2, -1)
+        with pytest.raises(ValidationError, match="^index 1.5 out of range for level 2$"):
+            vertex_from_index(3, 2, 1.5)
+        with pytest.raises(ValidationError, match="^no ancestor at level 3 for a level-2 vertex$"):
+            Vertex(3, (1, 2)).ancestor(3)
+        with pytest.raises(ValidationError, match="^no ancestor at level -1 for a level-2 vertex$"):
+            Vertex(3, (1, 2)).ancestor(-1)
+
     def test_index_round_trip(self):
         for level in range(4):
             for index in range(3**level):

@@ -143,6 +143,12 @@ class TestMembership:
         with pytest.raises(ValidationError, match=f"^digit {bad} out of range for branching factor 3$"):
             SubsetSpec.explicit(3, [(0,), digits])
 
+    @pytest.mark.parametrize("digits", [(True,), (1.5,), ("1",)], ids=["bool", "float", "str"])
+    def test_explicit_rejects_non_integer_digits(self, digits):
+        # these were truncated by int() and held (1,)
+        with pytest.raises(ValidationError, match="^digits must be integers"):
+            SubsetSpec.explicit(3, [(0,), digits])
+
     def test_explicit_rejects_other_branching(self):
         with pytest.raises(ValidationError, match="branching differs"):
             SubsetSpec.explicit(3, [Vertex(4, (3,))])
