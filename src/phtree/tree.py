@@ -78,7 +78,7 @@ class Vertex:
         return value
 
     def child(self, digit: int) -> "Vertex":
-        return Vertex(self.m, self.digits + (int(digit),))
+        return Vertex(self.m, self.digits + (digit,))
 
     def successors(self) -> tuple["Vertex", ...]:
         return tuple(Vertex._of(self.m, self.digits + (d,)) for d in range(self.m))

@@ -65,6 +65,8 @@ class TestVertex:
             Vertex(3, digits)
         with pytest.raises(ValidationError, match="^digits must be integers"):
             tree_distance(digits, (0,), m=3)
+        with pytest.raises(ValidationError, match="^digits must be integers"):
+            Vertex(3, (0,)).child(digits[-1])
 
     def test_derived_vertices_equal_checked_ones(self):
         # vertex_from_index, parent, ancestor and successors build their
