@@ -37,7 +37,7 @@ def _validate_branching(m: int) -> int:
 def _validate_digits(m: int, digits) -> tuple[int, ...]:
     """The digits as a tuple of ints in ``range(m)``; any integer type except bool is accepted."""
     digits = tuple(digits)
-    if {*map(type, digits)} - {int}:
+    if {*map(type, digits)} - {int}:  # only other types need the slower checks
         if not all(map(_is_integer, digits)):
             raise ValidationError(f"digits must be integers, got {digits!r}")
         digits = tuple(map(int, digits))
