@@ -6,14 +6,15 @@ report formatting that alters a single byte fails here.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from phtree import (
-    BoundarySpec, GameParams, PHTreeError, SubsetSpec, analyze, build_un, compute_rho,
-    density_check, pa_check,
+    BoundarySpec, CounterexampleField, GameParams, PHTreeError, RhoPattern, SubsetSpec,
+    Vertex, analyze, build_counterexample, build_un, compute_rho, density_check, pa_check,
 )
 from phtree.cli import main
 
@@ -252,3 +253,50 @@ def test_ucp_matrix(monkeypatch):
             monkeypatch.delenv("PHTREE_SIZE_CAP")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == UCP_MATRIX_DIGEST
+
+
+#: (constructor, gap pattern, depth): the convergent patterns through
+#: build_counterexample, and cycle, constant-tail and finite fields built directly
+COUNTEREXAMPLE_FIELDS = (
+    (build_counterexample, "1;arith=1", 8),
+    (build_counterexample, "1,3;arith=2", 8),
+    (build_counterexample, "2;geom=2", 8),
+    (CounterexampleField, "1,2;cycle", 8),
+    (CounterexampleField, "3;arith=0", 8),
+    (CounterexampleField, "1,2,3;finite", 6),
+)
+COUNTEREXAMPLE_DIGEST = "0ac06ef6b476a8fd0a8b05fd17b9d21ee7b49d1a78fb092ba6c5f904b9080727"
+
+
+def test_counterexample_fields():
+    """Every value to level 5, two values just below the built depth (an
+    error past a finite pattern), the class representatives to level 10, the
+    residual certificate, eta and the stage maxima of a matrix of
+    counterexample fields, pinned as one digest."""
+    lines = []
+    for m in (2, 3, 4):
+        for alpha in (0.0, 0.5, 1.0):
+            params = GameParams(m, alpha, 1.0 - alpha)
+            for build, text, depth in COUNTEREXAMPLE_FIELDS:
+                for digit in (0, 1):
+                    field = build(RhoPattern.parse(text), params, depth, digit)
+                    values = [
+                        field.value(Vertex(m, digits))
+                        for level in range(6)
+                        for digits in itertools.product(range(m), repeat=level)
+                    ]
+                    below = [
+                        _outcome(lambda: field.value(Vertex(m, (d,) * (depth + 1))))
+                        for d in (digit, m - 1 - digit)
+                    ]
+                    reps = _outcome(lambda: [
+                        (level, list(reps.values()))
+                        for level, reps in field.class_representatives(10)
+                    ])
+                    lines.append(
+                        f"{m} {alpha} {text} {digit} {values!r} {below} {reps} "
+                        f"{_outcome(field.residual_certificate)} {field.eta!r} "
+                        f"{field.stage_maxima!r}"
+                    )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == COUNTEREXAMPLE_DIGEST

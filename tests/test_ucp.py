@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from phtree import (
     CapacityError,
+    CounterexampleField,
     GameParams,
     InsufficientDepthError,
     RhoPattern,
@@ -576,13 +577,17 @@ class TestCounterexample:
         assert field.value(root(3)) == 1.0
 
     def test_vanishes_on_generated_set(self):
-        field = build_counterexample(RhoPattern((1,), "arithmetic", 1), P, 10)
-        U = field.subset()
-        for level in range(7):
-            for digits in itertools.product(range(3), repeat=level):
-                v = Vertex(3, digits)
-                if U.contains(v):
-                    assert field.value(v) == 0.0
+        # the field is 0 exactly at and below the members of its subset
+        for field in (
+            build_counterexample(RhoPattern((1,), "arithmetic", 1), P, 10),
+            CounterexampleField(RhoPattern((1, 2), "cycle"), P, 10),
+        ):
+            U = field.subset()
+            for level in range(8):
+                for digits in itertools.product(range(3), repeat=level):
+                    v = Vertex(3, digits)
+                    covered = any(U.contains(v.ancestor(l)) for l in range(level + 1))
+                    assert (field.value(v) == 0.0) == covered
 
     def test_state_class_walk_matches_exhaustive_scan(self):
         field = build_counterexample(RhoPattern((1,), "arithmetic", 1), P, 6)
