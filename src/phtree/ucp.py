@@ -22,7 +22,9 @@ The machinery:
   for pattern-described sequences.
 * ``build_counterexample`` -- for convergent patterns, the explicit
   bounded harmonious function vanishing on the generated set, with
-  per-stage maxima ``M_k = prod 1/(1 - delta**rho_i)``.
+  per-stage maxima ``M_k = prod 1/(1 - delta**rho_i)``; its value at a
+  vertex follows from the level and the vertex's state in the set's own
+  automaton, so it vanishes on the set by construction.
 * ``unboundedness_probe`` -- the same products as lower bounds forcing
   unboundedness in the divergent case.
 
@@ -34,7 +36,9 @@ stops at a member, with the member count behind (P1)/(P2), at a repeated
 state set (on a ``fixpoint`` machine, proof that no member lies deeper) or
 at its offset budget; density, hitting and the ladder all run it.
 ``_advance`` keeps one witness vertex index per (state, below a member)
-class of a level.  Both check the size cap on every level.
+class of a level for the same scans and for the counterexample's class
+walk.  These two are the only loops that step a level at a time, and both
+check the size cap on every level.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
+from itertools import accumulate
+from operator import truediv
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -947,8 +953,9 @@ class CounterexampleField:
     untouched frontier vertex with: a distinguished path whose values
     ``M_k * (1 - delta**(rho_k - i))`` descend to 0 at the member vertex,
     and constant off-path subtrees at the new height
-    ``M_k = M_{k-1} / (1 - delta**rho_k)``.  Values are computed lazily
-    from the stage structure; nothing is materialised per vertex.
+    ``M_k = M_{k-1} / (1 - delta**rho_k)``.  A vertex's value depends only
+    on its level and its class: its state in the subset's automaton, or
+    None at and below a member.  Nothing is materialised per vertex.
     """
 
     def __init__(
@@ -961,33 +968,26 @@ class CounterexampleField:
         self.params = params
         self.digit = digit
         self.depth = depth
-        self._delta = params.delta
-        self._rho: list[int] = []
-        self._eta: list[int] = [0]
-        self._maxima: list[float] = [1.0]  # M_0 = 1 at index 0
-        self._ensure_depth(depth)
-        self.stages = self.pattern.stages_to_depth(depth)
+        self.stages = pattern.stages_to_depth(depth)
+        self._machine = self.subset().machine
 
-    def _ensure_depth(self, level: int) -> None:
-        while self._eta[-1] < level:
-            k = len(self._rho) + 1
-            r = self.pattern.term(k)
-            self._rho.append(r)
-            self._eta.append(self._eta[-1] + r)
-            self._maxima.append(self._maxima[-1] / (1.0 - self._delta**r))
+    def _maxima(self, stages: int) -> list[float]:
+        """M_0 = 1, M_1, ..., M_stages."""
+        factors = (1.0 - self.params.delta**r for r in self.pattern.terms(stages))
+        return list(accumulate(factors, truediv, initial=1.0))
 
     @property
     def eta(self) -> tuple[int, ...]:
-        return tuple(self._eta[1 : self.stages + 1])
+        return tuple(accumulate(self.pattern.terms(self.stages)))
 
     @property
     def stage_maxima(self) -> tuple[float, ...]:
         """M_1..M_K for the stages covering the built depth."""
-        return tuple(self._maxima[1 : self.stages + 1])
+        return tuple(self._maxima(self.stages)[1:])
 
     @property
     def max_built_value(self) -> float:
-        return self._maxima[self.stages]
+        return self._maxima(self.stages)[-1]
 
     def subset(self) -> SubsetSpec:
         """The generated set this field vanishes on."""
@@ -996,61 +996,40 @@ class CounterexampleField:
     def value(self, v: Vertex) -> float:
         if v.m != self.params.m:
             raise ValidationError("vertex branching differs from the field's")
-        tag = self._classify(v.digits)
-        if tag[0] == "zero":
+        # the machine folds cycle stages, so the stage comes from the level
+        k = self.pattern.stages_to_depth(v.level)
+        machine, state, below = self._machine, self._machine.initial(), False
+        for d in v.digits:
+            below = below or machine.is_member(state)
+            state = machine.step(state, d)
+        if below or machine.is_member(state):
             return 0.0
-        if tag[0] == "frontier":
-            return self._maxima[tag[1] - 1]
-        if tag[0] == "const":
-            return self._maxima[tag[1]]
-        _path, k, i = tag
-        return self._maxima[k] * (1.0 - self._delta ** (self._rho[k - 1] - i))
+        if k == 0:
+            return 1.0  # the root
+        _stage, i, on_path, _stage_root_member = state
+        top = self._maxima(k)[k]
+        if not on_path:
+            return top
+        return top * (1.0 - self.params.delta ** (self.pattern.term(k) - i))
 
     __call__ = value
 
     # -- verification ---------------------------------------------------
 
-    def _classify(self, digits: tuple[int, ...]):
-        """Self-similarity class of a vertex; values and whole subtrees
-        coincide within a class, so one representative per class covers
-        every vertex of its level.
-
-        Tags: ``("frontier", 1)`` is the root, ``("path", k, i)`` is i steps
-        down stage k's distinguished path, ``("const", k, i)`` is off it, and
-        ``("zero",)`` is at or below a member vertex.
-        """
-        self._ensure_depth(len(digits))
-        k = 1
-        while True:
-            start, end = self._eta[k - 1], self._eta[k]
-            if len(digits) <= start:
-                return ("frontier", k)
-            segment = digits[start : min(len(digits), end)]
-            branch = next(
-                (i for i, d in enumerate(segment, 1) if d != self.digit), None
-            )
-            if branch is None:
-                if len(digits) >= end:
-                    return ("zero",)
-                return ("path", k, len(digits) - start)
-            if len(digits) <= end:
-                return ("const", k, len(digits) - start)
-            k += 1
-
     def class_representatives(self, max_level: int):
-        """One representative vertex per (level, class), levels 0..max_level."""
-        current: dict = {("frontier", 1): ()}
-        yield 0, dict(current)
-        for level in range(1, max_level + 1):
-            nxt: dict = {}
-            for rep in current.values():
-                for d in range(self.params.m):
-                    child = rep + (d,)
-                    tag = self._classify(child)
-                    if tag not in nxt:
-                        nxt[tag] = child
-            current = nxt
-            yield level, dict(current)
+        """One representative vertex per (level, class), levels 0..max_level:
+        the first vertex of its level in each class.  Values and whole
+        subtrees coincide within a class, so the representatives cover every
+        vertex of their level."""
+        machine, m, cap = self._machine, self.params.m, size_cap()
+        classes = {(machine.initial(), False): 0}
+        for level in range(max_level + 1):
+            if level:
+                classes = _advance(machine, classes, level - 1, cap)
+            reps: dict = {}
+            for (ks, below), index in classes.items():
+                reps.setdefault(None if below or machine.is_member(ks) else ks, index)
+            yield level, {c: vertex_from_index(m, level, i).digits for c, i in reps.items()}
 
     def residual_certificate(self, max_level: int | None = None) -> "ResidualCertificate":
         """Max operator residual over all vertices up to `max_level`.
