@@ -99,17 +99,19 @@ def operator_average(params: GameParams, values: np.ndarray) -> np.ndarray:
     numpy reduces a short last axis slowly, so for m < 8 column ufuncs take
     the max, min and sum.  numpy sums fewer than 8 terms left to right from
     +0.0, as the columns do, so the bits match; from 8 terms on it sums
-    pairwise, so m >= 8 keeps the axis reductions.
+    pairwise, so m >= 8 keeps the axis reductions, out of place: in place,
+    a NaN sum can come out with its sign bit set.
     """
-    if values.shape[-1] < 8:
-        hi = values[..., 0].astype(float)
-        lo, total = hi.copy(), hi + 0.0  # a row of -0.0 sums to +0.0
-        for column in np.moveaxis(values, -1, 0)[1:]:
-            np.maximum(hi, column, out=hi)
-            np.minimum(lo, column, out=lo)
-            total += column
-    else:
-        hi, lo, total = values.max(axis=-1), values.min(axis=-1), values.sum(axis=-1)
+    if values.shape[-1] >= 8:
+        return (params.alpha / 2.0) * (values.max(axis=-1) + values.min(axis=-1)) + (
+            params.beta / params.m
+        ) * values.sum(axis=-1)
+    hi = values[..., 0].astype(float)
+    lo, total = hi.copy(), hi + 0.0  # a row of -0.0 sums to +0.0
+    for column in np.moveaxis(values, -1, 0)[1:]:
+        np.maximum(hi, column, out=hi)
+        np.minimum(lo, column, out=lo)
+        total += column
     hi += lo
     hi *= params.alpha / 2.0
     total *= params.beta / params.m

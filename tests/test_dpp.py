@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -117,6 +117,8 @@ class TestDppAverage:
             )
         ),
     )
+    # a NaN sum of 8 terms once came out as -NaN
+    @example(alpha=0.0, values=np.array([[math.inf, -math.inf] + [math.nan] * 6]))
     def test_kernel_matches_axis_reductions_bit_for_bit(self, alpha, values):
         params = GameParams(values.shape[-1], alpha, 1.0 - alpha)
         with np.errstate(over="ignore", invalid="ignore"):
