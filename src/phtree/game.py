@@ -37,7 +37,7 @@ from .capacity import exceeded, size_cap
 from .dpp import GameParams
 from .errors import ValidationError
 from .solver import LevelField
-from .tree import Vertex, vertex_from_index
+from .tree import Vertex, _is_integer, vertex_from_index
 
 
 class Strategy:
@@ -113,6 +113,8 @@ class FixedDigitStrategy(Strategy):
     """Always extend by the same digit."""
 
     def __init__(self, digit: int, m: int):
+        if not _is_integer(digit):
+            raise ValidationError(f"strategy digit must be an integer, got {digit!r}")
         if not 0 <= digit < m:
             raise ValidationError(f"digit {digit} out of range for branching {m}")
         self.digit = int(digit)
@@ -133,6 +135,8 @@ class UniformRandomStrategy(Strategy):
     """
 
     def __init__(self, seed: int, m: int):
+        if not _is_integer(seed):
+            raise ValidationError(f"random strategy seed must be an integer, got {seed!r}")
         self.seed = int(seed)
         if self.seed < 0:
             raise ValidationError(f"random strategy seed must be >= 0, got {seed}")

@@ -127,6 +127,18 @@ class TestStrategies:
                 strat.choose_batch(level, indices), pick(children, axis=1)
             )
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "1", None])
+    def test_non_integer_strategy_arguments_refused(self, value):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            FixedDigitStrategy(value, 3)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            UniformRandomStrategy(value, 3)
+
+    def test_numpy_integer_strategy_arguments_accepted(self):
+        assert type(FixedDigitStrategy(np.int64(2), 3).digit) is int
+        assert FixedDigitStrategy(np.uint8(1), 3).digit == 1
+        assert UniformRandomStrategy(np.int32(7), 3).seed == 7
+
     def test_uniform_random_in_range_and_deterministic(self):
         strat = UniformRandomStrategy(9, 3)
         history = (root(3), Vertex(3, (1,)))
