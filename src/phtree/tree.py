@@ -125,16 +125,21 @@ def vertex_from_index(m: int, level: int, index: int) -> Vertex:
     return Vertex._of(m, tuple(digits))
 
 
-def parse_vertex(text: str, m: int) -> Vertex:
-    """Parse a digit string like ``"0.2.1"`` (empty string = root)."""
+def _parse_digits(text: str) -> tuple[int, ...]:
+    """The digits of a label like ``"0.2.1"`` (empty string = root), unchecked
+    against any branching factor."""
     text = text.strip()
     if not text:
-        return root(m)
+        return ()
     try:
-        digits = tuple(map(int, text.split(".")))
+        return tuple(map(int, text.split(".")))
     except ValueError as exc:
         raise ValidationError(f"malformed vertex label {text!r}") from exc
-    return Vertex(m, digits)
+
+
+def parse_vertex(text: str, m: int) -> Vertex:
+    """Parse a digit string like ``"0.2.1"`` (empty string = root)."""
+    return Vertex(m, _parse_digits(text))
 
 
 @dataclass(frozen=True)

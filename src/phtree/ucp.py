@@ -58,10 +58,10 @@ from .tree import (
     Interval,
     Vertex,
     _is_integer,
+    _parse_digits,
     _validate_branching,
     _validate_digits,
     interval_of,
-    parse_vertex,
     vertex_from_index,
 )
 
@@ -409,8 +409,8 @@ class SubsetSpec:
     def from_file(cls, path, m: int) -> "SubsetSpec":
         """One digit-string per line, e.g. ``0.2.1``."""
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-        vertices = [parse_vertex(line, m) for line in lines if line.strip()]
-        return cls.explicit(m, vertices)
+        # lazily, so that the first bad line is the one reported
+        return cls.explicit(m, (_parse_digits(line) for line in lines if line.strip()))
 
     @classmethod
     def parse(cls, text: str, m: int) -> "SubsetSpec":
