@@ -100,12 +100,7 @@ class BoundarySpec:
         if lipschitz_bound == "auto":
             if len(ts) != len(vs) or len(ts) < 2:
                 raise ValidationError("tabulated boundary needs matching t/value samples")
-            slopes = [
-                abs(v1 - v0) / (t1 - t0)
-                for (t0, t1, v0, v1) in zip(ts, ts[1:], vs, vs[1:])
-                if t1 > t0
-            ]
-            lipschitz_bound = max(slopes) if slopes else 0.0
+            lipschitz_bound = _max_slope(ts, vs)
         return cls(
             kind=KIND_TABULATED,
             ts=ts,
@@ -162,6 +157,15 @@ class BoundarySpec:
         )
 
 
+def _max_slope(ts, vs) -> float:
+    """The maximal sample slope, the interpolant's exact Lipschitz constant;
+    pairs out of order are left to the spec's own check."""
+    return max(
+        (abs(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:]) if t1 > t0),
+        default=0.0,
+    )
+
+
 def eval_F(spec: BoundarySpec, t):
     """Evaluate F at a scalar or array of points in [0, 1]."""
     arr = np.asarray(t, dtype=float)
@@ -216,12 +220,7 @@ def modulus_bound(spec: BoundarySpec, scale: float) -> float:
     if spec.lipschitz_bound is not None:
         return spec.lipschitz_bound * scale
     if spec.kind == KIND_TABULATED:
-        # interpolant's exact Lipschitz constant from the sample slopes
-        slopes = [
-            abs(v1 - v0) / (t1 - t0)
-            for (t0, t1, v0, v1) in zip(spec.ts, spec.ts[1:], spec.vs, spec.vs[1:])
-        ]
-        return (max(slopes) if slopes else 0.0) * scale
+        return _max_slope(spec.ts, spec.vs) * scale
     raise UnsupportedError(
         f"no continuity metadata for boundary kind {spec.kind!r}"
     )
