@@ -617,6 +617,15 @@ class TestCounterexample:
             assert m_k == pytest.approx(product, abs=1e-12)
         assert field.max_built_value == field.stage_maxima[-1]
 
+    def test_finite_field_refuses_levels_past_its_terms(self):
+        field = CounterexampleField(RhoPattern((1, 2, 3), "finite"), P, 6)
+        with pytest.raises(InsufficientDepthError, match="stage 4 requested"):
+            field.value(Vertex(3, (0,) * 7))
+        walk = field.class_representatives(10)
+        assert [level for level, _reps in itertools.islice(walk, 7)] == list(range(7))
+        with pytest.raises(InsufficientDepthError, match="stage 4 requested"):
+            next(walk)
+
     def test_divergent_pattern_refused(self):
         with pytest.raises(StructuralCheckError):
             build_counterexample(RhoPattern((1,), "cycle"), P, 5)
