@@ -28,6 +28,16 @@ TIES_CSV = (
     + "".join(f"{k / 128},{k % 2 * (-1) ** (k // 2)}\n" for k in range(65))
     + "0.75,1\n1,-0.5\n"
 )
+#: a tabulated boundary whose field spans every %.17g regime: exact zeros,
+#: exponent notation below 1e-4, fixed notation from 1e-4 up to 1e15, exponent
+#: notation from 1e15 up, both signs; knots at 1/9, 1/3 and 2/3 are sample
+#: points at m=3, so 1e-4, 1e15 and -1e-4 appear exactly; "{wide}" in a
+#: case's arguments is its path
+WIDE_CSV = (
+    "t,value\n0,0\n0.1,0\n0.1111111111111111,1e-4\n0.2,-3.5e-7\n0.3,2.5e-5\n"
+    "0.3333333333333333,1e15\n0.4,-9.75e16\n0.5,0.1\n0.6,-123.456\n"
+    "0.6666666666666666,-1e-4\n0.8,4.5e20\n0.9,-0.75\n1,1e-8\n"
+)
 #: a small explicit subset for m=3; "{set_file}" in a case's arguments is its path
 SET_FILE = "1\n0.2\n2.1.0\n2.2.2.1\n"
 
@@ -68,6 +78,17 @@ CASES = {
         ["solve", "--m", "3", "--alpha", "0.5", "--boundary", "{tabulated}", "--n", "3",
          "--format", "csv"],
         "93083c0e6ba4604164870cc125f46d206a2f1a36e22aa751e8d82cf62f7f63b6",
+    ),
+    # 88,573 rows: the CSV spans several blocks, and every block mixes the
+    # formatting regimes of WIDE_CSV
+    "solve-m3-n10-wide-json": (
+        ["solve", "--m", "3", "--alpha", "0.5", "--boundary", "{wide}", "--n", "10"],
+        "06e79bc0817d5bd1a2045a303d1059429c4c910a92921d8a2c67b00e799689a5",
+    ),
+    "solve-m3-n10-wide-csv": (
+        ["solve", "--m", "3", "--alpha", "0.5", "--boundary", "{wide}", "--n", "10",
+         "--format", "csv"],
+        "3d6cabe32099f5112ff231063d266375d3eabdd24edd5d361d8c6b486a7cb53a",
     ),
     "solve-m3-tol-linear-json": (
         ["solve", "--m", "3", "--alpha", "0.5", "--boundary", "linear", "--tol", "0.02"],
@@ -158,6 +179,13 @@ def ties(tmp_path):
 
 
 @pytest.fixture()
+def wide(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text(WIDE_CSV, encoding="utf-8")
+    return path
+
+
+@pytest.fixture()
 def set_file(tmp_path):
     path = tmp_path / "set.txt"
     path.write_text(SET_FILE, encoding="utf-8")
@@ -165,9 +193,9 @@ def set_file(tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_bytes(name, tabulated, ties, set_file, tmp_path):
+def test_report_bytes(name, tabulated, ties, wide, set_file, tmp_path):
     template, digest = CASES[name]
-    paths = {"{tabulated}": tabulated, "{ties}": ties, "{set_file}": set_file}
+    paths = {"{tabulated}": tabulated, "{ties}": ties, "{wide}": wide, "{set_file}": set_file}
     args = [str(paths.get(a, a)) for a in template]
     runner = CliRunner()
 
