@@ -13,6 +13,7 @@ import sys
 
 import click
 
+from . import _format
 from . import analysis as analysis_mod
 from . import game as game_mod
 from . import solver as solver_mod
@@ -45,12 +46,12 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(type(v) is float for v in obj):
-            # one %-format call for a whole level array; "%.17g" % x gives
-            # the same bytes as _format_float(x)
-            row = ",\n" + child_pad + "%.17g"
-            template = "[\n" + child_pad + "%.17g" + row * (len(obj) - 1) + "\n" + pad + "]"
-            return template % tuple(obj)
+        if {*map(type, obj)} == {float}:
+            # a level array: _format.rows gives each float the bytes of
+            # _format_float, a block of items at a time
+            blocks = list(_format.rows([child_pad, obj, ",\n"]))
+            blocks[-1] = blocks[-1][:-2]  # no separator after the last item
+            return "".join(["[\n", *blocks, "\n", pad, "]"])
         items = [child_pad + canonical_json(v, indent + 1) for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool):
@@ -67,13 +68,17 @@ def canonical_json(obj, indent: int = 0) -> str:
 
 
 def _write_report(text: str, output: str | None) -> None:
+    """Write a report that ends in exactly one newline: CSV text already
+    ends in one, and adding it here rather than stripping and re-adding it
+    spares a copy of the whole report."""
+    newline = not text.endswith("\n")
     if output is None or output == "-":
-        click.echo(text)
+        click.echo(text, nl=newline)
     else:
-        # two writes rather than text + "\n", which would copy the whole report
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-            fh.write("\n")
+            if newline:
+                fh.write("\n")
 
 
 def _build_params(m: int, alpha: float, beta: float | None) -> GameParams:
@@ -145,7 +150,7 @@ def solve(m, alpha, beta, boundary, depth, tol, fmt, output) -> None:
             field = result.field
             n_used, certified, bound = result.n_used, result.certified, result.certified_bound
         if fmt == "csv":
-            text = solver_mod.field_to_csv(field).rstrip("\n")
+            text = solver_mod.field_to_csv(field)
         else:
             obj = solver_mod.field_to_json_obj(field)
             obj["root_value"] = field.root_value

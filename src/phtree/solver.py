@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _format
 from .boundary import BoundarySpec, SampledBoundary, modulus_bound, sample_Fn
 from .capacity import max_level
 from .dpp import GameParams, operator_average
@@ -180,30 +181,26 @@ def compare_fields(field_f: LevelField, field_g: LevelField) -> bool:
 # -- serialization ------------------------------------------------------
 
 CSV_HEADER = ["level", "index", "psi_left", "value"]
-#: rows formatted by one %-format call; bounds the temporary tuple and string
-CSV_BLOCK_ROWS = 1 << 15
+#: rows formatted as one block; bounds the block's matrix and temporaries
+CSV_BLOCK_ROWS = _format.BLOCK_ROWS
 
 
 def field_to_csv(field: LevelField) -> str:
     """Render the field as CSV rows ``level,index,psi_left,value``.
 
-    Floats use the ``.17g`` format, so no field needs CSV quoting.
+    Floats are ``"%.17g" % v``, so no field needs CSV quoting, and the
+    index is ``"%d"``.  ``_format.rows`` renders each level a block of
+    ``CSV_BLOCK_ROWS`` rows at a time with its exact integer kernel, and
+    falls back to the ``%`` operator for values outside its range.
     """
-    stream = io.StringIO()
-    stream.write(",".join(CSV_HEADER) + "\n")
+    parts = [",".join(CSV_HEADER) + "\n"]
     m = field.params.m
     for k, arr in enumerate(field.levels):
-        # columns index, psi_left = index / m**k, value; the index is exact
-        # as a float below 2**53 and "%d" prints it as an integer
-        table = np.empty((arr.size, 3))
-        table[:, 0] = np.arange(arr.size)
-        table[:, 1] = table[:, 0] / float(m**k)
-        table[:, 2] = arr
-        row = f"{k},%d,%.17g,%.17g\n"
-        for start in range(0, arr.size, CSV_BLOCK_ROWS):
-            block = table[start : start + CSV_BLOCK_ROWS]
-            stream.write((row * len(block)) % tuple(block.ravel().tolist()))
-    return stream.getvalue()
+        # "%.17g" prints a whole float below 1e15 as "%d" does; a level of
+        # 1e15 vertices would take 8 PB
+        index = np.arange(arr.size, dtype=float)
+        parts.extend(_format.rows([f"{k},", index, ",", index / float(m**k), ",", arr, "\n"]))
+    return "".join(parts)
 
 
 def field_from_csv(source, params: GameParams) -> LevelField:
