@@ -32,7 +32,7 @@ Each subset compiles to a digit automaton (``initial()``, ``step(state,
 digit)``, ``is_member(state)``, ``m`` and a ``fixpoint`` flag for finite
 states).  Digit rules and explicit sets compile to one integer table.
 ``_first_member`` steps a {state: vertex count} map a level at a time and
-stops at a member, with the member count behind (P1)/(P2), at a repeated
+stops at a member, with the count map that (P1)/(P2) sum, at a repeated
 state set (on a ``fixpoint`` machine, proof that no member lies deeper) or
 at its offset budget; density, hitting and the ladder all run it.
 ``_advance`` keeps one witness vertex index per (state, below a member)
@@ -562,10 +562,11 @@ def _first_member(machine, counts: dict, level: int, max_offset: int, cap: int):
     """Least offset n in 1..max_offset at which a member is reachable from
     the start map {state: vertex count} at `level`.
 
-    Returns (offset | None, definitive, levels_scanned, members), where
-    `members` counts the member vertices at the offset (0 without one).
-    Without a member, only a repeated state set on a ``fixpoint`` machine is
-    definitive.
+    Returns (offset | None, definitive, levels_scanned, counts), where
+    `counts` is the {state: vertex count} map of the level it stopped at, so
+    its member states count the member vertices at the offset (none without
+    one).  Without a member, only a repeated state set on a ``fixpoint``
+    machine is definitive.
     """
     step, is_member, digits = machine.step, machine.is_member, range(machine.m)
     seen = {frozenset(counts)}
@@ -579,15 +580,19 @@ def _first_member(machine, counts: dict, level: int, max_offset: int, cap: int):
                 new[child] = new.get(child, 0) + count
         counts = new
         _check_scan_size(level + n, len(counts), cap)
-        # test first: summing on every level would cost more than it saves
         if any(map(is_member, counts)):
-            return n, True, n, sum(c for ks, c in counts.items() if is_member(ks))
+            return n, True, n, counts
         if machine.fixpoint:
             current = frozenset(counts)
             if current in seen:
-                return None, True, n, 0
+                return None, True, n, counts
             seen.add(current)
-    return None, False, n, 0
+    return None, False, n, counts
+
+
+def _members(machine, counts: dict) -> int:
+    """The member vertices of a {state: vertex count} map."""
+    return sum(c for ks, c in counts.items() if machine.is_member(ks))
 
 
 class _InteriorMachine:
@@ -805,7 +810,7 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
             break
         untouched = [ks for ks, below in eligible if not below and not machine.is_member(ks)]
         max_probe = min(U.depth_bound - base, _RHO_PROBE_LIMIT)
-        offset, definitive, scanned, members = _first_member(
+        offset, definitive, scanned, reached = _first_member(
             machine, {ks: 1 for ks, _below in eligible}, base, max_probe, cap
         )
         classes = _advance(machine, classes, base, cap, scanned)
@@ -824,13 +829,17 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
         eta.append(base + offset)
         if k == 1:
             # the stage-1 probe starts from the root alone, with count 1
+            members = _members(machine, reached)
             p1_ok = members == 1
             if not p1_ok:
                 notes.append(f"{members} members at level {eta[0]}, so (P1) fails")
         else:
             # members at the new gap below each untouched frontier class;
             # none lies nearer, since untouched classes are eligible
-            counts = [_first_member(machine, {ks: 1}, base, offset, cap)[3] for ks in untouched]
+            counts = [
+                _members(machine, _first_member(machine, {ks: 1}, base, offset, cap)[3])
+                for ks in untouched
+            ]
             if counts:
                 if any(c != 1 for c in counts):
                     p2_failed.append(k)
@@ -959,16 +968,16 @@ class CounterexampleField:
     """
 
     def __init__(
-        self, pattern: RhoPattern, params: GameParams, depth: int, digit: int = 0
+        self, pattern: RhoPattern | Iterable[int], params: GameParams, depth: int, digit: int = 0
     ):
         digit = _check_digit(params.m, digit)
-        if depth < 1:
+        if _integer(depth, "depth") < 1:
             raise ValidationError("depth must be >= 1")
-        self.pattern = pattern
+        self.pattern = pattern = RhoPattern.coerce(pattern)
         self.params = params
         self.digit = digit
-        self.depth = depth
-        self.stages = pattern.stages_to_depth(depth)
+        self.depth = int(depth)
+        self.stages = pattern.stages_to_depth(self.depth)
         self._machine = self.subset().machine
 
     def _maxima(self, stages: int) -> list[float]:
@@ -1045,6 +1054,8 @@ class CounterexampleField:
         """
         if max_level is None:
             max_level = self.depth if not self.pattern.is_finite else self.depth - 1
+        elif _integer(max_level, "max_level") < 0:
+            raise ValidationError(f"max_level must be >= 0, got {max_level}")
         worst = 0.0
         worst_vertex = Vertex(self.params.m, ())
         classes = 0

@@ -626,6 +626,24 @@ class TestCounterexample:
         with pytest.raises(InsufficientDepthError, match="stage 4 requested"):
             next(walk)
 
+    def test_sequence_pattern_is_coerced(self):
+        field = CounterexampleField((1, 2), P, 3)
+        assert field.pattern == RhoPattern((1, 2), "finite")
+        reference = CounterexampleField(RhoPattern((1, 2), "finite"), P, 3)
+        for digits in itertools.product(range(3), repeat=3):
+            assert field.value(Vertex(3, digits)) == reference.value(Vertex(3, digits))
+
+    @pytest.mark.parametrize("depth", [2.5, True, 0, "3"])
+    def test_bad_depth_refused(self, depth):
+        with pytest.raises(ValidationError, match="depth must be"):
+            CounterexampleField(RhoPattern((1,), "arithmetic", 1), P, depth)
+
+    @pytest.mark.parametrize("max_level", [-1, 1.5, True])
+    def test_bad_certificate_level_refused(self, max_level):
+        field = build_counterexample(RhoPattern((1,), "arithmetic", 1), P, 4)
+        with pytest.raises(ValidationError, match="max_level must be"):
+            field.residual_certificate(max_level)
+
     def test_divergent_pattern_refused(self):
         with pytest.raises(StructuralCheckError):
             build_counterexample(RhoPattern((1,), "cycle"), P, 5)
