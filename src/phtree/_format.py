@@ -52,14 +52,13 @@ _TENS = np.array([_least_double_at_least(e) for e in range(_LOW_E, _HIGH_E + 1)]
 _POW5 = np.array([5**s for s in range(16 - _LOW_E + 1)], dtype=np.uint64)
 #: 8-byte words of the little-endian row matrix; a value's slot is _SLOT_WORDS of them
 _WORD = np.dtype("<u8")
-#: ``_QUADS[g]`` spreads the four ASCII digits of 0 <= g < 10**4 over the low
-#: bytes of four 16-bit lanes; each lane's high byte is a slot for "."
-_QUADS = sum(
-    ((np.arange(10_000, dtype=np.uint64) // 10 ** (3 - i)) % 10 + ord("0")) << np.uint64(16 * i)
-    for i in range(4)
-)
-#: position 1..4 of the last nonzero digit of each four-digit group, 0 for 0
-_LAST_NONZERO = np.array([len(f"{g:04d}".rstrip("0")) for g in range(10_000)], dtype=np.int8)
+#: the four decimal digits of each 0 <= g < 10**4, most significant first
+_GROUP_DIGITS = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1])) % 10
+#: ``_QUADS[g]`` spreads the four ASCII digits of g over the low bytes of four
+#: 16-bit lanes; each lane's high byte is a slot for "."
+_QUADS = ((_GROUP_DIGITS + ord("0")).astype(np.uint64) << np.arange(0, 64, 16, dtype=np.uint64)).sum(axis=1)
+#: position 1..4 of the last nonzero digit of each group, 0 for 0
+_LAST_NONZERO = ((_GROUP_DIGITS != 0) * np.arange(1, 5)).max(axis=1).astype(np.int8)
 #: ``_LANES[c]`` keeps the first c lanes of a word
 _LANES = np.array([(1 << 16 * c) - 1 for c in range(5)], dtype=np.uint64)
 _EXPONENTS = range(_LOW_E, _HIGH_E)
@@ -184,20 +183,21 @@ def rows(columns: Sequence[str | Sequence[float]]) -> Iterator[str]:
     every row, or the row's element of a float sequence (an array or a
     list) as ``"%.17g" % v``.  All sequences have the same length.
     """
-    consts = {i: _const_words(c) for i, c in enumerate(columns) if isinstance(c, str)}
-    count = min(len(c) for c in columns if not isinstance(c, str))
-    width = sum(len(consts[i]) if i in consts else _SLOT_WORDS for i in range(len(columns)))
+    consts = [_const_words(c) if isinstance(c, str) else None for c in columns]
+    count = min(len(c) for c, words in zip(columns, consts) if words is None)
+    width = sum(_SLOT_WORDS if words is None else len(words) for words in consts)
     for start in range(0, count, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, count)
         # the matrix lives in a bytearray, which translate compresses without a copy
         buffer = bytearray(8 * width * (stop - start))
         block = np.frombuffer(buffer, _WORD).reshape(stop - start, width)
         col = 0
-        for i, column in enumerate(columns):
-            if i in consts:
-                block[:, col : col + len(consts[i])] = consts[i]
-                col += len(consts[i])
-            else:
-                _put_floats(block[:, col : col + _SLOT_WORDS], np.asarray(column[start:stop], dtype=float))
+        for column, words in zip(columns, consts):
+            if words is None:
+                values = np.asarray(column[start:stop], dtype=float)
+                _put_floats(block[:, col : col + _SLOT_WORDS], values)
                 col += _SLOT_WORDS
+            else:
+                block[:, col : col + len(words)] = words
+                col += len(words)
         yield buffer.translate(None, b"\0").decode("ascii")
