@@ -32,7 +32,13 @@ def _format_float(x: float) -> str:
 
 
 def canonical_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, fixed float formatting."""
+    """Deterministic JSON: sorted keys, floats as ``"%.17g" % v``.
+
+    A list of plain floats (a field level) is rendered by ``_format.rows`` a
+    block of items at a time, with its exact integer kernel for 0.0 and
+    1e-4 <= |v| < 1e15 and the ``%`` operator for every other value; the
+    bytes are those of formatting each item on its own.
+    """
     pad = "  " * indent
     child_pad = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -47,8 +53,6 @@ def canonical_json(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         if {*map(type, obj)} == {float}:
-            # a level array: _format.rows gives each float the bytes of
-            # _format_float, a block of items at a time
             blocks = list(_format.rows([child_pad, obj, ",\n"]))
             blocks[-1] = blocks[-1][:-2]  # no separator after the last item
             return "".join(["[\n", *blocks, "\n", pad, "]"])

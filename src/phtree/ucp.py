@@ -155,8 +155,11 @@ class RhoPattern:
 
     @classmethod
     def coerce(cls, value) -> "RhoPattern":
+        """A pattern as it is, or a sequence of terms as a finite pattern."""
         if isinstance(value, RhoPattern):
             return value
+        if not isinstance(value, Iterable):
+            raise ValidationError(f"rho pattern must be a RhoPattern or a sequence of terms, got {value!r}")
         return cls(tuple(value), FINITE)
 
     @classmethod

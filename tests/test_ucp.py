@@ -633,6 +633,10 @@ class TestCounterexample:
         for digits in itertools.product(range(3), repeat=3):
             assert field.value(Vertex(3, digits)) == reference.value(Vertex(3, digits))
 
+    def test_non_sequence_pattern_refused(self):
+        with pytest.raises(ValidationError, match="rho pattern must be"):
+            CounterexampleField(5, P, 3)
+
     @pytest.mark.parametrize("depth", [2.5, True, 0, "3"])
     def test_bad_depth_refused(self, depth):
         with pytest.raises(ValidationError, match="depth must be"):
