@@ -1,6 +1,6 @@
 """Report text of float64 arrays: the exact bytes of ``"%.17g" % v``.
 
-``rows(columns)`` renders a table a block of rows at a time.  Each row is
+``write_rows(out, columns)`` renders a table a block of rows at a time.  Each row is
 the concatenation of its columns: a str column is written as it is on
 every row, and an array column gives that row's value as ``"%.17g" % v``,
 so the text is byte for byte what the ``%`` operator gives value by value.
@@ -176,12 +176,14 @@ def _const_words(text: str) -> np.ndarray:
     return np.frombuffer(data + bytes(-len(data) % 8), _WORD)
 
 
-def rows(columns: Sequence[str | Sequence[float]]) -> Iterator[str]:
-    """Yield the text of a table, one block of `BLOCK_ROWS` rows at a time.
+def write_rows(out: bytearray, columns: Sequence[str | Sequence[float]]) -> None:
+    """Append the text of a table to `out`, one block of `BLOCK_ROWS` rows
+    at a time.
 
     Each row is the concatenation of `columns`: a str (ASCII, no NUL) on
     every row, or the row's element of a float sequence (an array or a
-    list) as ``"%.17g" % v``.  All sequences have the same length.
+    list) as ``"%.17g" % v``.  All sequences have the same length.  One
+    growing buffer holds the text, so no block outlives its own step.
     """
     consts = [_const_words(c) if isinstance(c, str) else None for c in columns]
     count = min(len(c) for c, words in zip(columns, consts) if words is None)
@@ -200,4 +202,4 @@ def rows(columns: Sequence[str | Sequence[float]]) -> Iterator[str]:
             else:
                 block[:, col : col + len(words)] = words
                 col += len(words)
-        yield buffer.translate(None, b"\0").decode("ascii")
+        out += buffer.translate(None, b"\0")

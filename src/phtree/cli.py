@@ -34,7 +34,7 @@ def _format_float(x: float) -> str:
 def canonical_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, floats as ``"%.17g" % v``.
 
-    A list of plain floats (a field level) is rendered by ``_format.rows`` a
+    A list of plain floats (a field level) is rendered by ``_format.write_rows`` a
     block of items at a time, with its exact integer kernel for 0.0 and
     1e-4 <= |v| < 1e15 and the ``%`` operator for every other value; the
     bytes are those of formatting each item on its own.
@@ -53,9 +53,10 @@ def canonical_json(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         if {*map(type, obj)} == {float}:
-            blocks = list(_format.rows([child_pad, obj, ",\n"]))
-            blocks[-1] = blocks[-1][:-2]  # no separator after the last item
-            return "".join(["[\n", *blocks, "\n", pad, "]"])
+            text = bytearray(b"[\n")
+            _format.write_rows(text, [child_pad, obj, ",\n"])
+            text[-2:] = f"\n{pad}]".encode()  # no separator after the last item
+            return text.decode("ascii")
         items = [child_pad + canonical_json(v, indent + 1) for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool):
@@ -71,18 +72,27 @@ def canonical_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
+#: characters per write: writing a str encodes all of it into a copy first,
+#: and a whole report would double its memory
+_WRITE_CHARS = 1 << 20
+
+
 def _write_report(text: str, output: str | None) -> None:
-    """Write a report that ends in exactly one newline: CSV text already
-    ends in one, and adding it here rather than stripping and re-adding it
-    spares a copy of the whole report."""
-    newline = not text.endswith("\n")
+    """Write a report that ends in exactly one newline, a slice at a time.
+    CSV text already ends in one; adding it here rather than stripping and
+    re-adding it spares a copy of the whole report."""
     if output is None or output == "-":
-        click.echo(text, nl=newline)
+        _write_slices(text, lambda part: click.echo(part, nl=False))
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if newline:
-                fh.write("\n")
+            _write_slices(text, fh.write)
+
+
+def _write_slices(text: str, write) -> None:
+    for start in range(0, len(text), _WRITE_CHARS):
+        write(text[start : start + _WRITE_CHARS])
+    if not text.endswith("\n"):
+        write("\n")
 
 
 def _build_params(m: int, alpha: float, beta: float | None) -> GameParams:

@@ -189,18 +189,18 @@ def field_to_csv(field: LevelField) -> str:
     """Render the field as CSV rows ``level,index,psi_left,value``.
 
     Floats are ``"%.17g" % v``, so no field needs CSV quoting, and the
-    index is ``"%d"``.  ``_format.rows`` renders each level a block of
+    index is ``"%d"``.  ``_format.write_rows`` renders each level a block of
     ``CSV_BLOCK_ROWS`` rows at a time with its exact integer kernel, and
     falls back to the ``%`` operator for values outside its range.
     """
-    parts = [",".join(CSV_HEADER) + "\n"]
+    text = bytearray(",".join(CSV_HEADER).encode() + b"\n")
     m = field.params.m
     for k, arr in enumerate(field.levels):
         # "%.17g" prints a whole float below 1e15 as "%d" does; a level of
         # 1e15 vertices would take 8 PB
         index = np.arange(arr.size, dtype=float)
-        parts.extend(_format.rows([f"{k},", index, ",", index / float(m**k), ",", arr, "\n"]))
-    return "".join(parts)
+        _format.write_rows(text, [f"{k},", index, ",", index / float(m**k), ",", arr, "\n"])
+    return text.decode("ascii")
 
 
 def field_from_csv(source, params: GameParams) -> LevelField:

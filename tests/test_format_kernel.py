@@ -1,6 +1,6 @@
 """The report float kernel against ``format(x, ".17g")``, value by value.
 
-``_format.rows`` renders ±0.0 and 1e-4 <= |x| < 1e15 with exact integer
+``_format.write_rows`` renders ±0.0 and 1e-4 <= |x| < 1e15 with exact integer
 arithmetic and every other value with "%.17g" itself; either way each
 value's bytes must be those of ``format(x, ".17g")``.
 """
@@ -32,7 +32,9 @@ float_arrays = st.lists(bit_patterns, min_size=1, max_size=64).map(
 
 
 def rendered(values):
-    return "".join(_format.rows([values, "\n"])).split("\n")[:-1]
+    text = bytearray()
+    _format.write_rows(text, [values, "\n"])
+    return text.decode().split("\n")[:-1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -51,5 +53,6 @@ def test_kernel_matches_format(values):
 
 def test_columns_of_a_row():
     values = np.array([0.5, -2.0, 1e-300])
-    text = "".join(_format.rows(["<", values, ",", values[::-1], ">\n"]))
-    assert text == "<0.5,1e-300>\n<-2,-2>\n<1e-300,0.5>\n"
+    text = bytearray()
+    _format.write_rows(text, ["<", values, ",", values[::-1], ">\n"])
+    assert text.decode() == "<0.5,1e-300>\n<-2,-2>\n<1e-300,0.5>\n"
