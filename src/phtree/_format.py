@@ -190,7 +190,7 @@ def write_rows(out: bytearray, columns: Sequence[str | Sequence[float]]) -> None
     width = sum(_SLOT_WORDS if words is None else len(words) for words in consts)
     for start in range(0, count, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, count)
-        # the matrix lives in a bytearray, which translate compresses without a copy
+        # the matrix lives in a bytearray, which translate reads without a copy
         buffer = bytearray(8 * width * (stop - start))
         block = np.frombuffer(buffer, _WORD).reshape(stop - start, width)
         col = 0

@@ -34,10 +34,10 @@ def _format_float(x: float) -> str:
 def canonical_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, floats as ``"%.17g" % v``.
 
-    A list of plain floats (a field level) is rendered by ``_format.write_rows`` a
-    block of items at a time, with its exact integer kernel for 0.0 and
-    1e-4 <= |v| < 1e15 and the ``%`` operator for every other value; the
-    bytes are those of formatting each item on its own.
+    A list of plain floats (a field level) is rendered by
+    ``_format.write_rows`` a block of items at a time, with its exact
+    integer kernel for 0.0 and 1e-4 <= |v| < 1e15 and the ``%`` operator for
+    every other value; the bytes are those of formatting each item alone.
     """
     pad = "  " * indent
     child_pad = "  " * (indent + 1)
