@@ -53,12 +53,12 @@ _POW5 = np.array([5**s for s in range(16 - _LOW_E + 1)], dtype=np.uint64)
 #: 8-byte words of the little-endian row matrix; a value's slot is _SLOT_WORDS of them
 _WORD = np.dtype("<u8")
 #: the four decimal digits of each 0 <= g < 10**4, most significant first
-_GROUP_DIGITS = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1])) % 10
+_GROUP_DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
 #: ``_QUADS[g]`` spreads the four ASCII digits of g over the low bytes of four
 #: 16-bit lanes; each lane's high byte is a slot for "."
-_QUADS = ((_GROUP_DIGITS + ord("0")).astype(np.uint64) << np.arange(0, 64, 16, dtype=np.uint64)).sum(axis=1)
+_QUADS = ((_GROUP_DIGITS + np.uint64(ord("0"))) << np.arange(0, 64, 16, dtype=np.uint64)).sum(axis=1)
 #: position 1..4 of the last nonzero digit of each group, 0 for 0
-_LAST_NONZERO = ((_GROUP_DIGITS != 0) * np.arange(1, 5)).max(axis=1).astype(np.int8)
+_LAST_NONZERO = ((_GROUP_DIGITS != 0) * np.arange(1, 5, dtype=np.int8)).max(axis=1)
 #: ``_LANES[c]`` keeps the first c lanes of a word
 _LANES = np.array([(1 << 16 * c) - 1 for c in range(5)], dtype=np.uint64)
 _EXPONENTS = range(_LOW_E, _HIGH_E)
