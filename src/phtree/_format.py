@@ -1,12 +1,13 @@
 """Report text of float64 arrays: the exact bytes of ``"%.17g" % v``.
 
-``write_rows(out, columns)`` renders a table a block of rows at a time.  Each row is
-the concatenation of its columns: a str column is written as it is on
-every row, and an array column gives that row's value as ``"%.17g" % v``,
-so the text is byte for byte what the ``%`` operator gives value by value.
-A block is one ``(rows, width)`` matrix of little-endian 8-byte words in
-which every column has fixed places and unused bytes are NUL; deleting the
-NUL bytes in one ``bytes.translate`` gives the block's text.
+``write_rows(out, columns)`` appends a table to a bytearray a block of
+rows at a time.  Each row is the concatenation of its columns: a str column
+is written as it is on every row, and an array column gives that row's
+value as ``"%.17g" % v``, so the text is byte for byte what the ``%``
+operator gives value by value.  A block is one ``(rows, width)`` matrix of
+little-endian 8-byte words in which every column has fixed places and
+unused bytes are NUL; deleting the NUL bytes in one ``translate`` gives the
+block's text.
 
 The kernel covers +-0.0 and 1e-4 <= |x| < 1e15, where "%.17g" uses fixed
 notation.  There x = f * 2**e with a 53-bit integer f.  With E the decimal
@@ -26,7 +27,7 @@ those values, so the output is ``"%.17g" % v`` for every float64.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
