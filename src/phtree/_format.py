@@ -57,7 +57,7 @@ _WORD = np.dtype("<u8")
 _GROUP_DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
 #: ``_QUADS[g]`` spreads the four ASCII digits of g over the low bytes of four
 #: 16-bit lanes; each lane's high byte is a slot for "."
-_QUADS = ((_GROUP_DIGITS + np.uint64(ord("0"))) << np.arange(0, 64, 16, dtype=np.uint64)).sum(axis=1)
+_QUADS = (_GROUP_DIGITS + ord("0")).astype("<u2", order="C").view(_WORD)[:, 0]
 #: position 1..4 of the last nonzero digit of each group, 0 for 0
 _LAST_NONZERO = ((_GROUP_DIGITS != 0) * np.arange(1, 5, dtype=np.int8)).max(axis=1)
 #: ``_LANES[c]`` keeps the first c lanes of a word
