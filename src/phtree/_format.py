@@ -122,10 +122,11 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return exp10, q
 
 
-def _put_floats(out: np.ndarray, x: np.ndarray) -> None:
-    """Write ``"%.17g" % v`` of each x into the rows of `out`, a
-    ``(len(x), _SLOT_WORDS)`` view of little-endian words; bytes left
+def _put_floats(out: np.ndarray, items: Sequence[float]) -> None:
+    """Write ``"%.17g" % v`` of each of `items` into the rows of `out`, a
+    ``(len(items), _SLOT_WORDS)`` view of little-endian words; bytes left
     unused are NUL."""
+    x = np.asarray(items, dtype=float)
     a = np.abs(x)
     zero = a == 0.0
     fixed = (a >= _TENS[0]) & (a < _TENS[-1])
@@ -133,12 +134,20 @@ def _put_floats(out: np.ndarray, x: np.ndarray) -> None:
     if other.size < len(x):
         # rows outside the range get the digits of 1.0, overwritten below
         _put_fixed(out, x, np.where(fixed, a, 1.0), zero)
-    if other.size:
-        # "%-24.17g" pads with spaces, which "%.17g" never writes
-        text = (f"%-{_FALLBACK_WIDTH}.17g" * other.size) % tuple(x[other].tolist())
-        words = np.frombuffer(text.encode("ascii").translate(_SPACE_TO_NUL), _WORD)
-        out[other, : _FALLBACK_WIDTH // 8] = words.reshape(other.size, -1)
-        out[other, _FALLBACK_WIDTH // 8 :] = 0
+        if other.size:
+            _put_fallback(out, other, x[other].tolist())
+    else:
+        # no value in range: format a list as it is, with no gather
+        _put_fallback(out, slice(None), items if isinstance(items, list) else x.tolist())
+
+
+def _put_fallback(out: np.ndarray, rows, values: list[float]) -> None:
+    """Write ``"%.17g" % v`` of `values` into `rows` of `out` by one ``%`` call."""
+    # "%-24.17g" pads with spaces, which "%.17g" never writes
+    text = (f"%-{_FALLBACK_WIDTH}.17g" * len(values)) % tuple(values)
+    words = np.frombuffer(text.encode("ascii").translate(_SPACE_TO_NUL), _WORD)
+    out[rows, : _FALLBACK_WIDTH // 8] = words.reshape(len(values), -1)
+    out[rows, _FALLBACK_WIDTH // 8 :] = 0
 
 
 def _put_fixed(out: np.ndarray, x: np.ndarray, a: np.ndarray, zero: np.ndarray) -> None:
@@ -197,8 +206,7 @@ def write_rows(out: bytearray, columns: Sequence[str | Sequence[float]]) -> None
         col = 0
         for column, words in zip(columns, consts):
             if words is None:
-                values = np.asarray(column[start:stop], dtype=float)
-                _put_floats(block[:, col : col + _SLOT_WORDS], values)
+                _put_floats(block[:, col : col + _SLOT_WORDS], column[start:stop])
                 col += _SLOT_WORDS
             else:
                 block[:, col : col + len(words)] = words
