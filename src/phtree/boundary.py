@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacity import check_level_size
+from .capacity import blocks, check_level_size
 from .errors import DomainError, UnsupportedError, ValidationError
 
 KIND_LINEAR = "builtin-linear"
@@ -208,9 +208,11 @@ def sample_Fn(spec: BoundarySpec, m: int, n: int) -> SampledBoundary:
     if n < 0:
         raise ValidationError(f"level must be >= 0, got {n}")
     count = check_level_size(m, n)
-    t = np.arange(count, dtype=float)
-    t /= float(m**n)
-    return SampledBoundary(m=m, n=n, values=np.asarray(eval_F(spec, t), dtype=float), spec=spec)
+    values = np.empty(count)
+    # a block of t at a time: each sample is the same element-wise arithmetic
+    for block in blocks(count):
+        values[block] = eval_F(spec, np.arange(block.start, block.stop, dtype=float) / float(m**n))
+    return SampledBoundary(m=m, n=n, values=values, spec=spec)
 
 
 def modulus_bound(spec: BoundarySpec, scale: float) -> float:

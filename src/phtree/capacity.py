@@ -5,7 +5,9 @@ classes or a batch of random draws is checked against one cap, so that an
 accidental ``m**n`` blow-up fails fast with a clear message instead of
 exhausting memory.  The cap is ``2**31`` values unless the
 ``PHTREE_SIZE_CAP`` environment variable sets it; there is no other way
-to set it.
+to set it.  The cap counts values, not bytes: a field build fills each
+level `BLOCK` values at a time, so its peak is the field's own bytes plus
+one block.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import os
 from .errors import CapacityError, ValidationError
 
 DEFAULT_SIZE_CAP = 2**31
+
+#: values per block of boundary sampling and of the operator sweep
+BLOCK = 1 << 13
 
 _ENV_VAR = "PHTREE_SIZE_CAP"
 
@@ -45,6 +50,11 @@ def check_level_size(m: int, k: int) -> int:
     if count > cap:
         raise exceeded(f"level {k} of the {m}-branching tree has {count} vertices", cap)
     return count
+
+
+def blocks(count: int):
+    """Slices that cover ``range(count)`` `BLOCK` items at a time."""
+    return (slice(start, min(start + BLOCK, count)) for start in range(0, count, BLOCK))
 
 
 def max_level(m: int) -> int:

@@ -39,37 +39,42 @@ def canonical_json(obj, indent: int = 0) -> str:
     integer kernel for 0.0 and 1e-4 <= |v| < 1e15 and the ``%`` operator for
     every other value; the bytes are those of formatting each item alone.
     """
-    pad = "  " * indent
-    child_pad = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{child_pad}"{key}": {canonical_json(obj[key], indent + 1)}'
-            for key in sorted(obj)
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if {*map(type, obj)} == {float}:
+    parts: list[str] = []
+
+    def put(obj, indent: int) -> None:
+        pad = "  " * indent
+        child_pad = pad + "  "
+        if isinstance(obj, (list, tuple)) and obj and {*map(type, obj)} == {float}:
             text = bytearray(b"[\n")
             _format.write_rows(text, [child_pad, obj, ",\n"])
             text[-2:] = f"\n{pad}]".encode()  # no separator after the last item
-            return text.decode("ascii")
-        items = [child_pad + canonical_json(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    raise TypeError(f"cannot serialise {type(obj)!r}")
+            parts.append(text.decode("ascii"))
+        elif isinstance(obj, (dict, list, tuple)):
+            if isinstance(obj, dict):
+                brackets, items = "{}", [(f'"{key}": ', obj[key]) for key in sorted(obj)]
+            else:
+                brackets, items = "[]", [("", v) for v in obj]
+            sep = brackets[0] + "\n"
+            for prefix, value in items:
+                parts.append(sep + child_pad + prefix)
+                put(value, indent + 1)
+                sep = ",\n"
+            parts.append(f"\n{pad}{brackets[1]}" if items else brackets)
+        elif isinstance(obj, bool):
+            parts.append("true" if obj else "false")
+        elif obj is None:
+            parts.append("null")
+        elif isinstance(obj, float):
+            parts.append(_format_float(obj))
+        elif isinstance(obj, int):
+            parts.append(str(obj))
+        elif isinstance(obj, str):
+            parts.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        else:
+            raise TypeError(f"cannot serialise {type(obj)!r}")
+
+    put(obj, indent)
+    return "".join(parts)
 
 
 #: characters per write: writing a str encodes all of it into a copy first,

@@ -19,9 +19,10 @@ Randomness contract: the coin, turn and random-move variates are three
 stream, at offsets 0, ``plays*depth`` and ``2*plays*depth``; play p reads
 row p of each, so estimates are reproducible bit-for-bit.  Copies of the
 master's bit generator, placed with ``advance``, draw them in chunks of
-``CHUNK_PLAYS`` rows: memory is bounded by one chunk, and a passed-in
-generator is not consumed.  Means and standard errors use numpy's pairwise
-summation, so merging is order-independent at the 1e-12 level.
+``CHUNK_PLAYS`` rows: the engine's memory is one chunk plus the payoffs,
+and a passed-in generator is not consumed.  Means and standard errors
+use numpy's pairwise summation, so merging is order-independent at the
+1e-12 level.
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ def strategy_from_name(name: str, m: int, advice: LevelField | None) -> Strategy
     )
 
 
-#: plays advanced together; a chunk holds 3 * CHUNK_PLAYS * depth variates
-CHUNK_PLAYS = 1 << 16
+#: plays advanced together; the engine holds 3 * CHUNK_PLAYS * depth variates plus the payoffs
+CHUNK_PLAYS = 1 << 14
 
 
 def _streams(master_seed, stride: int) -> list[np.random.Generator]:
@@ -239,7 +240,7 @@ def simulate_batch(
         raise exceeded(f"{plays} plays of depth {depth} draw {cells} random values", cap)
     coins, turns, moves = _streams(master_seed, plays * depth)
 
-    final = np.full(plays, x0.index, dtype=np.int64)
+    payoffs = np.empty(plays)
     n_i = n_ii = n_rand = 0
     for start in range(0, plays, CHUNK_PLAYS):
         rows = min(CHUNK_PLAYS, plays - start)
@@ -252,7 +253,7 @@ def simulate_batch(
         # transposed once, so each step reads one contiguous row
         to_i, to_ii = to_i.T.copy(), to_ii.T.copy()
         random_digits = moves.integers(0, m, size=(rows, depth), dtype=np.int64).T.copy()
-        indices = final[start : start + rows]
+        indices = np.full(rows, x0.index, dtype=np.int64)
         for step in range(depth):
             level = x0.level + step
             digits = random_digits[step]
@@ -270,8 +271,7 @@ def simulate_batch(
                         digits[p] = strat.choose(history)
             indices *= m
             indices += digits
-
-    payoffs = np.asarray(eval_F(spec, final / float(m**final_level)), dtype=float)
+        payoffs[start : start + rows] = eval_F(spec, indices / float(m**final_level))
     return SimulationBatch(payoffs, moves_player_i=n_i, moves_player_ii=n_ii, moves_random=n_rand)
 
 

@@ -1,8 +1,8 @@
 """Bottom-up construction of the approximating fields u_n.
 
 ``build_un`` seeds level n with the boundary samples and sweeps the
-averaging operator upward one level at a time, so every interior value is
-exactly the operator applied to its m children.  For Lipschitz boundary
+averaging operator upward one level at a time, a block of rows at a time,
+so every interior value is exactly the operator applied to its m children.  For Lipschitz boundary
 data with constant L the field is within ``L / m**n`` of the limit
 solution everywhere, which is what ``error_bound`` certifies and
 ``solve_to_tolerance`` inverts; without a Lipschitz bound an empirical
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _format
 from .boundary import BoundarySpec, SampledBoundary, modulus_bound, sample_Fn
-from .capacity import max_level
+from .capacity import blocks, max_level
 from .dpp import GameParams, operator_average
 from .errors import ContractViolationError, UnsupportedError, ValidationError
 from .tree import Vertex
@@ -79,7 +79,10 @@ def build_un(spec: BoundarySpec, params: GameParams, n: int) -> LevelField:
     # an overflow is reported by the finiteness check below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1, -1, -1):
-            levels.append(operator_average(params, levels[-1].reshape(m**k, m)))
+            rows, level = levels[-1].reshape(m**k, m), np.empty(m**k)
+            for block in blocks(m**k):
+                level[block] = operator_average(params, rows[block])
+            levels.append(level)
     levels.reverse()
     # a non-finite value anywhere in the sweep propagates to the root
     if not math.isfinite(levels[0][0]):
