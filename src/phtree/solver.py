@@ -1,12 +1,12 @@
 """Bottom-up construction of the approximating fields u_n.
 
 ``build_un`` seeds level n with the boundary samples and sweeps the
-averaging operator upward one level at a time, a block of rows at a time,
-so every interior value is exactly the operator applied to its m children.  For Lipschitz boundary
-data with constant L the field is within ``L / m**n`` of the limit
-solution everywhere, which is what ``error_bound`` certifies and
-``solve_to_tolerance`` inverts; without a Lipschitz bound an empirical
-Cauchy criterion on consecutive fields is used instead.
+averaging operator upward a level (and a block of rows) at a time, so
+every interior value is exactly the operator applied to its m children.
+For Lipschitz boundary data (constant L) the field is within ``L / m**n``
+of the limit solution everywhere, which is what ``error_bound`` certifies
+and ``solve_to_tolerance`` inverts; without a Lipschitz bound an
+empirical Cauchy criterion on consecutive fields is used instead.
 """
 
 from __future__ import annotations
