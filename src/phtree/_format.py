@@ -1,13 +1,13 @@
 """Report text of float64 arrays: the exact bytes of ``"%.17g" % v``.
 
-``write_rows(out, columns)`` appends a table to a bytearray a block of
-rows at a time.  Each row is the concatenation of its columns: a str column
-is written as it is on every row, and an array column gives that row's
-value as ``"%.17g" % v``, so the text is byte for byte what the ``%``
-operator gives value by value.  A block is one ``(rows, width)`` matrix of
-little-endian 8-byte words in which every column has fixed places and
-unused bytes are NUL; deleting the NUL bytes in one ``translate`` gives the
-block's text.
+``write_rows(out, columns)`` appends a table to a bytearray, one block of
+``capacity.BLOCK`` rows at a time.  Each row is the concatenation of its
+columns: a str column is written as it is on every row, and a float64
+array column (the only kind of float column) gives that row's value as
+``"%.17g" % v``, byte for byte what the ``%`` operator gives value by
+value.  A block is one ``(rows, width)`` matrix of little-endian 8-byte
+words in which every column has fixed places and unused bytes are NUL;
+deleting the NUL bytes in one ``translate`` gives the block's text.
 
 The kernel covers +-0.0 and 1e-4 <= |x| < 1e15, where "%.17g" uses fixed
 notation.  There x = f * 2**e with a 53-bit integer f.  With E the decimal
@@ -31,8 +31,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-#: rows rendered per block; bounds the block's matrix and temporaries
-BLOCK_ROWS = 1 << 13
+from .capacity import blocks
 
 #: the decimal exponents of the kernel's range, 1e-4 <= |x| < 1e15
 _LOW_E, _HIGH_E = -4, 15
@@ -122,11 +121,10 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return exp10, q
 
 
-def _put_floats(out: np.ndarray, items: Sequence[float]) -> None:
-    """Write ``"%.17g" % v`` of each of `items` into the rows of `out`, a
-    ``(len(items), _SLOT_WORDS)`` view of little-endian words; bytes left
-    unused are NUL."""
-    x = np.asarray(items, dtype=float)
+def _put_floats(out: np.ndarray, x: np.ndarray) -> None:
+    """Write ``"%.17g" % v`` of each value of the float64 array `x` into the
+    rows of `out`, a ``(len(x), _SLOT_WORDS)`` view of little-endian words;
+    bytes left unused are NUL."""
     a = np.abs(x)
     zero = a == 0.0
     fixed = (a >= _TENS[0]) & (a < _TENS[-1])
@@ -137,8 +135,8 @@ def _put_floats(out: np.ndarray, items: Sequence[float]) -> None:
         if other.size:
             _put_fallback(out, other, x[other].tolist())
     else:
-        # no value in range: format a list as it is, with no gather
-        _put_fallback(out, slice(None), items if isinstance(items, list) else x.tolist())
+        # no value in range: format them all, with no gather
+        _put_fallback(out, slice(None), x.tolist())
 
 
 def _put_fallback(out: np.ndarray, rows, values: list[float]) -> None:
@@ -186,27 +184,25 @@ def _const_words(text: str) -> np.ndarray:
     return np.frombuffer(data + bytes(-len(data) % 8), _WORD)
 
 
-def write_rows(out: bytearray, columns: Sequence[str | Sequence[float]]) -> None:
-    """Append the text of a table to `out`, one block of `BLOCK_ROWS` rows
-    at a time.
+def write_rows(out: bytearray, columns: Sequence[str | np.ndarray]) -> None:
+    """Append the text of a table to `out`, one block of rows at a time.
 
     Each row is the concatenation of `columns`: a str (ASCII, no NUL) on
-    every row, or the row's element of a float sequence (an array or a
-    list) as ``"%.17g" % v``.  All sequences have the same length.  One
-    growing buffer holds the text, so no block outlives its own step.
+    every row, or the row's element of a float64 array as ``"%.17g" % v``.
+    All arrays have the same length.  The text goes straight into `out`, so
+    no block outlives its own step.
     """
     consts = [_const_words(c) if isinstance(c, str) else None for c in columns]
     count = min(len(c) for c, words in zip(columns, consts) if words is None)
     width = sum(_SLOT_WORDS if words is None else len(words) for words in consts)
-    for start in range(0, count, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, count)
+    for rows in blocks(count):
         # the matrix lives in a bytearray, which translate reads without a copy
-        buffer = bytearray(8 * width * (stop - start))
-        block = np.frombuffer(buffer, _WORD).reshape(stop - start, width)
+        buffer = bytearray(8 * width * (rows.stop - rows.start))
+        block = np.frombuffer(buffer, _WORD).reshape(-1, width)
         col = 0
         for column, words in zip(columns, consts):
             if words is None:
-                _put_floats(block[:, col : col + _SLOT_WORDS], column[start:stop])
+                _put_floats(block[:, col : col + _SLOT_WORDS], column[rows])
                 col += _SLOT_WORDS
             else:
                 block[:, col : col + len(words)] = words

@@ -7,18 +7,20 @@ exhausting memory.  The cap is ``2**31`` values unless the
 ``PHTREE_SIZE_CAP`` environment variable sets it; there is no other way
 to set it.  The cap counts values, not bytes: a field build fills each
 level `BLOCK` values at a time, so its peak is the field's own bytes plus
-one block.
+one block.  `BLOCK` also sizes the blocks of rows in which reports are
+formatted.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import CapacityError, ValidationError
 
 DEFAULT_SIZE_CAP = 2**31
 
-#: values per block of boundary sampling and of the operator sweep
+#: values per block of boundary sampling, of the operator sweep and of report rows
 BLOCK = 1 << 13
 
 _ENV_VAR = "PHTREE_SIZE_CAP"
@@ -43,13 +45,25 @@ def exceeded(what: str, cap: int) -> CapacityError:
     return CapacityError(f"{what}, exceeding the size cap of {cap} (set {_ENV_VAR} to raise it)")
 
 
+def decimal(count: int) -> str:
+    """`count` in decimal, or ``about 10**e`` where it has more digits than
+    Python turns into a str (``sys.get_int_max_str_digits``)."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"about 10**{math.log10(count):.0f}"
+
+
 def check_level_size(m: int, k: int) -> int:
     """Return ``m**k`` if it fits under the cap, else raise CapacityError."""
     cap = size_cap()
-    count = m**k
-    if count > cap:
+    if k > max_level(m):
+        # a count past the 4,300 digits Python prints by default is not
+        # formed at all: 3**10**8 alone takes minutes
+        digits = k * math.log10(m)
+        count = decimal(m**k) if digits < 4300 else f"about 10**{digits:.0f}"
         raise exceeded(f"level {k} of the {m}-branching tree has {count} vertices", cap)
-    return count
+    return m**k
 
 
 def blocks(count: int):

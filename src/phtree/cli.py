@@ -3,7 +3,8 @@
 Every run is fully determined by its flags (seeds included): identical
 invocations produce identical output bytes.  JSON reports use sorted keys
 and fixed 17-significant-digit float formatting; CSV fields use the same
-float format.  Exit codes: 0 success, 2 validation error or an unusable
+float format.  A report is built as one bytearray, field levels straight
+from the float kernel, and written in one write.  Exit codes: 0 success, 2 validation error or an unusable
 input or output file, 3 capacity error or out of memory.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import sys
 
 import click
+import numpy as np
 
 from . import _format
 from . import analysis as analysis_mod
@@ -27,77 +29,63 @@ EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
 
 
-def _format_float(x: float) -> str:
-    return format(x, ".17g")
+def canonical_json(obj) -> bytearray:
+    """Deterministic JSON as bytes: sorted keys, floats as ``"%.17g" % v``.
 
-
-def canonical_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats as ``"%.17g" % v``.
-
-    A list of plain floats (a field level) is rendered by
-    ``_format.write_rows`` a block of items at a time, with its exact
+    A float64 array (a field level) is rendered by ``_format.write_rows``
+    straight into the report, a block of items at a time, with its exact
     integer kernel for 0.0 and 1e-4 <= |v| < 1e15 and the ``%`` operator for
     every other value; the bytes are those of formatting each item alone.
     """
-    parts: list[str] = []
+    out = bytearray()
 
-    def put(obj, indent: int) -> None:
-        pad = "  " * indent
+    def put(obj, pad: str) -> None:
         child_pad = pad + "  "
-        if isinstance(obj, (list, tuple)) and obj and {*map(type, obj)} == {float}:
-            text = bytearray(b"[\n")
-            _format.write_rows(text, [child_pad, obj, ",\n"])
-            text[-2:] = f"\n{pad}]".encode()  # no separator after the last item
-            parts.append(text.decode("ascii"))
-        elif isinstance(obj, (dict, list, tuple)):
+        if isinstance(obj, np.ndarray):
+            out.extend(b"[\n")
+            _format.write_rows(out, [child_pad, obj, ",\n"])
+            # no separator after the last item
+            out[-2:] = f"\n{pad}]".encode() if obj.size else b"[]"
+            return
+        if isinstance(obj, (dict, list, tuple)):
             if isinstance(obj, dict):
                 brackets, items = "{}", [(f'"{key}": ', obj[key]) for key in sorted(obj)]
             else:
                 brackets, items = "[]", [("", v) for v in obj]
             sep = brackets[0] + "\n"
             for prefix, value in items:
-                parts.append(sep + child_pad + prefix)
-                put(value, indent + 1)
+                out.extend(f"{sep}{child_pad}{prefix}".encode())
+                put(value, child_pad)
                 sep = ",\n"
-            parts.append(f"\n{pad}{brackets[1]}" if items else brackets)
+            text = f"\n{pad}{brackets[1]}" if items else brackets
         elif isinstance(obj, bool):
-            parts.append("true" if obj else "false")
+            text = "true" if obj else "false"
         elif obj is None:
-            parts.append("null")
+            text = "null"
         elif isinstance(obj, float):
-            parts.append(_format_float(obj))
+            text = format(obj, ".17g")
         elif isinstance(obj, int):
-            parts.append(str(obj))
+            text = str(obj)
         elif isinstance(obj, str):
-            parts.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+            text = '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
         else:
             raise TypeError(f"cannot serialise {type(obj)!r}")
+        out.extend(text.encode())
 
-    put(obj, indent)
-    return "".join(parts)
-
-
-#: characters per write: writing a str encodes all of it into a copy first,
-#: and a whole report would double its memory
-_WRITE_CHARS = 1 << 20
+    put(obj, "")
+    return out
 
 
-def _write_report(text: str, output: str | None) -> None:
-    """Write a report that ends in exactly one newline, a slice at a time.
-    CSV text already ends in one; adding it here rather than stripping and
-    re-adding it spares a copy of the whole report."""
-    if output is None or output == "-":
-        _write_slices(text, lambda part: click.echo(part, nl=False))
+def _write_report(data: bytearray, output: str) -> None:
+    """Write a report that ends in exactly one newline, in one write.  CSV
+    data already ends in one, so it is appended only where it is missing."""
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    if output == "-":
+        click.echo(data, nl=False)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            _write_slices(text, fh.write)
-
-
-def _write_slices(text: str, write) -> None:
-    for start in range(0, len(text), _WRITE_CHARS):
-        write(text[start : start + _WRITE_CHARS])
-    if not text.endswith("\n"):
-        write("\n")
+        with open(output, "wb") as fh:
+            fh.write(data)
 
 
 def _build_params(m: int, alpha: float, beta: float | None) -> GameParams:
@@ -169,7 +157,7 @@ def solve(m, alpha, beta, boundary, depth, tol, fmt, output) -> None:
             field = result.field
             n_used, certified, bound = result.n_used, result.certified, result.certified_bound
         if fmt == "csv":
-            text = solver_mod.field_to_csv(field)
+            data = solver_mod.field_to_csv(field)
         else:
             obj = solver_mod.field_to_json_obj(field)
             obj["root_value"] = field.root_value
@@ -177,8 +165,8 @@ def solve(m, alpha, beta, boundary, depth, tol, fmt, output) -> None:
                 obj["certified"] = certified
                 obj["certified_bound"] = bound
             obj["n_used"] = n_used
-            text = canonical_json(obj)
-        _write_report(text, output)
+            data = canonical_json(obj)
+        _write_report(data, output)
 
     _run_guarded(run)
 

@@ -184,16 +184,14 @@ def compare_fields(field_f: LevelField, field_g: LevelField) -> bool:
 # -- serialization ------------------------------------------------------
 
 CSV_HEADER = ["level", "index", "psi_left", "value"]
-#: rows formatted as one block; bounds the block's matrix and temporaries
-CSV_BLOCK_ROWS = _format.BLOCK_ROWS
 
 
-def field_to_csv(field: LevelField) -> str:
-    """Render the field as CSV rows ``level,index,psi_left,value``.
+def field_to_csv(field: LevelField) -> bytearray:
+    """Render the field as ASCII CSV rows ``level,index,psi_left,value``.
 
     Floats are ``"%.17g" % v``, so no field needs CSV quoting, and the
     index is ``"%d"``.  ``_format.write_rows`` renders each level a block of
-    ``CSV_BLOCK_ROWS`` rows at a time with its exact integer kernel, and
+    ``capacity.BLOCK`` rows at a time with its exact integer kernel, and
     falls back to the ``%`` operator for values outside its range.
     """
     text = bytearray(",".join(CSV_HEADER).encode() + b"\n")
@@ -203,7 +201,7 @@ def field_to_csv(field: LevelField) -> str:
         # 1e15 vertices would take 8 PB
         index = np.arange(arr.size, dtype=float)
         _format.write_rows(text, [f"{k},", index, ",", index / float(m**k), ",", arr, "\n"])
-    return text.decode("ascii")
+    return text
 
 
 def field_from_csv(source, params: GameParams) -> LevelField:
@@ -242,5 +240,5 @@ def field_to_json_obj(field: LevelField) -> dict:
             "beta": field.params.beta,
         },
         "n": field.n,
-        "levels": [arr.astype(float, copy=False).tolist() for arr in field.levels],
+        "levels": [arr.astype(float, copy=False) for arr in field.levels],
     }

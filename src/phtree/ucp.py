@@ -51,7 +51,7 @@ from operator import truediv
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .capacity import exceeded, size_cap
+from .capacity import decimal, exceeded, size_cap
 from .dpp import GameParams, residual_at
 from .errors import InsufficientDepthError, StructuralCheckError, ValidationError
 from .tree import (
@@ -835,7 +835,7 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
             members = _members(machine, reached)
             p1_ok = members == 1
             if not p1_ok:
-                notes.append(f"{members} members at level {eta[0]}, so (P1) fails")
+                notes.append(f"{decimal(members)} members at level {eta[0]}, so (P1) fails")
         else:
             # members at the new gap below each untouched frontier class;
             # none lies nearer, since untouched classes are eligible

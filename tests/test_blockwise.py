@@ -9,7 +9,7 @@ from phtree import capacity, game
 from phtree.boundary import eval_F, sample_Fn
 from phtree.cli import canonical_json
 from phtree.dpp import operator_average
-from phtree.solver import field_to_json_obj
+from phtree.solver import field_to_csv, field_to_json_obj
 
 SPECS = [
     BoundarySpec.linear(),
@@ -80,3 +80,18 @@ class TestWorkingSet:
         obj["n_used"] = 10
         text, peak = traced_peak(canonical_json, obj)
         assert peak <= 2.25 * len(text)
+
+    def test_csv_report_holds_its_text_once(self, traced_peak):
+        field = build_un(self.TABULATED, self.P, 11)
+        text, peak = traced_peak(field_to_csv, field)
+        assert peak <= 1.6 * len(text)
+
+    def test_json_report_holds_its_text_once(self, traced_peak):
+        field = build_un(self.TABULATED, self.P, 11)
+        text, peak = traced_peak(lambda: canonical_json(field_to_json_obj(field)))
+        assert peak <= 1.5 * len(text)
+
+    def test_json_levels_are_the_field_arrays(self):
+        field = build_un(self.TABULATED, self.P, 3)
+        levels = field_to_json_obj(field)["levels"]
+        assert all(np.shares_memory(a, b) for a, b in zip(levels, field.levels))

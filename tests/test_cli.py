@@ -17,6 +17,10 @@ def runner():
     return CliRunner()
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 def _level_4_set_file(tmp_path) -> str:
     """All 81 level-4 vertices of m=3, each its own automaton state."""
     members = tmp_path / "set.txt"
@@ -66,13 +70,13 @@ class TestFileErrors:
 
 class TestCanonicalJson:
     def test_sorted_keys_and_float_format(self):
-        text = canonical_json({"b": 1 / 3, "a": [1, True, None], "c": "x"})
+        text = canonical_json({"b": 1 / 3, "a": [1, True, None], "c": "x"}).decode()
         assert text.index('"a"') < text.index('"b"') < text.index('"c"')
         assert "0.33333333333333331" in text
         assert json.loads(text) == {"a": [1, True, None], "b": 1 / 3, "c": "x"}
 
     def test_escaping(self):
-        text = canonical_json({"k": 'a"b\\c'})
+        text = canonical_json({"k": 'a"b\\c'}).decode()
         assert json.loads(text) == {"k": 'a"b\\c'}
 
 
@@ -294,6 +298,34 @@ class TestUcp:
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: level 4 scan needs 81 state classes")
+
+    def test_member_count_too_long_to_print(self, runner):
+        # level 10000 holds 3**10000 members, more digits than str gives an int
+        result = runner.invoke(main, [
+            "ucp", "--m", "3", "--alpha", "0.5", "--set", "full-levels:10000",
+        ])
+        assert result.exit_code == 0
+        payload = json.loads(result.output, parse_constant=_reject_constant)
+        assert "about 10**4771 members at level 10000, so (P1) fails" in payload["notes"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--boundary", "linear", "--n", "10000"],
+        ["simulate", "--boundary", "linear", "--advice-n", "10000"],
+    ],
+    ids=["solve", "simulate"],
+)
+def test_level_too_long_to_print_exits_3(runner, args):
+    # 3**10000 has more digits than Python turns into a str by default
+    subcommand, *options = args
+    result = runner.invoke(main, [subcommand, "--m", "3", "--alpha", "0.5", *options])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no uncaught exception
+    assert result.stderr.startswith(
+        "error: level 10000 of the 3-branching tree has about 10**4771 vertices, exceeding"
+    )
 
 
 @pytest.mark.parametrize("subcommand", ["solve", "simulate", "ucp"])

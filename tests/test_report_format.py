@@ -1,6 +1,6 @@
 """Bulk report formatting against element-wise reference renderings.
 
-``canonical_json`` formats a list of floats with one %-format call and
+``canonical_json`` formats a float array a block of items at a time and
 ``field_to_csv`` formats whole blocks of rows at once; both must give the
 bytes of the one-value-at-a-time formatting they replace.
 """
@@ -11,10 +11,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phtree import BoundarySpec, GameParams, build_un
+from phtree import BoundarySpec, GameParams, build_un, capacity
 from phtree.boundary import SampledBoundary
 from phtree.cli import canonical_json
-from phtree.solver import CSV_BLOCK_ROWS, LevelField, field_to_csv
+from phtree.solver import LevelField, field_to_csv
 
 
 def reference_json(obj, indent=0):
@@ -66,10 +66,16 @@ scalars = (
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(finite, max_size=40) | st.lists(scalars, max_size=40))
 def test_canonical_json_matches_element_wise(values):
-    for obj in (values, {"levels": [values, values], "n": len(values)}):
-        text = canonical_json(obj)
-        assert text == reference_json(obj)
-        assert json.loads(text, parse_constant=_reject_constant) == obj
+    # a float list also goes in as an array, which the kernel renders
+    arrays = [np.array(values, dtype=float)] if all(type(v) is float for v in values) else []
+    for items in [values, *arrays]:
+        for obj, expected in (
+            (items, values),
+            ({"levels": [items, items], "n": len(values)}, {"levels": [values, values], "n": len(values)}),
+        ):
+            text = canonical_json(obj).decode()
+            assert text == reference_json(expected)
+            assert json.loads(text, parse_constant=_reject_constant) == expected
 
 
 @st.composite
@@ -88,12 +94,12 @@ def fields(draw):
 @settings(max_examples=100, deadline=None)
 @given(field=fields())
 def test_field_to_csv_matches_element_wise(field):
-    lines = field_to_csv(field).split("\n")
+    lines = field_to_csv(field).decode().split("\n")
     assert lines[0] == "level,index,psi_left,value"
     assert lines[1:] == reference_csv_rows(field) + [""]
 
 
 def test_field_to_csv_spans_several_blocks():
     field = build_un(BoundarySpec.quadratic_centered(), GameParams(3, 0.3, 0.7), 10)
-    assert field.levels[-1].size > CSV_BLOCK_ROWS
-    assert field_to_csv(field).split("\n")[1:-1] == reference_csv_rows(field)
+    assert field.levels[-1].size > capacity.BLOCK
+    assert field_to_csv(field).decode().split("\n")[1:-1] == reference_csv_rows(field)
