@@ -3,9 +3,10 @@
 Every run is fully determined by its flags (seeds included): identical
 invocations produce identical output bytes.  JSON reports use sorted keys
 and fixed 17-significant-digit float formatting; CSV fields use the same
-float format.  A report is built as one bytearray, field levels straight
-from the float kernel, and written in one write.  Exit codes: 0 success, 2 validation error or an unusable
-input or output file, 3 capacity error or out of memory.
+float format.  A report is one bytearray, field levels included straight
+from the float kernel, and is written in one write.  Exit codes: 0
+success, 2 validation error or an unusable input or output file, 3
+capacity error or out of memory.
 """
 
 from __future__ import annotations
