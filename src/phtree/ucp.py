@@ -31,14 +31,14 @@ The machinery:
 Each subset compiles to a digit automaton (``initial()``, ``step(state,
 digit)``, ``is_member(state)``, ``m`` and a ``fixpoint`` flag for finite
 states).  Digit rules and explicit sets compile to one integer table.
-``_first_member`` steps a {state: vertex count} map a level at a time and
-stops at a member, with the count map that (P1)/(P2) sum, at a repeated
-state set (on a ``fixpoint`` machine, proof that no member lies deeper) or
-at its offset budget; density, hitting and the ladder all run it.
-``_advance`` keeps one witness vertex index per (state, below a member)
-class of a level for the same scans and for the counterexample's class
-walk.  These two are the only loops that step a level at a time, and both
-check the size cap on every level.
+``_first_member`` steps a {(state, below a member): vertex count} map a
+level at a time and stops where a class with a nonzero count is a member,
+at a repeated set of such states (on a ``fixpoint`` machine, proof that
+no member lies deeper) or at its offset budget.  The ladder runs one map
+per stage, count 1 on its eligible classes; the map it stops at gives the
+(P1) count and is the next stage's.  ``_advance`` keeps a witness vertex
+index per class for density, hitting and the counterexample's class walk.
+Only these two loops step a level at a time; both cap the whole map.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import truediv
 from pathlib import Path
 from typing import Callable, Iterable
@@ -561,41 +561,43 @@ def _check_scan_size(level: int, size: int, cap: int) -> None:
         raise exceeded(f"level {level} scan needs {size} state classes", cap)
 
 
-def _first_member(machine, counts: dict, level: int, max_offset: int, cap: int):
-    """Least offset n in 1..max_offset at which a member is reachable from
-    the start map {state: vertex count} at `level`.
+def _first_member(machine, counts: dict, flags: list, level: int, max_offset: int, cap: int):
+    """Least offset n in 1..max_offset at which a member descends from a
+    class with a nonzero count in the start map {(state, below a member):
+    vertex count} at `level`, whose ``is_member`` values are `flags`; a
+    class with count 0 is only carried.
 
-    Returns (offset | None, definitive, levels_scanned, counts), where
-    `counts` is the {state: vertex count} map of the level it stopped at, so
-    its member states count the member vertices at the offset (none without
-    one).  Without a member, only a repeated state set on a ``fixpoint``
-    machine is definitive.
+    Returns (offset | None, definitive, levels_scanned, counts, flags) for
+    the level it stopped at, whose member classes count the member vertices
+    at the offset (none without one).  Without a member, only a repeated
+    set of nonzero-count states on a ``fixpoint`` machine is definitive.
     """
     step, is_member, digits = machine.step, machine.is_member, range(machine.m)
-    seen = {frozenset(counts)}
+    seen = {frozenset(ks for (ks, _below), c in counts.items() if c)}
     n = 0
     while n < max_offset:
         n += 1
         new: dict = {}
-        for ks, count in counts.items():
+        for ((ks, below), count), member in zip(counts.items(), flags):
             for d in digits:
-                child = step(ks, d)
+                child = (step(ks, d), below or member)
                 new[child] = new.get(child, 0) + count
         counts = new
         _check_scan_size(level + n, len(counts), cap)
-        if any(map(is_member, counts)):
-            return n, True, n, counts
+        flags = [is_member(ks) for ks, _below in counts]
+        if any(compress(counts.values(), flags)):  # a member with a nonzero count
+            return n, True, n, counts, flags
         if machine.fixpoint:
-            current = frozenset(counts)
+            current = frozenset(ks for (ks, _below), c in counts.items() if c)
             if current in seen:
-                return None, True, n, counts
+                return None, True, n, counts, flags
             seen.add(current)
-    return None, False, n, counts
+    return None, False, n, counts, flags
 
 
-def _members(machine, counts: dict) -> int:
-    """The member vertices of a {state: vertex count} map."""
-    return sum(c for ks, c in counts.items() if machine.is_member(ks))
+def _members(counts: dict, flags: list) -> int:
+    """The member vertices of a class map and its ``is_member`` flags."""
+    return sum(c for c, member in zip(counts.values(), flags) if member)
 
 
 class _InteriorMachine:
@@ -658,7 +660,7 @@ def density_check(U: SubsetSpec, resolution_level: int) -> DensityResult:
     max_offset = min(U.depth_bound - resolution_level, _DENSITY_OFFSET_LIMIT)
     for (ks, _below), index in classes.items():
         offset, definitive = _first_member(
-            interior, {(ks, True): 1}, resolution_level, max_offset, cap
+            interior, {((ks, True), False): 1}, [False], resolution_level, max_offset, cap
         )[:2]
         if offset is None:
             witness = vertex_from_index(U.m, resolution_level, index)
@@ -692,7 +694,7 @@ def pa_check(U: SubsetSpec, n_max: int, scan_depth: int | None = None) -> PaResu
     worst = 0
     for level in range(scan_depth + 1):
         for (ks, _below), index in classes.items():
-            offset = _first_member(machine, {ks: 1}, level, n_max, cap)[0]
+            offset = _first_member(machine, {(ks, False): 1}, [machine.is_member(ks)], level, n_max, cap)[0]
             if offset is None:
                 return PaResult(
                     holds=False,
@@ -789,7 +791,8 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
     delta = params.delta
 
     level = 0
-    classes = {(machine.initial(), False): 0}
+    classes = {(machine.initial(), False): 1}  # count 1: an eligible class
+    flags = [machine.is_member(machine.initial())]
     rho: list[int] = []
     eta: list[int] = []
     notes: list[str] = []
@@ -798,25 +801,22 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
     p2_failed: list[int] = []
     divergence: list[int] = []
     frontier_empty_at: int | None = None
-    terminated = False
-    inconclusive = False
+    terminated = inconclusive = False
 
-    if machine.is_member(machine.initial()):
+    if flags[0]:
         notes.append("the root itself is a member; ladder starts at level 1")
 
     for k in range(1, k_max + 1):
         base = level
-        eligible = [(ks, below) for ks, below in classes if k == 1 or not machine.is_member(ks)]
-        if not eligible:
+        if not any(classes.values()):
             frontier_empty_at = base
             notes.append(f"level {base} is fully contained in U")
             break
-        untouched = [ks for ks, below in eligible if not below and not machine.is_member(ks)]
+        untouched = [ks for (ks, below), count in classes.items() if count and not below]
         max_probe = min(U.depth_bound - base, _RHO_PROBE_LIMIT)
-        offset, definitive, scanned, reached = _first_member(
-            machine, {ks: 1 for ks, _below in eligible}, base, max_probe, cap
+        offset, definitive, scanned, classes, flags = _first_member(
+            machine, classes, flags, base, max_probe, cap
         )
-        classes = _advance(machine, classes, base, cap, scanned)
         level = base + scanned
         if offset is None:
             # a fixpoint proves the ladder ends; a spent budget leaves it open
@@ -831,8 +831,8 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
         rho.append(offset)
         eta.append(base + offset)
         if k == 1:
-            # the stage-1 probe starts from the root alone, with count 1
-            members = _members(machine, reached)
+            # the stage-1 scan starts from the root alone, with count 1
+            members = _members(classes, flags)
             p1_ok = members == 1
             if not p1_ok:
                 notes.append(f"{decimal(members)} members at level {eta[0]}, so (P1) fails")
@@ -840,7 +840,7 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
             # members at the new gap below each untouched frontier class;
             # none lies nearer, since untouched classes are eligible
             counts = [
-                _members(machine, _first_member(machine, {ks: 1}, base, offset, cap)[3])
+                _members(*_first_member(machine, {(ks, False): 1}, [False], base, offset, cap)[3:])
                 for ks in untouched
             ]
             if counts:
@@ -852,6 +852,8 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
                     divergence.append(k)
             else:
                 notes.append(f"stage {k} has an empty untouched frontier")
+        # the next stage searches below the non-member classes only
+        classes = {key: int(not member) for key, member in zip(classes, flags)}
     if len(rho) >= 2:
         p2_ok = not p2_failed
 

@@ -30,7 +30,7 @@ from phtree import (
     root,
     unboundedness_probe,
 )
-from phtree.ucp import VERDICT_NO_UCP, VERDICT_UCP
+from phtree.ucp import VERDICT_NO_UCP, VERDICT_UCP, _RhoGeneratedMachine
 
 P = GameParams(3, 0.5, 0.5)
 DELTA = 5 / 12
@@ -243,6 +243,16 @@ class TestSizeCap:
         with pytest.raises(CapacityError, match="level 5 scan needs 243 state classes"):
             compute_rho(self.NEVER, P, 3)
 
+    def test_compute_rho_caps_the_stage_class_map(self, monkeypatch):
+        # the stage's class map reaches 64 classes at level 6, a level
+        # before the states below its eligible classes do
+        U = SubsetSpec.predicate(
+            2, lambda v: v.level % 2 == 1 and sum(v.digits) % 2 == 0, depth_bound=7
+        )
+        monkeypatch.setenv("PHTREE_SIZE_CAP", "60")
+        with pytest.raises(CapacityError, match="level 6 scan needs 64 state classes"):
+            compute_rho(U, GameParams(2, 0.5, 0.5), 6)
+
     def test_within_cap_unchanged(self, monkeypatch):
         monkeypatch.setenv("PHTREE_SIZE_CAP", str(10**5))
         assert not density_check(self.NEVER, 0).dense_up_to
@@ -315,6 +325,59 @@ class TestExplicitTrie:
         for digits in probes + members:
             v = Vertex(m, digits)
             assert trie.contains(v) == oracle.contains(v)
+
+
+def _reference_ladder(m, members, k_max):
+    """The gap ladder by its definitions, from the member tuples alone."""
+    rho, eta, p2_failed, divergence = [], [], [], []
+    p1_ok = frontier_empty_at = None
+    terminated = False
+    base = 0
+    for k in range(1, k_max + 1):
+        level = itertools.product(range(m), repeat=base)
+        eligible = [v for v in level if k == 1 or v not in members]
+        if not eligible:
+            frontier_empty_at = base
+            break
+        offsets = [len(u) - base for u in members if len(u) > base and u[:base] in eligible]
+        if not offsets:
+            terminated = True
+            break
+        offset = min(offsets)
+        rho.append(offset)
+        eta.append(base + offset)
+        hits = [u for u in members if len(u) == base + offset]
+        if k == 1:
+            p1_ok = len(hits) == 1
+        else:
+            untouched = [v for v in eligible if not any(v[:j] in members for j in range(base))]
+            counts = [sum(u[:base] == v for u in hits) for v in untouched]
+            if any(c != 1 for c in counts):
+                p2_failed.append(k)
+            if counts and not any(counts):
+                divergence.append(k)
+        base += offset
+    return (
+        tuple(rho), tuple(eta), p1_ok, (not p2_failed) if len(rho) >= 2 else None,
+        tuple(p2_failed), tuple(divergence), frontier_empty_at, terminated,
+    )
+
+
+class TestLadderReference:
+    """compute_rho agrees with the ladder's definitions applied vertex by vertex."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_vertex_enumeration(self, data):
+        m = data.draw(st.sampled_from([2, 3]))
+        digits = st.lists(st.integers(0, m - 1), max_size=5).map(tuple)
+        members = data.draw(st.sets(digits, max_size=10))
+        k_max = data.draw(st.integers(1, 6))
+        r = compute_rho(SubsetSpec.explicit(m, members), GameParams(m, 0.5, 0.5), k_max)
+        assert (
+            r.rho, r.eta, r.p1_ok, r.p2_ok, r.p2_failed_stages, r.quantifier_divergence,
+            r.frontier_empty_at, r.ladder_terminated,
+        ) == _reference_ladder(m, members, k_max)
 
 
 class TestDensity:
@@ -439,6 +502,38 @@ class TestComputeRho:
         report = compute_rho(SubsetSpec.parse("rho:1,2;arith=1", 3), P, k_max=40)
         assert report.rho == tuple(range(1, 41))
         assert set(calls) >= set(range(1, 41)) and max(calls.values()) == 1
+
+    def test_each_stage_level_stepped_once(self, monkeypatch):
+        # one walk of the class map per stage plus the (P2) recounts; a
+        # probe and a second walk of every stage made 24,546 steps
+        calls = collections.Counter()
+        step = _RhoGeneratedMachine.step
+
+        def counting_step(machine, state, digit):
+            calls["step"] += 1
+            return step(machine, state, digit)
+
+        monkeypatch.setattr(_RhoGeneratedMachine, "step", counting_step)
+        compute_rho(SubsetSpec.parse("rho:1,2;arith=1", 3), P, k_max=40)
+        assert calls["step"] == 19_518
+
+    def test_membership_tested_once_per_class_and_level(self):
+        calls = collections.Counter()
+
+        def last_digit_zero(v):
+            calls[v.digits] += 1
+            return v.digits[-1:] == (0,)
+
+        U = SubsetSpec.predicate(2, last_digit_zero, depth_bound=9)
+        assert compute_rho(U, GameParams(2, 0.5, 0.5), 8).rho == (1,) * 8
+        # a predicate state is its vertex: every vertex to level 8 once, and
+        # the (P2) recount of each later stage tests the two children of its
+        # one untouched vertex (1,) * k again
+        recounted = {(1,) * k + (d,) for k in range(1, 8) for d in (0, 1)}
+        vertices = itertools.chain.from_iterable(
+            itertools.product((0, 1), repeat=level) for level in range(9)
+        )
+        assert calls == {v: 1 + (v in recounted) for v in vertices}
 
     def test_finite_pattern_still_raises_past_its_prefix(self):
         machine = SubsetSpec.parse("rho:1,2;finite", 3).machine
