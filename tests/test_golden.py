@@ -228,7 +228,7 @@ UCP_DESCRIPTORS = (
     "rho:1,4,1,8,1,16", "rho:1,2;arith=1", "rho:1,2,3;finite", "rho:2;geom=2",
     "rho:1,3;digit=1", "rho:2,1;finite;digit=1", "rho:3;arith=0", "rho:1;cycle",
 )
-UCP_MATRIX_DIGEST = "cb6a82e7f913bf5e2c9eecb25a959beceb0aef7d63b9ad93d66a97dce5c83caa"
+UCP_MATRIX_DIGEST = "4d0e2ab72a62a00d4f7c1ae9d3b8e0551344e955c3cc9e5fb2b488d148f853c1"
 
 
 def _ucp_subsets(m):
