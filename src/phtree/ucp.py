@@ -960,6 +960,11 @@ def criterion_verdict(
 # ----------------------------------------------------------------------
 
 
+def _stage_maxima(delta: float, terms: Iterable[int]) -> list[float]:
+    """M_0 = 1 and ``M_k = M_{k-1} / (1 - delta**rho_k)`` for the gaps `terms`."""
+    return list(accumulate((1.0 - delta**r for r in terms), truediv, initial=1.0))
+
+
 class CounterexampleField:
     """The bounded harmonious function vanishing on a gap-generated set.
 
@@ -987,8 +992,7 @@ class CounterexampleField:
 
     def _maxima(self, stages: int) -> list[float]:
         """M_0 = 1, M_1, ..., M_stages."""
-        factors = (1.0 - self.params.delta**r for r in self.pattern.terms(stages))
-        return list(accumulate(factors, truediv, initial=1.0))
+        return _stage_maxima(self.params.delta, self.pattern.terms(stages))
 
     @property
     def eta(self) -> tuple[int, ...]:
@@ -1128,13 +1132,7 @@ def unboundedness_probe(U: SubsetSpec, params: GameParams, k_stages: int) -> tup
         raise StructuralCheckError("the first-stage uniqueness check (P1) failed")
     if k_stages >= 2 and report.p2_ok is not True:
         raise StructuralCheckError("the per-frontier uniqueness check (P2) failed")
-    delta = params.delta
-    bounds = []
-    product = 1.0
-    for r in report.rho[:k_stages]:
-        product /= 1.0 - delta**r
-        bounds.append(product)
-    return tuple(bounds)
+    return tuple(_stage_maxima(params.delta, report.rho[:k_stages])[1:])
 
 
 # ----------------------------------------------------------------------
