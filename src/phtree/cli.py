@@ -16,7 +16,6 @@ import sys
 import click
 import numpy as np
 
-from . import _format
 from . import analysis as analysis_mod
 from . import game as game_mod
 from . import solver as solver_mod
@@ -43,6 +42,7 @@ def canonical_json(obj) -> bytearray:
     def put(obj, pad: str) -> None:
         child_pad = pad + "  "
         if isinstance(obj, np.ndarray):
+            from . import _format  # only float-level reports need its tables
             out.extend(b"[\n")
             _format.write_rows(out, [child_pad, obj, ",\n"])
             # no separator after the last item

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _format
 from .boundary import BoundarySpec, SampledBoundary, modulus_bound, sample_Fn
 from .capacity import blocks, max_level
 from .dpp import GameParams, operator_average
@@ -194,6 +193,7 @@ def field_to_csv(field: LevelField) -> bytearray:
     ``capacity.BLOCK`` rows at a time with its exact integer kernel, and
     falls back to the ``%`` operator for values outside its range.
     """
+    from . import _format  # only float-level reports need its tables
     text = bytearray(",".join(CSV_HEADER).encode() + b"\n")
     m = field.params.m
     for k, arr in enumerate(field.levels):

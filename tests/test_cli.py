@@ -2,10 +2,15 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import phtree
 from phtree import GameParams, check_field
 from phtree import solver as solver_mod
 from phtree.cli import canonical_json, main
@@ -29,6 +34,14 @@ def _level_4_set_file(tmp_path) -> str:
         encoding="utf-8",
     )
     return str(members)
+
+
+def test_cli_import_leaves_out_the_float_kernel():
+    """Only a report with float levels loads ``phtree._format`` and its tables."""
+    env = {**os.environ, "PYTHONPATH": str(Path(phtree.__file__).parents[1])}
+    code = "import sys, phtree.cli; print('phtree._format' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
 
 
 class TestFileErrors:
