@@ -25,6 +25,8 @@ from phtree import (
     compute_rho,
     criterion_verdict,
     density_check,
+    enumerate_level,
+    interval_of,
     pa_check,
     residual_at,
     root,
@@ -277,6 +279,65 @@ class TestWitnesses:
         gap = density_check(self.HOLED, 3).witness_gap
         assert gap.level == 3
         assert gap.left.as_fraction() == Fraction(19, 27)
+
+
+class TestWitnessOracle:
+    """Every reported witness is the first vertex, in index order, that the
+    scan's own definition accepts, found by enumerating the level."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_density_and_hitting(self, data):
+        m = data.draw(st.sampled_from([2, 3]))
+        digits = st.lists(st.integers(0, m - 1), max_size=5).map(tuple)
+        members = data.draw(st.sets(digits, max_size=10))
+        U = SubsetSpec.explicit(m, members)
+
+        def below(v, lookahead):  # the members strictly below v within lookahead levels
+            return [u for u in members if v.level < len(u) <= v.level + lookahead and u[: v.level] == v.digits]
+
+        r = data.draw(st.integers(0, 5))
+        # an interior image point: a member strictly below, off the all-zero path
+        gaps = [v for v in enumerate_level(m, r) if not any(any(u[r:]) for u in below(v, 5))]
+        result = density_check(U, r)
+        assert (result.dense_up_to, result.definitive) == (not gaps, True)
+        assert result.witness_gap == (interval_of(gaps[0]) if gaps else None)
+
+        n, depth = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 4))
+        scanned = [v for level in range(depth + 1) for v in enumerate_level(m, level)]
+        offsets = [min((len(u) - v.level for u in below(v, n)), default=None) for v in scanned]
+        result = pa_check(U, n, depth)
+        if None in offsets:
+            expected = (False, None, scanned[offsets.index(None)])
+        else:
+            expected = (True, max(offsets), None)
+        assert (result.holds, result.n, result.counterexample) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_class_representatives(self, data):
+        m = data.draw(st.sampled_from([2, 3]))
+        prefix = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        continuation = data.draw(st.sampled_from(["cycle", "arithmetic", "geometric"]))
+        step = data.draw(st.integers(int(continuation == "geometric"), 2))
+        digit = data.draw(st.integers(0, m - 1))
+        field = CounterexampleField(RhoPattern(prefix, continuation, step), GameParams(m, 0.5, 0.5), 6, digit)
+        U = field.subset()
+        machine = U.machine
+
+        def class_of(v):  # None at and below a member, else the automaton state
+            if any(U.contains(v.ancestor(level)) for level in range(v.level + 1)):
+                return None
+            state = machine.initial()
+            for d in v.digits:
+                state = machine.step(state, d)
+            return state
+
+        for level, reps in field.class_representatives(5):
+            first: dict = {}
+            for v in enumerate_level(m, level):
+                first.setdefault(class_of(v), v.digits)
+            assert list(reps.items()) == list(first.items())
 
 
 class _PrefixMachine:
