@@ -36,9 +36,9 @@ level at a time and stops where a class with a nonzero count is a member,
 at a repeated set of such states (on a ``fixpoint`` machine, proof that
 no member lies deeper) or at its offset budget.  The ladder runs one map
 per stage, count 1 on its eligible classes; the map it stops at gives the
-(P1) count and is the next stage's.  ``_advance`` keeps a witness vertex
-index per class for density, hitting and the counterexample's class walk.
-Only these two loops step a level at a time; both cap the whole map.
+(P1) count and is the next stage's.  ``_levels`` yields a {class: first
+vertex} map per level from the root, each vertex a (parent, digit) chain.
+It and ``_first_member`` are the only level loops; both cap each map.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from operator import truediv
 from pathlib import Path
 from typing import Callable, Iterable
@@ -62,7 +62,6 @@ from .tree import (
     _validate_branching,
     _validate_digits,
     interval_of,
-    vertex_from_index,
 )
 
 #: membership decidable at every depth
@@ -539,21 +538,28 @@ def _integer(value, what: str) -> int:
 # ----------------------------------------------------------------------
 
 
-def _advance(machine, classes: dict, level: int, cap: int, levels: int = 1) -> dict:
-    """Advance a class map of `level` by `levels` levels under the cap.  The
-    map sends (automaton state, has a member ancestor) to the level index of
-    the class's first vertex, its witness."""
-    m = machine.m
-    for _ in range(levels):
+def _levels(start, step, m: int, cap: int):
+    """Yield each level's map {class: first vertex} from the root down,
+    capping each.  A child's class is ``step(class, digit)``; a vertex is
+    the chain (parent's vertex, digit), the root's ``()``."""
+    classes, level = {start: ()}, 0
+    while True:
+        _check_scan_size(level, len(classes), cap)
+        yield classes
         new: dict = {}
-        for (ks, below), index in classes.items():
-            child_below = below or machine.is_member(ks)
+        for c, path in classes.items():
             for d in range(m):
-                new.setdefault((machine.step(ks, d), child_below), index * m + d)
-        level += 1
-        _check_scan_size(level, len(new), cap)
-        classes = new
-    return classes
+                new.setdefault(step(c, d), (path, d))
+        classes, level = new, level + 1
+
+
+def _vertex(m: int, path) -> Vertex:
+    """The vertex of a witness chain."""
+    digits = []
+    while path:
+        path, d = path
+        digits.append(d)
+    return Vertex._of(m, tuple(reversed(digits)))
 
 
 def _check_scan_size(level: int, size: int, cap: int) -> None:
@@ -653,18 +659,16 @@ def density_check(U: SubsetSpec, resolution_level: int) -> DensityResult:
             return DensityResult(True, None, resolution_level, True)
         witness = interval_of(Vertex(U.m, (0,) * resolution_level))
         return DensityResult(False, witness, resolution_level, True)
-    machine = U.machine
-    cap = size_cap()
-    classes = _advance(machine, {(machine.initial(), False): 0}, 0, cap, resolution_level)
+    machine, cap = U.machine, size_cap()
+    levels = _levels(machine.initial(), machine.step, U.m, cap)
     interior = _InteriorMachine(machine)
     max_offset = min(U.depth_bound - resolution_level, _DENSITY_OFFSET_LIMIT)
-    for (ks, _below), index in classes.items():
+    for ks, path in next(islice(levels, resolution_level, None)).items():
         offset, definitive = _first_member(
-            interior, {((ks, True), False): 1}, [False], resolution_level, max_offset, cap
+            interior, {((ks, True), True): 1}, [False], resolution_level, max_offset, cap
         )[:2]
         if offset is None:
-            witness = vertex_from_index(U.m, resolution_level, index)
-            return DensityResult(False, interval_of(witness), resolution_level, definitive)
+            return DensityResult(False, interval_of(_vertex(U.m, path)), resolution_level, definitive)
     return DensityResult(True, None, resolution_level, True)
 
 
@@ -688,23 +692,16 @@ def pa_check(U: SubsetSpec, n_max: int, scan_depth: int | None = None) -> PaResu
             f"scanning to level {scan_depth} with lookahead {n_max} exceeds "
             f"trusted depth {U.depth_bound}"
         )
-    machine = U.machine
-    cap = size_cap()
-    classes = {(machine.initial(), False): 0}
+    machine, cap = U.machine, size_cap()
+    levels = _levels(machine.initial(), machine.step, U.m, cap)
     worst = 0
-    for level in range(scan_depth + 1):
-        for (ks, _below), index in classes.items():
-            offset = _first_member(machine, {(ks, False): 1}, [machine.is_member(ks)], level, n_max, cap)[0]
+    for level, classes in zip(range(scan_depth + 1), levels):
+        for ks, path in classes.items():
+            # a probe that starts below a member keeps one class per state
+            offset = _first_member(machine, {(ks, True): 1}, [False], level, n_max, cap)[0]
             if offset is None:
-                return PaResult(
-                    holds=False,
-                    n=None,
-                    scan_depth=scan_depth,
-                    counterexample=vertex_from_index(U.m, level, index),
-                )
+                return PaResult(False, None, scan_depth, _vertex(U.m, path))
             worst = max(worst, offset)
-        if level < scan_depth:
-            classes = _advance(machine, classes, level, cap)
     return PaResult(holds=True, n=worst, scan_depth=scan_depth)
 
 
@@ -1011,16 +1008,24 @@ class CounterexampleField:
         """The generated set this field vanishes on."""
         return SubsetSpec.rho_generated(self.params.m, self.pattern, self.digit)
 
+    def _child(self, state, digit):
+        """The class of a child: None at and below a member, else its state.
+        The root's class is its state, which is never a member."""
+        if state is not None:
+            state = self._machine.step(state, digit)
+            if not self._machine.is_member(state):
+                return state
+        return None
+
     def value(self, v: Vertex) -> float:
         if v.m != self.params.m:
             raise ValidationError("vertex branching differs from the field's")
         # the machine folds cycle stages, so the stage comes from the level
         k = self.pattern.stages_to_depth(v.level)
-        machine, state, below = self._machine, self._machine.initial(), False
+        state = self._machine.initial()
         for d in v.digits:
-            below = below or machine.is_member(state)
-            state = machine.step(state, d)
-        if below or machine.is_member(state):
+            state = self._child(state, d)
+        if state is None:
             return 0.0
         if k == 0:
             return 1.0  # the root
@@ -1039,15 +1044,10 @@ class CounterexampleField:
         the first vertex of its level in each class.  Values and whole
         subtrees coincide within a class, so the representatives cover every
         vertex of their level."""
-        machine, m, cap = self._machine, self.params.m, size_cap()
-        classes = {(machine.initial(), False): 0}
-        for level in range(max_level + 1):
-            if level:
-                classes = _advance(machine, classes, level - 1, cap)
-            reps: dict = {}
-            for (ks, below), index in classes.items():
-                reps.setdefault(None if below or machine.is_member(ks) else ks, index)
-            yield level, {c: vertex_from_index(m, level, i).digits for c, i in reps.items()}
+        m = self.params.m
+        levels = _levels(self._machine.initial(), self._child, m, size_cap())
+        for level, classes in zip(range(max_level + 1), levels):
+            yield level, {c: _vertex(m, path).digits for c, path in classes.items()}
 
     def residual_certificate(self, max_level: int | None = None) -> "ResidualCertificate":
         """Max operator residual over all vertices up to `max_level`.

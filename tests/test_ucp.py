@@ -255,6 +255,13 @@ class TestSizeCap:
         with pytest.raises(CapacityError, match="level 6 scan needs 64 state classes"):
             compute_rho(U, GameParams(2, 0.5, 0.5), 6)
 
+    def test_density_and_hitting_count_one_class_per_state(self, monkeypatch):
+        # 3 states from level 1 on, but 6 (state, below a member) pairs at level 2
+        U = SubsetSpec.last_digit(3, 0)
+        monkeypatch.setenv("PHTREE_SIZE_CAP", "5")
+        assert density_check(U, 3).dense_up_to
+        assert pa_check(U, 3).n == 1
+
     def test_within_cap_unchanged(self, monkeypatch):
         monkeypatch.setenv("PHTREE_SIZE_CAP", str(10**5))
         assert not density_check(self.NEVER, 0).dense_up_to
