@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phtree
 from phtree import GameParams, check_field
@@ -355,6 +357,48 @@ def test_capacity_error_names_the_env_var(runner, tmp_path, monkeypatch, subcomm
     result = runner.invoke(main, [subcommand, "--m", "3", "--alpha", "0.5", *options])
     assert result.exit_code == 3
     assert result.stderr.rstrip("\n").endswith("(set PHTREE_SIZE_CAP to raise it)")
+
+
+# small numbers only, a repeat weighting the valid ones: a level in the
+# billions is a memory fault of its own
+_NUMBERS = st.sampled_from([*map(str, range(7)), "1", "2", "-1", "", "x", "1.5", " 2"])
+
+
+@st.composite
+def _set_descriptors(draw):
+    """A `--set` value of every kind, well formed or not."""
+    kind = draw(st.sampled_from(["rho", "full-levels", "last-digit", "digit-avoiding", "rho", "full-levels", ""]))
+    if kind in ("last-digit", "digit-avoiding"):
+        return f"{kind}:{draw(_NUMBERS)}"
+    numbers = ",".join(draw(st.lists(_NUMBERS, min_size=1, max_size=3)))
+    suffixes = ["finite", "cycle", "arith=", "geom=", "digit=", "doubling", "bogus"]
+    tail = "".join(
+        f";{s}{draw(_NUMBERS) if s.endswith('=') else ''}"
+        for s in draw(st.lists(st.sampled_from(suffixes), max_size=2))
+    )
+    return f"{kind}:{numbers}{tail}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    descriptor=_set_descriptors(),
+    m=st.sampled_from([2, 3, 4, 5, 2, 3, 1]),
+    alpha=st.sampled_from(["0.5", "0", "1", "0.3", "-0", "5e-324", "0.9999999999999999", "nan", "1.5", "x"]),
+    scans=st.tuples(*[st.sampled_from([*range(9), -1])] * 3),
+    cap=st.integers(1, 1000),
+)
+def test_ucp_fuzz(descriptor, m, alpha, scans, cap):
+    """Every `ucp` call exits 0 with strict JSON, or 2 or 3, never with a traceback."""
+    kmax, resolution, pa_nmax = map(str, scans)
+    result = CliRunner().invoke(main, [
+        "ucp", "--m", str(m), "--alpha", alpha, "--set", descriptor,
+        "--kmax", kmax, "--resolution", resolution, "--pa-nmax", pa_nmax,
+    ], env={"PHTREE_SIZE_CAP": str(cap)})
+    assert result.exit_code in (0, 2, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        json.loads(result.stdout, parse_constant=_reject_constant)
 
 
 class TestSimulate:
