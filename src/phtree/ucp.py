@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
-from itertools import accumulate, compress, islice
+from functools import cache, cached_property, reduce
+from itertools import accumulate, compress
 from operator import truediv
 from pathlib import Path
 from typing import Callable, Iterable
@@ -663,7 +663,9 @@ def density_check(U: SubsetSpec, resolution_level: int) -> DensityResult:
     levels = _levels(machine.initial(), machine.step, U.m, cap)
     interior = _InteriorMachine(machine)
     max_offset = min(U.depth_bound - resolution_level, _DENSITY_OFFSET_LIMIT)
-    for ks, path in next(islice(levels, resolution_level, None)).items():
+    for _ in range(resolution_level):  # islice takes no count past sys.maxsize
+        next(levels)
+    for ks, path in next(levels).items():
         offset, definitive = _first_member(
             interior, {((ks, True), True): 1}, [False], resolution_level, max_offset, cap
         )[:2]
@@ -1022,9 +1024,7 @@ class CounterexampleField:
             raise ValidationError("vertex branching differs from the field's")
         # the machine folds cycle stages, so the stage comes from the level
         k = self.pattern.stages_to_depth(v.level)
-        state = self._machine.initial()
-        for d in v.digits:
-            state = self._child(state, d)
+        state = reduce(self._child, v.digits, self._machine.initial())
         if state is None:
             return 0.0
         if k == 0:
