@@ -18,7 +18,6 @@ from .analysis import (
 from .boundary import BoundarySpec, SampledBoundary, eval_F, modulus_bound, sample_Fn
 from .dpp import (
     GameParams,
-    Residual,
     check_field,
     classify,
     dpp_average,
@@ -52,11 +51,9 @@ from .solver import (
     build_un,
     compare_fields,
     error_bound,
-    evaluate,
     solve_to_tolerance,
 )
 from .tree import (
-    ExactPoint,
     Interval,
     Vertex,
     enumerate_level,
@@ -95,7 +92,6 @@ __all__ = [
     "DensityResult",
     "DimensionResult",
     "DomainError",
-    "ExactPoint",
     "FixedDigitStrategy",
     "GameParams",
     "GreedyMaxStrategy",
@@ -108,7 +104,6 @@ __all__ = [
     "MissingValueError",
     "PHTreeError",
     "PaResult",
-    "Residual",
     "RhoPattern",
     "SampledBoundary",
     "SolveResult",
@@ -135,7 +130,6 @@ __all__ = [
     "error_bound",
     "estimate_value",
     "eval_F",
-    "evaluate",
     "fatou_dimension",
     "interval_of",
     "kl_minimization_oracle",

@@ -39,7 +39,6 @@ class BoundarySpec:
     ts: tuple[float, ...] | None = None
     vs: tuple[float, ...] | None = None
     lipschitz_bound: float | None = None
-    sup_norm: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_LINEAR, KIND_QUADRATIC, KIND_CONSTANT, KIND_TABULATED):
@@ -71,16 +70,16 @@ class BoundarySpec:
     @classmethod
     def linear(cls) -> "BoundarySpec":
         """F(t) = t."""
-        return cls(kind=KIND_LINEAR, lipschitz_bound=1.0, sup_norm=1.0)
+        return cls(kind=KIND_LINEAR, lipschitz_bound=1.0)
 
     @classmethod
     def quadratic_centered(cls) -> "BoundarySpec":
         """F(t) = (t - 1/2)**2."""
-        return cls(kind=KIND_QUADRATIC, lipschitz_bound=1.0, sup_norm=0.25)
+        return cls(kind=KIND_QUADRATIC, lipschitz_bound=1.0)
 
     @classmethod
     def constant(cls, c: float) -> "BoundarySpec":
-        return cls(kind=KIND_CONSTANT, value=float(c), lipschitz_bound=0.0, sup_norm=abs(float(c)))
+        return cls(kind=KIND_CONSTANT, value=float(c), lipschitz_bound=0.0)
 
     @classmethod
     def tabulated(
@@ -101,13 +100,7 @@ class BoundarySpec:
             if len(ts) != len(vs) or len(ts) < 2:
                 raise ValidationError("tabulated boundary needs matching t/value samples")
             lipschitz_bound = _max_slope(ts, vs)
-        return cls(
-            kind=KIND_TABULATED,
-            ts=ts,
-            vs=vs,
-            lipschitz_bound=lipschitz_bound,
-            sup_norm=max(abs(v) for v in vs),
-        )
+        return cls(kind=KIND_TABULATED, ts=ts, vs=vs, lipschitz_bound=lipschitz_bound)
 
     @classmethod
     def from_csv(cls, source) -> "BoundarySpec":
@@ -192,7 +185,6 @@ class SampledBoundary:
     m: int
     n: int
     values: np.ndarray = field(repr=False)
-    spec: BoundarySpec | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -212,7 +204,7 @@ def sample_Fn(spec: BoundarySpec, m: int, n: int) -> SampledBoundary:
     # a block of t at a time: each sample is the same element-wise arithmetic
     for block in blocks(count):
         values[block] = eval_F(spec, np.arange(block.start, block.stop, dtype=float) / float(m**n))
-    return SampledBoundary(m=m, n=n, values=values, spec=spec)
+    return SampledBoundary(m=m, n=n, values=values)
 
 
 def modulus_bound(spec: BoundarySpec, scale: float) -> float:

@@ -67,13 +67,6 @@ class GameParams:
         return 1.0 - self.theta
 
 
-@dataclass(frozen=True)
-class Residual:
-    """Operator average of the successor values minus the value at the vertex."""
-
-    value: float
-
-
 def dpp_average(params: GameParams, succ_values: Sequence[float]) -> float:
     """Apply the averaging operator to exactly m successor values.
 
@@ -121,7 +114,7 @@ def operator_average(params: GameParams, values: np.ndarray) -> np.ndarray:
 
 def residual_at(
     field: Callable[[Vertex], float], v: Vertex, params: GameParams
-) -> Residual:
+) -> float:
     """Residual of `field` at vertex `v`: average over S(v) minus field(v).
 
     The field must be defined at `v` and at all of its successors; an
@@ -141,7 +134,7 @@ def residual_at(
 
     centre = probe(v)
     succ = [probe(y) for y in v.successors()]
-    return Residual(dpp_average(params, succ) - centre)
+    return dpp_average(params, succ) - centre
 
 
 def classify(
@@ -156,7 +149,7 @@ def classify(
     subharmonious side; nonpositive is the superharmonious side; within
     tol of zero is harmonious.
     """
-    r = residual_at(field, v, params).value
+    r = residual_at(field, v, params)
     if abs(r) <= tol:
         return HARMONIOUS
     return SUBHARMONIOUS if r > 0 else SUPERHARMONIOUS

@@ -198,7 +198,6 @@ class McEstimate:
     mean: float
     std_error: float
     plays: int
-    params: GameParams
     truncation_depth: int
 
 
@@ -297,7 +296,7 @@ def estimate_value(
             f"the estimate is not finite (mean {mean}, standard error {std_error}); "
             f"the payoffs overflow float64"
         )
-    return McEstimate(mean, std_error, plays=plays, params=params, truncation_depth=depth)
+    return McEstimate(mean, std_error, plays=plays, truncation_depth=depth)
 
 
 def truncation_error(spec: BoundarySpec, params: GameParams, depth: int) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundarySpec, SampledBoundary, modulus_bound, sample_Fn
+from .boundary import BoundarySpec, modulus_bound, sample_Fn
 from .capacity import blocks, max_level
 from .dpp import GameParams, operator_average
 from .errors import ContractViolationError, UnsupportedError, ValidationError
@@ -38,7 +38,6 @@ class LevelField:
     params: GameParams
     n: int
     levels: tuple[np.ndarray, ...]
-    boundary: SampledBoundary
 
     def __post_init__(self) -> None:
         if len(self.levels) != self.n + 1:
@@ -89,11 +88,7 @@ def build_un(spec: BoundarySpec, params: GameParams, n: int) -> LevelField:
             f"field is not finite (root value {levels[0][0]}): the boundary data is "
             f"non-finite or the sweep overflowed"
         )
-    return LevelField(params=params, n=n, levels=tuple(levels), boundary=sampled)
-
-
-def evaluate(field: LevelField, v: Vertex) -> float:
-    return field.value(v)
+    return LevelField(params=params, n=n, levels=tuple(levels))
 
 
 def error_bound(spec: BoundarySpec, params: GameParams, n: int) -> float:
@@ -228,8 +223,7 @@ def field_from_csv(source, params: GameParams) -> LevelField:
         if entries.keys() != set(range(m**k)):
             raise ValidationError(f"level {k} must hold the indices 0..{m**k - 1}")
         levels.append(np.array([entries[j] for j in range(m**k)], dtype=float))
-    boundary = SampledBoundary(m=m, n=n, values=levels[-1], spec=None)
-    return LevelField(params=params, n=n, levels=tuple(levels), boundary=boundary)
+    return LevelField(params=params, n=n, levels=tuple(levels))
 
 
 def field_to_json_obj(field: LevelField) -> dict:

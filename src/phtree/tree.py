@@ -4,8 +4,8 @@ A vertex is a finite digit sequence over ``{0, ..., m-1}`` (the empty
 sequence is the root).  Each vertex ``x`` at level ``k`` owns the closed
 interval ``[psi(x), psi(x) + m**-k]`` of the unit segment, where ``psi``
 sends a digit sequence to the number it expands in base ``m``.  All
-geometry here is exact: interval endpoints are dyadic-style rationals
-``numerator / m**level`` and distances are ``fractions.Fraction`` values.
+geometry here is exact: ``psi``, interval endpoints and distances are
+``fractions.Fraction`` values, the rationals ``index / m**level``.
 
 All types are immutable; all operations are pure.
 """
@@ -143,92 +143,30 @@ def parse_vertex(text: str, m: int) -> Vertex:
 
 
 @dataclass(frozen=True)
-class ExactPoint:
-    """The rational ``numerator / m**level``, kept exact.
-
-    Equality is arithmetic: ``a/m**j == b/m**k`` iff ``a*m**k == b*m**j``,
-    so the same point at different levels compares equal.
-    """
-
-    m: int
-    numerator: int
-    level: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", _validate_branching(self.m))
-        if self.level < 0:
-            raise ValidationError(f"level must be >= 0, got {self.level}")
-        if not 0 <= self.numerator <= self.m**self.level:
-            raise ValidationError(
-                f"numerator {self.numerator} outside [0, {self.m}**{self.level}]"
-            )
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.m**self.level)
-
-    def as_float(self) -> float:
-        return self.numerator / self.m**self.level
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ExactPoint):
-            if self.m != other.m:
-                return self.as_fraction() == other.as_fraction()
-            return (
-                self.numerator * other.m**other.level
-                == other.numerator * self.m**self.level
-            )
-        if isinstance(other, (int, Fraction)):
-            return self.as_fraction() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.as_fraction())
-
-    def __lt__(self, other: "ExactPoint | Fraction | int") -> bool:
-        other_value = other.as_fraction() if isinstance(other, ExactPoint) else other
-        return self.as_fraction() < other_value
-
-    def __le__(self, other: "ExactPoint | Fraction | int") -> bool:
-        other_value = other.as_fraction() if isinstance(other, ExactPoint) else other
-        return self.as_fraction() <= other_value
-
-
-@dataclass(frozen=True)
 class Interval:
-    """The closed interval ``[left, left + m**-level]`` owned by a vertex."""
+    """The closed interval ``[left, left + width]`` owned by a vertex."""
 
-    left: ExactPoint
-    level: int
-
-    @property
-    def m(self) -> int:
-        return self.left.m
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(1, self.m**self.level)
+    left: Fraction
+    width: Fraction
 
     @property
     def right(self) -> Fraction:
-        return self.left.as_fraction() + self.width
+        return self.left + self.width
 
     def contains_interval(self, other: "Interval") -> bool:
-        return (
-            self.left.as_fraction() <= other.left.as_fraction()
-            and other.right <= self.right
-        )
+        return self.left <= other.left and other.right <= self.right
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"[{self.left.as_fraction()}, {self.right}]"
+        return f"[{self.left}, {self.right}]"
 
 
-def psi(v: Vertex) -> ExactPoint:
+def psi(v: Vertex) -> Fraction:
     """Base-m expansion of a vertex's digits: ``sum a_j * m**-j`` exactly."""
-    return ExactPoint(v.m, v.index, v.level)
+    return Fraction(v.index, v.m**v.level)
 
 
 def interval_of(v: Vertex) -> Interval:
-    return Interval(psi(v), v.level)
+    return Interval(psi(v), Fraction(1, v.m**v.level))
 
 
 def tree_distance(

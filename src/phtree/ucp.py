@@ -755,7 +755,7 @@ class UcpReport:
                 None
                 if self.density is None or self.density.witness_gap is None
                 else {
-                    "left": self.density.witness_gap.left.as_float(),
+                    "left": float(self.density.witness_gap.left),
                     "right": float(self.density.witness_gap.right),
                 }
             ),
@@ -1071,7 +1071,7 @@ class CounterexampleField:
         for level, reps in self.class_representatives(max_level):
             for rep in reps.values():
                 classes += 1
-                r = residual_at(self.value, Vertex(self.params.m, rep), self.params).value
+                r = residual_at(self.value, Vertex(self.params.m, rep), self.params)
                 if abs(r) > worst:
                     worst = abs(r)
                     worst_vertex = Vertex(self.params.m, rep)

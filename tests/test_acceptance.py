@@ -321,7 +321,7 @@ def test_criterion_11_structural_examples():
     density = density_check(SubsetSpec.digit_avoiding(3, 1), 1)
     density_ok = (
         not density.dense_up_to
-        and density.witness_gap.left.as_float() == pytest.approx(1 / 3)
+        and float(density.witness_gap.left) == pytest.approx(1 / 3)
         and float(density.witness_gap.right) == pytest.approx(2 / 3)
     )
     hitting = pa_check(SubsetSpec.last_digit(3, 0), n_max=4)

@@ -44,7 +44,6 @@ class TestEval:
         assert eval_F(spec, 0.25) == pytest.approx(0.5)
         assert eval_F(spec, 0.5) == pytest.approx(1.0)
         assert spec.lipschitz_bound == pytest.approx(2.0)
-        assert spec.sup_norm == pytest.approx(1.0)
 
     def test_vector_evaluation(self):
         spec = BoundarySpec.quadratic_centered()

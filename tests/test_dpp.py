@@ -193,7 +193,7 @@ def _const_field(c):
 class TestResidualAndClassify:
     def test_constant_field_residual_zero(self):
         for v in (root(3), Vertex(3, (0, 2))):
-            assert residual_at(_const_field(1.7), v, P).value == pytest.approx(0.0, abs=1e-15)
+            assert residual_at(_const_field(1.7), v, P) == pytest.approx(0.0, abs=1e-15)
             assert classify(_const_field(1.7), v, P) == HARMONIOUS
 
     def test_level_one_hand_residual(self):
@@ -201,7 +201,7 @@ class TestResidualAndClassify:
             return {(): 0.0, (0,): 0.0, (1,): 1 / 3, (2,): 2 / 3}[v.digits]
 
         r = residual_at(field, root(3), P)
-        assert r.value == pytest.approx(1 / 3, abs=1e-14)
+        assert r == pytest.approx(1 / 3, abs=1e-14)
 
     def test_solver_field_is_harmonious(self):
         field = build_un(BoundarySpec.linear(), P, 4)
@@ -212,7 +212,7 @@ class TestResidualAndClassify:
         # value +level sits below its successor average by exactly 1
         field = lambda v: float(v.level)
         r = residual_at(field, Vertex(3, (1, 2)), P)
-        assert r.value == pytest.approx(1.0, abs=1e-14)
+        assert r == pytest.approx(1.0, abs=1e-14)
         assert classify(field, Vertex(3, (1, 2)), P) == SUBHARMONIOUS
 
     def test_decreasing_field_is_superharmonious(self):
@@ -252,7 +252,6 @@ class TestCheckField:
             params=field.params,
             n=field.n,
             levels=tuple(levels),
-            boundary=field.boundary,
         )
         report = check_field(corrupted, P)
         assert report.worst_vertex == Vertex(3, (1, 1))  # parent of leaf 13

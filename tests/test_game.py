@@ -54,7 +54,7 @@ class TestPlayOnce:
         assert forced.moves_random == 0
         assert forced.moves_player_i + forced.moves_player_ii == 9 * 100
         x_n = Vertex(3, (1,) + (2,) * 9)
-        assert set(forced.payoffs.tolist()) == {float(psi(x_n).as_fraction())}
+        assert set(forced.payoffs.tolist()) == {float(psi(x_n))}
 
 
 class TestStrategies:
@@ -74,7 +74,6 @@ class TestStrategies:
         scaled_levels = tuple(3.7 * arr for arr in field.levels)
         scaled = type(field)(
             params=field.params, n=field.n, levels=scaled_levels,
-            boundary=field.boundary,
         )
         for digits in [(), (0,), (2, 1), (1, 0, 2)]:
             history = (Vertex(3, digits),)
@@ -113,7 +112,7 @@ class TestStrategies:
         rng = np.random.default_rng(seed)
         field = build_un(LINEAR, GameParams(m, 0.5, 0.5), n)
         levels = tuple(rng.integers(-2, 3, size=m**k).astype(float) for k in range(n + 1))
-        field = type(field)(params=field.params, n=n, levels=levels, boundary=field.boundary)
+        field = type(field)(params=field.params, n=n, levels=levels)
         level = data.draw(st.integers(0, n + 1))
         indices = np.array(
             data.draw(st.lists(st.integers(0, m**level - 1), min_size=1, max_size=30)),

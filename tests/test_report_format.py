@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phtree import BoundarySpec, GameParams, build_un, capacity
-from phtree.boundary import SampledBoundary
 from phtree.cli import canonical_json
 from phtree.solver import LevelField, field_to_csv
 
@@ -87,8 +86,7 @@ def fields(draw):
         for k in range(n + 1)
     )
     params = GameParams(m, 0.5, 0.5)
-    boundary = SampledBoundary(m=m, n=n, values=levels[-1])
-    return LevelField(params=params, n=n, levels=levels, boundary=boundary)
+    return LevelField(params=params, n=n, levels=levels)
 
 
 @settings(max_examples=100, deadline=None)

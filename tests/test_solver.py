@@ -18,9 +18,9 @@ from phtree import (
     check_field,
     compare_fields,
     error_bound,
-    evaluate,
     psi,
     root,
+    sample_Fn,
     solve_to_tolerance,
 )
 from phtree.solver import field_from_csv, field_to_csv, field_to_json_obj
@@ -48,7 +48,7 @@ class TestBuildUn:
 
     def test_leaf_level_is_boundary(self):
         field = build_un(LINEAR, P, 3)
-        np.testing.assert_array_equal(field.levels[3], field.boundary.values)
+        np.testing.assert_array_equal(field.levels[3], sample_Fn(LINEAR, 3, 3).values)
 
     def test_local_invariant(self):
         field = build_un(BoundarySpec.quadratic_centered(), P, 5)
@@ -70,15 +70,15 @@ class TestBuildUn:
 class TestEvaluate:
     def test_deep_vertex_uses_ancestor(self):
         field = build_un(LINEAR, P, 2)
-        assert evaluate(field, Vertex(3, (0, 0, 1, 2))) == pytest.approx(0.0)
+        assert field.value(Vertex(3, (0, 0, 1, 2))) == pytest.approx(0.0)
 
     def test_root(self):
         field = build_un(LINEAR, P, 2)
-        assert evaluate(field, root(3)) == field.levels[0][0]
+        assert field.value(root(3)) == field.levels[0][0]
 
     def test_constant_deep(self):
         field = build_un(BoundarySpec.constant(-1.5), P, 2)
-        assert evaluate(field, Vertex(3, (2, 1, 0, 2, 1))) == -1.5
+        assert field.value(Vertex(3, (2, 1, 0, 2, 1))) == -1.5
 
     def test_wrong_branching_rejected(self):
         field = build_un(LINEAR, P, 2)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from phtree import (
     CapacityError,
-    ExactPoint,
     ValidationError,
     Vertex,
     enumerate_level,
@@ -119,39 +118,33 @@ class TestPsi:
 
     def test_hand_evaluation(self):
         # 0/3 + 2/9
-        assert psi(Vertex(3, (0, 2))).as_fraction() == Fraction(2, 9)
+        assert psi(Vertex(3, (0, 2))) == Fraction(2, 9)
 
     def test_left_interval_of_last_digit(self):
         # the third level-1 interval is [2/3, 1]
-        assert psi(Vertex(3, (2,))).as_fraction() == Fraction(2, 3)
+        assert psi(Vertex(3, (2,))) == Fraction(2, 3)
 
     def test_exact_point_cross_level_equality(self):
-        assert ExactPoint(3, 2, 2) == ExactPoint(3, 6, 3)  # 2/9 == 6/27
-        assert hash(ExactPoint(3, 2, 2)) == hash(ExactPoint(3, 6, 3))
-        assert ExactPoint(3, 1, 1) != ExactPoint(3, 2, 2)
-        assert ExactPoint(3, 1, 2) < ExactPoint(3, 2, 2)
-
-    def test_exact_point_validation(self):
-        with pytest.raises(ValidationError):
-            ExactPoint(3, 10, 2)  # 10 > 9
-        with pytest.raises(ValidationError):
-            ExactPoint(3, -1, 2)
+        assert psi(Vertex(3, (0, 2))) == psi(Vertex(3, (0, 2, 0)))  # 2/9 == 6/27
+        assert hash(psi(Vertex(3, (0, 2)))) == hash(psi(Vertex(3, (0, 2, 0))))
+        assert psi(Vertex(3, (1,))) != psi(Vertex(3, (0, 2)))
+        assert psi(Vertex(3, (0, 1))) < psi(Vertex(3, (0, 2)))
 
 
 class TestInterval:
     def test_root_interval_is_unit(self):
         iv = interval_of(root(3))
-        assert iv.left.as_fraction() == 0
+        assert iv.left == 0
         assert iv.right == 1
 
     def test_first_child_interval(self):
         iv = interval_of(Vertex(3, (0,)))
-        assert iv.left.as_fraction() == 0
+        assert iv.left == 0
         assert iv.right == Fraction(1, 3)
 
     def test_hand_interval(self):
         iv = interval_of(Vertex(3, (0, 2)))
-        assert iv.left.as_fraction() == Fraction(2, 9)
+        assert iv.left == Fraction(2, 9)
         assert iv.right == Fraction(1, 3)
         assert iv.width == Fraction(1, 9)
 
@@ -164,7 +157,7 @@ class TestInterval:
                 assert all(parent_iv.contains_interval(iv) for iv in succ_ivs)
                 # consecutive children meet exactly at endpoints
                 for left, right in zip(succ_ivs, succ_ivs[1:]):
-                    assert left.right == right.left.as_fraction()
+                    assert left.right == right.left
                 assert succ_ivs[0].left == parent_iv.left
                 assert succ_ivs[-1].right == parent_iv.right
 
@@ -240,10 +233,10 @@ class TestEnumerateLevel:
         level2 = list(enumerate_level(3, 2))
         assert len(level2) == 9
         assert level2[4].digits == (1, 1)
-        assert psi(level2[4]).as_fraction() == Fraction(4, 9)
+        assert psi(level2[4]) == Fraction(4, 9)
         for k in range(5):
             for j, v in enumerate(enumerate_level(3, k)):
-                assert psi(v).as_fraction() == Fraction(j, 3**k)
+                assert psi(v) == Fraction(j, 3**k)
 
     def test_capacity_error_names_cap(self, monkeypatch):
         monkeypatch.setenv("PHTREE_SIZE_CAP", "1000")

@@ -284,8 +284,8 @@ class TestWitnesses:
 
     def test_density_witness_gap(self):
         gap = density_check(self.HOLED, 3).witness_gap
-        assert gap.level == 3
-        assert gap.left.as_fraction() == Fraction(19, 27)
+        assert gap.width == Fraction(1, 3**3)
+        assert gap.left == Fraction(19, 27)
 
 
 class TestWitnessOracle:
@@ -454,7 +454,7 @@ class TestDensity:
         assert not result.dense_up_to
         assert result.definitive
         gap = result.witness_gap
-        assert gap.left.as_fraction() == Fraction(1, 3)
+        assert gap.left == Fraction(1, 3)
         assert gap.right == Fraction(2, 3)
 
     def test_last_digit_dense(self):
@@ -760,7 +760,7 @@ class TestCounterexample:
             seen_values = set()
             for digits in itertools.product(range(3), repeat=level):
                 v = Vertex(3, digits)
-                worst = max(worst, abs(residual_at(field.value, v, P).value))
+                worst = max(worst, abs(residual_at(field.value, v, P)))
                 seen_values.add(round(field.value(v), 12))
             rep_values = {
                 round(field.value(Vertex(3, rep)), 12)
