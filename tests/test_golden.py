@@ -228,7 +228,7 @@ UCP_DESCRIPTORS = (
     "rho:1,4,1,8,1,16", "rho:1,2;arith=1", "rho:1,2,3;finite", "rho:2;geom=2",
     "rho:1,3;digit=1", "rho:2,1;finite;digit=1", "rho:3;arith=0", "rho:1;cycle",
 )
-UCP_MATRIX_DIGEST = "411c3a0508c6a10bbd2de1d5b4326c09983c64d2e26bcfeb4ac4f500317fca57"
+UCP_MATRIX_DIGEST = "c8aa8bc5ae6d1cf8965b3bda825dbd6c8486a7e9e361ef5934c2012a56af6046"
 
 
 def _ucp_subsets(m):
