@@ -129,14 +129,10 @@ def _put_floats(out: np.ndarray, x: np.ndarray) -> None:
     zero = a == 0.0
     fixed = (a >= _TENS[0]) & (a < _TENS[-1])
     other = np.flatnonzero(~(fixed | zero))
-    if other.size < len(x):
-        # rows outside the range get the digits of 1.0, overwritten below
-        _put_fixed(out, x, np.where(fixed, a, 1.0), zero)
-        if other.size:
-            _put_fallback(out, other, x[other].tolist())
-    else:
-        # no value in range: format them all, with no gather
-        _put_fallback(out, slice(None), x.tolist())
+    # rows outside the range get the digits of 1.0, overwritten below
+    _put_fixed(out, x, np.where(fixed, a, 1.0), zero)
+    if other.size:
+        _put_fallback(out, other, x[other].tolist())
 
 
 def _put_fallback(out: np.ndarray, rows, values: list[float]) -> None:
