@@ -41,24 +41,26 @@ class DimensionResult:
 
 
 def fatou_dimension(params: GameParams) -> DimensionResult:
-    """Evaluate the closed form for the minimal dimension."""
+    """Evaluate the closed form for the minimal dimension.
+
+    Pure averaging (alpha = 0) gives gamma = 1 and dimension 1 exactly.  A
+    branching factor so large that the float closed form under- or
+    overflows is refused, not reported as inf or NaN.
+    """
     m, a, b = params.m, params.alpha, params.beta
     e_neg = (m * a + 2.0 * (m - 1) * b) / (2.0 * m)
     e_pos = (m * a + 2.0 * b) / (2.0 * m)
-    if a == 0.0:
-        # pure averaging: gamma = 1 exactly and the dimension is 1 for every m
-        return DimensionResult(
-            m=m,
-            alpha=a,
-            beta=b,
-            gamma=1.0,
-            exponent_neg=e_neg,
-            exponent_pos=e_pos,
-            objective=float(m),
-            dimension=1.0,
-        )
     gamma = (m * a + 2.0 * (m - 1) * b) / ((m - 1) * (m * a + 2.0 * b))
-    objective = gamma**-e_neg + (m - 1) * gamma**e_pos
+    try:
+        objective = gamma**-e_neg + (m - 1) * gamma**e_pos
+        dimension = math.log(objective) / math.log(m)
+    except ArithmeticError:  # gamma underflowed to 0.0 or its power overflows
+        objective = dimension = math.nan
+    if not math.isfinite(dimension):
+        raise ValidationError(
+            f"the closed form is not finite in float arithmetic at m = about "
+            f"10**{math.log10(m):.0f} (gamma {gamma})"
+        )
     return DimensionResult(
         m=m,
         alpha=a,
@@ -67,7 +69,7 @@ def fatou_dimension(params: GameParams) -> DimensionResult:
         exponent_neg=e_neg,
         exponent_pos=e_pos,
         objective=objective,
-        dimension=math.log(objective) / math.log(m),
+        dimension=dimension,
     )
 
 

@@ -14,6 +14,7 @@ the sub/super variants.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,7 +42,8 @@ class GameParams:
     alpha + beta = 1, delta lies in [1/m, 1/2].
 
     The endpoints alpha=1 (pure tug-of-war) and alpha=0 (pure averaging)
-    are accepted.
+    are accepted.  m may not exceed the largest float, since the weights
+    are float arithmetic on it.
     """
 
     m: int
@@ -50,6 +52,11 @@ class GameParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _validate_branching(self.m))
+        if self.m > sys.float_info.max:
+            raise ValidationError(
+                f"branching factor m must be at most the largest float, "
+                f"{sys.float_info.max:.17g}; got about 10**{math.log10(self.m):.0f}"
+            )
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")

@@ -17,9 +17,17 @@ from phtree import (
 class TestClosedForm:
     def test_pure_average_dimension_is_one(self):
         for m in (2, 3, 7, 100):
-            result = fatou_dimension(GameParams(m, 0.0, 1.0))
-            assert result.gamma == 1.0
-            assert result.dimension == 1.0
+            for beta in (1.0, 1 - 1e-13):
+                result = fatou_dimension(GameParams(m, 0.0, beta))
+                assert result.gamma == 1.0
+                assert result.objective == m
+                assert result.dimension == 1.0
+
+    def test_float_overflow_is_refused(self):
+        # gamma underflows to 0.0 at m = 10**155 and is NaN at m = 10**308
+        for m, alpha in ((10**155, 0.5), (10**308, 0.5), (10**308, 0.0)):
+            with pytest.raises(ValidationError, match="not finite in float arithmetic"):
+                fatou_dimension(GameParams(m, alpha, 1.0 - alpha))
 
     def test_pure_tug_m3(self):
         result = fatou_dimension(GameParams(3, 1.0, 0.0))

@@ -401,6 +401,130 @@ def test_ucp_fuzz(descriptor, m, alpha, scans, cap):
         json.loads(result.stdout, parse_constant=_reject_constant)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # gamma underflows to 0.0
+        ["dim", "--m", str(10**155), "--alpha", "0.5"],
+        # gamma is NaN
+        ["dim", "--m", str(10**308), "--alpha", "0.5"],
+        # m itself is past the largest float
+        ["dim", "--m", str(10**309), "--alpha", "0.5"],
+        ["ucp", "--m", str(10**400), "--alpha", "0.5", "--set", "rho:1"],
+        ["solve", "--m", str(10**309), "--alpha", "0.5", "--boundary", "linear", "--n", "1"],
+        ["simulate", "--m", str(10**309), "--alpha", "0.5", "--boundary", "linear"],
+    ],
+    ids=["dim-1e155", "dim-1e308", "dim-1e309", "ucp-1e400", "solve-1e309", "simulate-1e309"],
+)
+def test_branching_too_large_for_floats_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no uncaught exception
+    assert result.stdout == ""
+    assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def boundary_files(tmp_path_factory):
+    """CSV boundary files, well formed or not, by name."""
+    root = tmp_path_factory.mktemp("boundaries")
+    contents = {
+        "ramp.csv": "t,value\n0,0\n0.5,2\n1,-1\n",
+        "nan.csv": "t,value\n0,0\n0.5,nan\n1,1\n",
+        "huge.csv": "t,value\n0,-1.7e308\n1,1.7e308\n",
+        "unsorted.csv": "t,value\n0,0\n0.7,1\n0.3,1\n1,0\n",
+        "header.csv": "x,y\n0,0\n1,1\n",
+        "empty.csv": "",
+    }
+    for name, text in contents.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return {name: str(root / name) for name in contents}
+
+
+def _mostly(valid, invalid):
+    """A draw from the list `valid` seven times in eight, else from the
+    strategy `invalid`: most calls get far enough to write a report."""
+    # st.one_of would draw each distinct branch about equally often
+    return st.sampled_from([True] * 7 + [False]).flatmap(
+        lambda ok: st.sampled_from(valid) if ok else invalid
+    )
+
+
+_SMALL_M = [2, 3, 4, 5]
+# 2**1023 - 2**969 + 1 is the least m whose pure-averaging closed form
+# overflows, int(float max) + 1 the least m that GameParams refuses
+_ODD_M = st.one_of(
+    st.sampled_from([1, 0, -1, 2**1023 - 2**969, 2**1023 - 2**969 + 1, int(sys.float_info.max) + 1]),
+    st.integers(0, 420).map(lambda k: 10**k),
+    st.integers(6, 10**420),
+)
+
+
+@st.composite
+def _solve_simulate_dim_calls(draw):
+    """A `solve`, `simulate` or `dim` call: its command-line tail, as strings."""
+    command = draw(st.sampled_from(["solve", "simulate", "dim"]))
+    # dim is cheap at any m, so half its calls get an odd one
+    m = draw(st.one_of(st.sampled_from(_SMALL_M), _ODD_M) if command == "dim" else _mostly(_SMALL_M, _ODD_M))
+    alpha = _mostly(["0.5", "0", "1", "0.3", "-0", "5e-324", "1e-13", "0.9999999999999999"],
+                    st.sampled_from(["nan", "inf", "1.5", "x"]))
+    args = [command, "--m", str(m), "--alpha", draw(alpha)]
+    if draw(st.integers(0, 3)) == 0:
+        args += ["--beta", draw(st.sampled_from(["0.5", "0", "1", "0.7", "1e-13", "nan", "-0.5", "x"]))]
+    if command == "dim":
+        return args
+    args += ["--boundary", draw(_mostly(
+        ["linear", "quadratic-centered", "constant:2.5", "constant:-0", "ramp.csv"],
+        st.sampled_from([
+            "constant:1.7e308", "constant:nan", "constant:x", "cubic", "nan.csv", "huge.csv",
+            "unsorted.csv", "header.csv", "empty.csv", "missing.csv",
+        ]),
+    ))]
+    if command == "solve":
+        if draw(st.booleans()):
+            args += ["--n", draw(_mostly([*map(str, range(1, 6))], st.sampled_from(["0", "-1", "x"])))]
+        else:
+            args += ["--tol", draw(_mostly(["0.1", "1e-3", "0.5", "1e-300"], st.sampled_from(["0", "-1", "inf", "nan"])))]
+        return args + ["--format", draw(st.sampled_from(["json", "csv"]))]
+    strategies = _mostly(["greedy-max", "greedy-min", "random:1", "fixed:0"],
+                         st.sampled_from(["fixed:9", "random:-1", "bogus"]))
+    return args + [
+        "--plays", draw(_mostly(["2", "10", "100"], st.sampled_from(["0", "1", "-1"]))),
+        "--depth", draw(_mostly(["1", "3", "5"], st.sampled_from(["0", "-1", "x"]))),
+        "--seed", draw(_mostly(["0", "7", str(2**64)], st.just("-1"))),
+        "--x0", draw(_mostly(["", "0", "1.0"], st.sampled_from(["4", "x", "0..1"]))),
+        "--advice-n", draw(_mostly(["1", "3", "5"], st.sampled_from(["0", "-1", "40"]))),
+        "--strategy-i", draw(strategies),
+        "--strategy-ii", draw(strategies),
+    ]
+
+
+def _option(args, name, default=None):
+    return args[args.index(name) + 1] if name in args else default
+
+
+@settings(max_examples=400, deadline=None)
+@given(args=_solve_simulate_dim_calls())
+def test_solve_simulate_dim_fuzz(boundary_files, args):
+    """Every `solve`, `simulate` and `dim` call exits 0 with strict JSON or a
+    CSV that reloads, or 2 or 3, never with a traceback."""
+    if "--boundary" in args:
+        at = args.index("--boundary") + 1
+        args = [*args[:at], boundary_files.get(args[at], args[at]), *args[at + 1:]]
+    result = CliRunner().invoke(main, args, env={"PHTREE_SIZE_CAP": "20000"})
+    assert result.exit_code in (0, 2, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    if result.exit_code != 0:
+        return
+    if _option(args, "--format") == "csv":
+        alpha = float(_option(args, "--alpha"))
+        beta = float(_option(args, "--beta", 1.0 - alpha))
+        field_from_csv(result.stdout, GameParams(int(_option(args, "--m")), alpha, beta))
+    else:
+        json.loads(result.stdout, parse_constant=_reject_constant)
+
+
 class TestSimulate:
     def test_report_schema_and_determinism(self, runner):
         args = [

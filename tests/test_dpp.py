@@ -1,6 +1,7 @@
 """The averaging operator: algebra, residuals, and field-wide checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +69,13 @@ class TestGameParams:
             GameParams(3, -0.1, 1.1)
         with pytest.raises(ValidationError):
             GameParams(True, 0.5, 0.5)
+
+    def test_branching_beyond_the_largest_float_rejected(self):
+        largest = int(sys.float_info.max)
+        assert math.isfinite(GameParams(largest, 0.5, 0.5).theta)
+        for m in (largest + 1, 10**400, 10**5000):
+            with pytest.raises(ValidationError, match="at most the largest float"):
+                GameParams(m, 0.5, 0.5)
 
     def test_numpy_integer_branching(self):
         params = GameParams(np.int64(3), 0.5, 0.5)
