@@ -51,11 +51,9 @@ def fatou_dimension(params: GameParams) -> DimensionResult:
     e_neg = (m * a + 2.0 * (m - 1) * b) / (2.0 * m)
     e_pos = (m * a + 2.0 * b) / (2.0 * m)
     gamma = (m * a + 2.0 * (m - 1) * b) / ((m - 1) * (m * a + 2.0 * b))
-    try:
-        objective = gamma**-e_neg + (m - 1) * gamma**e_pos
-        dimension = math.log(objective) / math.log(m)
-    except ArithmeticError:  # gamma underflowed to 0.0 or its power overflows
-        objective = dimension = math.nan
+    # gamma is 0.0 where its denominator overflows, and NaN where both do
+    objective = gamma**-e_neg + (m - 1) * gamma**e_pos if gamma > 0.0 else math.nan
+    dimension = math.log(objective) / math.log(m)
     if not math.isfinite(dimension):
         raise ValidationError(
             f"the closed form is not finite in float arithmetic at m = about "
