@@ -149,6 +149,11 @@ CASES = {
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,2;arith=1", "--kmax", "40"],
         "236f527129f6ee066aa243a53d9467a3db0dcfc40ac85e4ec4f26cc899e909e0",
     ),
+    # 17 geometric stages to the probe limit, 196,607 levels in all
+    "ucp-rho-geom": (
+        ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,2;geom=2", "--kmax", "30"],
+        "4f77c5c715cc8c811b0fc69c644d56a5fe529dd88461ef23e5e6951019928781",
+    ),
     "ucp-rho-finite": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,2,3;finite"],
         "8fa71b95b867dabdc7867daa6ffcd1fd9a272e0d18dab1a5286d7c74eedc25b5",
