@@ -251,6 +251,16 @@ class _RhoGeneratedMachine:
         k, i, all_d, prev_u = state
         return i >= 1 and i == self._term(k) and all_d and not prev_u
 
+    def gap(self, state) -> int:
+        """Levels before membership can next hold: the rest of the stage."""
+        k, i, _all_d, _prev_u = state
+        return max(self._term(k) - i, 1)
+
+    def jump(self, state, n: int):
+        """The states n <= gap(state) levels down: on the all-`digit` path, and off it."""
+        k, i, all_d, prev_u = state
+        return (k, i + n, all_d, prev_u), (k, i + n, False, prev_u)
+
 
 class _TableMachine:
     """A finite digit automaton as integer tables: a state is a row id, row s
@@ -579,17 +589,26 @@ def _first_member(machine, counts: dict, flags: list, level: int, max_offset: in
     set of nonzero-count states on a ``fixpoint`` machine is definitive.
     """
     step, is_member, digits = machine.step, machine.is_member, range(machine.m)
+    gap = machine.gap if not machine.fixpoint and hasattr(machine, "jump") else None
     seen = {frozenset(ks for (ks, _below), c in counts.items() if c)}
     n = 0
     while n < max_offset:
-        n += 1
+        # no class is a member before its gap, so the map moves that far at once
+        j = min(min(map(gap, (ks for ks, _below in counts))), max_offset - n) if gap else 1
+        grow = machine.m**j - 1
         new: dict = {}
         for ((ks, below), count), member in zip(counts.items(), flags):
-            for d in digits:
-                child = (step(ks, d), below or member)
-                new[child] = new.get(child, 0) + count
+            below = below or member
+            if j > 1:  # the all-digit path keeps its flag, m**j - 1 paths lose it
+                kept, lost = machine.jump(ks, j)
+                children = ((kept, count), (lost, count * grow))
+            else:
+                children = [(step(ks, d), count) for d in digits]
+            for child, c in children:
+                new[child, below] = new.get((child, below), 0) + c
         counts = new
-        _check_scan_size(level + n, len(counts), cap)
+        _check_scan_size(level + n + 1, len(counts), cap)  # a jump keeps the class count
+        n += j
         flags = [is_member(ks) for ks, _below in counts]
         if any(compress(counts.values(), flags)):  # a member with a nonzero count
             return n, True, n, counts, flags

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from phtree import (
     CapacityError,
+    PHTreeError,
     CounterexampleField,
     GameParams,
     InsufficientDepthError,
@@ -32,7 +33,8 @@ from phtree import (
     root,
     unboundedness_probe,
 )
-from phtree.ucp import VERDICT_NO_UCP, VERDICT_UCP, _RhoGeneratedMachine
+from phtree.capacity import size_cap
+from phtree.ucp import VERDICT_NO_UCP, VERDICT_UCP, _first_member, _RhoGeneratedMachine
 
 P = GameParams(3, 0.5, 0.5)
 DELTA = 5 / 12
@@ -530,6 +532,82 @@ class TestPa:
                 assert density_check(U, 3).dense_up_to
 
 
+def _ladder_outcome(call) -> str:
+    try:
+        return repr(call())
+    except PHTreeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestStageJumps:
+    """A gap-ladder machine crosses the levels inside a stage in one jump."""
+
+    @staticmethod
+    def _subset(data, continuations):
+        m = data.draw(st.integers(2, 4))
+        prefix = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+        continuation = data.draw(st.sampled_from(continuations))
+        step = data.draw(st.integers(int(continuation == "geometric"), 2))
+        digit = data.draw(st.integers(0, m - 1))
+        return SubsetSpec.rho_generated(m, RhoPattern(prefix, continuation, step), digit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_jump_matches_repeated_steps(self, data):
+        machine = self._subset(data, ["finite", "arithmetic", "geometric"]).machine
+        pattern, digit = machine.pattern, machine.digit
+        k = data.draw(st.integers(1, len(pattern.prefix) + 3 * (not pattern.is_finite)))
+        i = data.draw(st.integers(0, pattern.term(k) - 1))
+        state = (k, i, data.draw(st.booleans()), data.draw(st.booleans()))
+        assert machine.gap(state) == pattern.term(k) - i
+        n = data.draw(st.integers(1, machine.gap(state)))
+        kept, lost = machine.jump(state, n)
+        other = st.lists(st.integers(0, machine.m - 1), min_size=n, max_size=n)
+        for path in ([digit] * n, data.draw(other.filter(lambda p: p != [digit] * n))):
+            end = state
+            for level, d in enumerate(path):
+                assert not (level and machine.is_member(end))  # none before the gap
+                end = machine.step(end, d)
+            assert end == (kept if path == [digit] * n else lost)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_jumps_change_no_outcome(self, data):
+        U = self._subset(data, ["finite", "cycle", "arithmetic", "geometric"])
+        params = GameParams(U.m, 0.5, 0.5)
+        k_max, depth = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 30))
+        machine, start = U.machine, U.machine.initial()
+
+        def first_member():  # the class map from the root, in a fixed order
+            offset, definitive, n, counts, flags = _first_member(
+                machine, {(start, False): 1}, [machine.is_member(start)], 0, depth, size_cap()
+            )
+            return offset, definitive, n, sorted(zip(counts.items(), flags))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("PHTREE_SIZE_CAP", str(data.draw(st.integers(1, 60))))
+            calls = (
+                lambda: compute_rho(U, params, k_max), lambda: analyze(U, params, k_max), first_member
+            )
+            jumped = [_ladder_outcome(call) for call in calls]
+            mp.delattr(_RhoGeneratedMachine, "jump")
+            stepped = [_ladder_outcome(call) for call in calls]
+        assert jumped == stepped
+
+    def test_geometric_ladder_jumps_its_stages(self, monkeypatch):
+        calls = collections.Counter()
+        step = _RhoGeneratedMachine.step
+
+        def counting_step(machine, state, digit):
+            calls["step"] += 1
+            return step(machine, state, digit)
+
+        monkeypatch.setattr(_RhoGeneratedMachine, "step", counting_step)
+        report = compute_rho(SubsetSpec.parse("rho:1,2;geom=2", 3), P, k_max=30)
+        assert report.rho == tuple(2**k for k in range(17)) and report.inconclusive_ladder
+        assert report.depth_scanned == 196_607 and calls["step"] < 1_000
+
+
 class TestComputeRho:
     def test_round_trip_alternating_gaps(self):
         pattern = RhoPattern((1, 4, 1, 8, 1, 16), "cycle")
@@ -572,8 +650,10 @@ class TestComputeRho:
         assert set(calls) >= set(range(1, 41)) and max(calls.values()) == 1
 
     def test_each_stage_level_stepped_once(self, monkeypatch):
-        # one walk of the class map per stage plus the (P2) recounts; a
-        # probe and a second walk of every stage made 24,546 steps
+        # one walk of the class map per stage plus the (P2) recounts, each
+        # jumping from a stage's first level to its boundary; stepping every
+        # level made 19,518 steps, a probe and a second walk of every stage
+        # 24,546
         calls = collections.Counter()
         step = _RhoGeneratedMachine.step
 
@@ -583,7 +663,7 @@ class TestComputeRho:
 
         monkeypatch.setattr(_RhoGeneratedMachine, "step", counting_step)
         compute_rho(SubsetSpec.parse("rho:1,2;arith=1", 3), P, k_max=40)
-        assert calls["step"] == 19_518
+        assert calls["step"] == 822
 
     def test_membership_tested_once_per_class_and_level(self):
         calls = collections.Counter()
