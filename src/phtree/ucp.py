@@ -474,9 +474,9 @@ class SubsetSpec:
     def machine(self):
         m, digit = self.m, self.digit
         if self.kind == KIND_LAST_DIGIT:
-            # the root, then state 1 + e for the last digit e
-            member = [False] + [e == digit for e in range(m)]
-            return _TableMachine(m, list(range(1, m + 1)) * (m + 1), member, 0)
+            # the root, last digit `digit` and any other last digit
+            row = [1 if e == digit else 2 for e in range(m)]
+            return _TableMachine(m, row * 3, [False, True, False], 0)
         if self.kind == KIND_DIGIT_AVOIDING:
             # the root, clean and tainted
             row = [2 if e == digit else 1 for e in range(m)]

@@ -206,6 +206,13 @@ class TestMembership:
                 assert last.contains(v) == (bool(v.digits) and v.digits[-1] == d)
                 assert avoiding.contains(v) == (bool(v.digits) and d not in v.digits)
 
+    def test_digit_rule_tables_have_three_rows(self):
+        # the root, the two digit classes and the dead row, m entries each
+        m = 10**5
+        for U in (SubsetSpec.last_digit(m, 7), SubsetSpec.digit_avoiding(m, 7)):
+            assert len(U.machine._child) == 4 * m
+            assert U.contains(Vertex(m, (7, 3, 7))) == (U.kind == "last-digit")
+
     def test_numpy_integer_branching(self):
         U = SubsetSpec.last_digit(np.int64(3), 1)
         assert U == SubsetSpec.last_digit(3, 1) and type(U.m) is int
