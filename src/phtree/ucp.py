@@ -31,10 +31,11 @@ The machinery:
 Each subset compiles to a digit automaton (``initial()``, ``step(state,
 digit)``, ``is_member(state)``, ``m`` and a ``fixpoint`` flag for finite
 states).  Digit rules and explicit sets compile to one integer table.
-``_first_member`` steps a {(state, below a member): vertex count} map a
-level at a time and stops where a class with a nonzero count is a member,
-at a repeated set of such states (on a ``fixpoint`` machine, proof that
-no member lies deeper) or at its offset budget.  The ladder runs one map
+``_first_member`` moves a {(state, below a member): vertex count} map down
+the levels, to the next stage boundary at once where the machine can
+``jump``, and stops where a class with a nonzero count is a member, at a
+repeated set of such states (on a ``fixpoint`` machine, proof that no
+member lies deeper) or at its offset budget.  The ladder runs one map
 per stage, count 1 on its eligible classes; the map it stops at gives the
 (P1) count and is the next stage's.  ``_levels`` yields a {class: first
 vertex} map per level from the root, each vertex a (parent, digit) chain.
@@ -253,8 +254,7 @@ class _RhoGeneratedMachine:
 
     def gap(self, state) -> int:
         """Levels before membership can next hold: the rest of the stage."""
-        k, i, _all_d, _prev_u = state
-        return max(self._term(k) - i, 1)
+        return max(self._term(state[0]) - state[1], 1)
 
     def jump(self, state, n: int):
         """The states n <= gap(state) levels down: on the all-`digit` path, and off it."""
@@ -587,13 +587,17 @@ def _first_member(machine, counts: dict, flags: list, level: int, max_offset: in
     the level it stopped at, whose member classes count the member vertices
     at the offset (none without one).  Without a member, only a repeated
     set of nonzero-count states on a ``fixpoint`` machine is definitive.
+
+    A non-``fixpoint`` machine with ``jump`` moves j levels at once, up to
+    the least ``gap`` of its classes (none is a member sooner): a class sends
+    its count to the state keeping the all-digit flag and count * (m**j - 1)
+    to the state losing it.  A jump keeps the class count at every level.
     """
     step, is_member, digits = machine.step, machine.is_member, range(machine.m)
     gap = machine.gap if not machine.fixpoint and hasattr(machine, "jump") else None
     seen = {frozenset(ks for (ks, _below), c in counts.items() if c)}
     n = 0
     while n < max_offset:
-        # no class is a member before its gap, so the map moves that far at once
         j = min(min(map(gap, (ks for ks, _below in counts))), max_offset - n) if gap else 1
         grow = machine.m**j - 1
         new: dict = {}
