@@ -605,11 +605,12 @@ def _first_member(machine, counts: dict, flags: list, level: int, max_offset: in
             below = below or member
             if j > 1:  # the all-digit path keeps its flag, m**j - 1 paths lose it
                 kept, lost = machine.jump(ks, j)
-                children = ((kept, count), (lost, count * grow))
-            else:
-                children = [(step(ks, d), count) for d in digits]
-            for child, c in children:
-                new[child, below] = new.get((child, below), 0) + c
+                new[kept, below] = new.get((kept, below), 0) + count
+                new[lost, below] = new.get((lost, below), 0) + count * grow
+                continue
+            for d in digits:
+                child = (step(ks, d), below)
+                new[child] = new.get(child, 0) + count
         counts = new
         _check_scan_size(level + n + 1, len(counts), cap)  # a jump keeps the class count
         n += j
