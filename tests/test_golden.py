@@ -40,6 +40,9 @@ WIDE_CSV = (
 )
 #: a small explicit subset for m=3; "{set_file}" in a case's arguments is its path
 SET_FILE = "1\n0.2\n2.1.0\n2.2.2.1\n"
+#: an explicit subset for m=3 with one member at depth 31, so that its density
+#: resolution lies 32 levels down; "{deep_set_file}" in a case's arguments is its path
+DEEP_SET_FILE = "1\n0.2\n" + ".".join("120" * 10 + "1") + "\n"
 
 CASES = {
     "solve-m2-n6-linear-json": (
@@ -162,6 +165,10 @@ CASES = {
         ["ucp", "--m", "3", "--alpha", "0.5", "--set-file", "{set_file}"],
         "a891b77315695c5951e665084566bc3d94014596f4731cb3a17382b670336256",
     ),
+    "ucp-set-file-deep": (
+        ["ucp", "--m", "3", "--alpha", "0.5", "--set-file", "{deep_set_file}"],
+        "255d8412270c3382e3a9f61c0237f9fc1c02016202fd9931ddf1c2ad4f8eec12",
+    ),
     "dim": (
         ["dim", "--m", "3", "--alpha", "0.5"],
         "f8394175f9563c543d5e66075b15dee8e33205428c49d427993c5cd978ddc238",
@@ -197,10 +204,20 @@ def set_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def deep_set_file(tmp_path):
+    path = tmp_path / "deep-set.txt"
+    path.write_text(DEEP_SET_FILE, encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_bytes(name, tabulated, ties, wide, set_file, tmp_path):
+def test_report_bytes(name, tabulated, ties, wide, set_file, deep_set_file, tmp_path):
     template, digest = CASES[name]
-    paths = {"{tabulated}": tabulated, "{ties}": ties, "{wide}": wide, "{set_file}": set_file}
+    paths = {
+        "{tabulated}": tabulated, "{ties}": ties, "{wide}": wide, "{set_file}": set_file,
+        "{deep_set_file}": deep_set_file,
+    }
     args = [str(paths.get(a, a)) for a in template]
     runner = CliRunner()
 
