@@ -676,13 +676,14 @@ def density_check(U: SubsetSpec, resolution_level: int) -> DensityResult:
         raise InsufficientDepthError(
             f"resolution {resolution_level} exceeds trusted depth {U.depth_bound}"
         )
-    if U.kind == KIND_FULL_LEVELS:
-        # closed form: an interior image point below a level-d vertex exists
-        # iff some complete member level lies strictly deeper than d
-        if U.next_full_level_after(resolution_level) is not None:
-            return DensityResult(True, None, resolution_level, True)
+    # closed form: an interior image point below a level-d vertex needs a
+    # member strictly deeper than d; a full level deeper than d gives each one
+    deepest = U.max_member_level if U.kind in (KIND_FULL_LEVELS, KIND_EXPLICIT) else None
+    if deepest is not None and deepest <= resolution_level:
         witness = interval_of(Vertex(U.m, (0,) * resolution_level))
         return DensityResult(False, witness, resolution_level, True)
+    if U.kind == KIND_FULL_LEVELS:
+        return DensityResult(True, None, resolution_level, True)
     machine, cap = U.machine, size_cap()
     levels = _levels(machine.initial(), machine.step, U.m, cap)
     interior = _InteriorMachine(machine)
