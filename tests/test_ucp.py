@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phtree import (
     CapacityError,
     CounterexampleField,
+    DensityResult,
     GameParams,
     InsufficientDepthError,
     PHTreeError,
@@ -34,7 +35,13 @@ from phtree import (
     unboundedness_probe,
 )
 from phtree.capacity import size_cap
-from phtree.ucp import VERDICT_NO_UCP, VERDICT_UCP, _first_member, _RhoGeneratedMachine
+from phtree.ucp import (
+    UNBOUNDED_DEPTH,
+    VERDICT_NO_UCP,
+    VERDICT_UCP,
+    _first_member,
+    _RhoGeneratedMachine,
+)
 
 P = GameParams(3, 0.5, 0.5)
 DELTA = 5 / 12
@@ -402,6 +409,42 @@ class TestExplicitTrie:
         for digits in probes + members:
             v = Vertex(m, digits)
             assert trie.contains(v) == oracle.contains(v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_explicit_sets(), st.booleans(), st.integers(-1, 2))
+    @example((2, [], []), False, 0)
+    @example((3, [()], []), False, 2)
+    @example((3, [(), (1, 2)], []), False, -1)
+    def test_closed_form_matches_level_walk(self, case, with_root, shift):
+        """At and past its deepest member an explicit set is answered in
+        closed form; a predicate spec over the prefix automaton walks the
+        levels instead, and both give the same result."""
+        m, members, _probes = case
+        U = SubsetSpec.explicit(m, members + [()] * with_root)
+        walk = SubsetSpec.predicate(m, lambda v: v.digits in U.members, UNBOUNDED_DEPTH)
+        walk.__dict__["machine"] = _PrefixMachine(m, U.members)
+        resolution = max(U.max_member_level + shift, 0)
+        assert density_check(U, resolution) == density_check(walk, resolution)
+
+    def test_closed_form_takes_no_step(self):
+        """From the deepest member's level on, density_check never steps
+        the set's machine; one level above it, it walks."""
+        U = SubsetSpec.explicit(3, [(1,), (0, 2), (2, 1, 0)])
+        steps = []
+
+        class CountingMachine(_PrefixMachine):
+            def step(self, state, digit):
+                steps.append(digit)
+                return super().step(state, digit)
+
+        U.__dict__["machine"] = CountingMachine(3, U.members)
+        for resolution in (3, 4, 10):
+            result = density_check(U, resolution)
+            witness = interval_of(Vertex(3, (0,) * resolution))
+            assert result == DensityResult(False, witness, resolution, True)
+        assert steps == []
+        assert density_check(U, 2).dense_up_to is False
+        assert steps
 
 
 def _reference_ladder(m, members, k_max):
