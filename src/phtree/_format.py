@@ -184,9 +184,10 @@ def write_rows(out: bytearray, columns: Sequence[str | np.ndarray]) -> None:
     """Append the text of a table to `out`, one block of rows at a time.
 
     Each row is the concatenation of `columns`: a str (ASCII, no NUL) on
-    every row, or the row's element of a float64 array as ``"%.17g" % v``.
-    All arrays have the same length.  The text goes straight into `out`, so
-    no block outlives its own step.
+    every row, or the row's element of a float64 column as ``"%.17g" % v``.
+    A float column is an array, or any sized object whose slice by a block
+    of rows is one.  All float columns have the same length.  The text goes
+    straight into `out`, so no block outlives its own step.
     """
     consts = [_const_words(c) if isinstance(c, str) else None for c in columns]
     count = min(len(c) for c, words in zip(columns, consts) if words is None)

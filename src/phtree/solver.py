@@ -194,9 +194,23 @@ def field_to_csv(field: LevelField) -> bytearray:
     for k, arr in enumerate(field.levels):
         # "%.17g" prints a whole float below 1e15 as "%d" does; a level of
         # 1e15 vertices would take 8 PB
-        index = np.arange(arr.size, dtype=float)
-        _format.write_rows(text, [f"{k},", index, ",", index / float(m**k), ",", arr, "\n"])
+        index, psi = _RowIndex(arr.size, 1.0), _RowIndex(arr.size, float(m**k))
+        _format.write_rows(text, [f"{k},", index, ",", psi, ",", arr, "\n"])
     return text
+
+
+class _RowIndex:
+    """The float column ``index / scale`` of a level's rows, built one block
+    at a time as ``_format.write_rows`` slices it."""
+
+    def __init__(self, count: int, scale: float):
+        self.count, self.scale = count, scale
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return np.arange(rows.start, rows.stop, dtype=float) / self.scale
 
 
 def field_from_csv(source, params: GameParams) -> LevelField:
