@@ -13,7 +13,8 @@ The machinery:
 * ``density_check`` -- does every interval at a given resolution contain
   an image point of U under the base-m expansion map?  Failure refutes
   unique continuation outright (a two-subtree +1/-1 dipole fits in the
-  gap).
+  gap).  Full levels, and explicit sets at or below their deepest member,
+  are answered in closed form; every other case walks the levels.
 * ``pa_check`` -- uniform hitting: every vertex has a U descendant within
   n levels.  Success certifies unique continuation.
 * ``compute_rho`` -- the gap ladder rho_k between successive U-hitting
@@ -669,7 +670,10 @@ _DENSITY_OFFSET_LIMIT = 512
 
 def density_check(U: SubsetSpec, resolution_level: int) -> DensityResult:
     """Check that every interval at the given resolution contains an image
-    point of U in its interior; on failure return a witness interval."""
+    point of U in its interior; on failure return a witness interval.
+
+    Full levels, and an explicit set with no member deeper than the
+    resolution, are answered in closed form, without a level walk."""
     if resolution_level < 0:
         raise ValidationError("resolution level must be >= 0")
     if resolution_level > U.depth_bound:
