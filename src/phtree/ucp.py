@@ -32,21 +32,29 @@ The machinery:
 Each subset compiles to a digit automaton (``initial()``, ``step(state,
 digit)``, ``is_member(state)``, ``m`` and a ``fixpoint`` flag for finite
 states).  Digit rules and explicit sets compile to one integer table.
-``_first_member`` moves a {(state, below a member): vertex count} map down
-the levels, to the next stage boundary at once where the machine can
-``jump``, and stops where a class with a nonzero count is a member, at a
-repeated set of such states (on a ``fixpoint`` machine, proof that no
-member lies deeper) or at its offset budget.  The ladder runs one map
-per stage, count 1 on its eligible classes; the map it stops at gives the
-(P1) count and is the next stage's.  ``_levels`` yields a {class: first
-vertex} map per level from the root, each vertex a (parent, digit) chain.
-It and ``_first_member`` are the only level loops; both cap each map.
+Every automaton also gives ``children(state, n)``: the distinct states n
+levels down, each with its least first digit and its number of digit
+strings, for any n up to ``gap(state)``, the levels before membership can
+next hold (one for a table, the rest of the stage for a gap ladder).
+``_scan`` is the one level loop: it moves a {(state, below a member):
+(vertex count, first vertex, member)} map down by these children, a level
+at a time or, towards a stop level, a gap at a time, and caps each map.
+Counting words by a class's count times each child's multiplicity is the
+transfer-matrix method for automata (Flajolet and Sedgewick, *Analytic
+Combinatorics*, 2009, V.6).  ``_first_member`` reads the scan until a
+class with a nonzero count is a member, a set of such states repeats (on
+a ``fixpoint`` machine, proof that no member lies deeper) or its offset
+budget is spent.  The ladder runs one map per stage, count 1 on its
+eligible classes; the map it stops at gives the (P1) count and is the
+next stage's.  ``step`` serves only ``SubsetSpec.contains`` and the
+counterexample's values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from collections import Counter
 from functools import cache, cached_property, reduce
 from itertools import accumulate, compress
 from operator import truediv
@@ -221,6 +229,14 @@ class _FullLevelsMachine:
     def is_member(self, state) -> bool:
         return self._spec.is_full_level(state)
 
+    def gap(self, state) -> int:
+        """Levels before membership can next hold: to the next full level."""
+        level = self._spec.next_full_level_after(state)
+        return UNBOUNDED_DEPTH if level is None else level - state
+
+    def children(self, state, n=1):
+        return [(state + n, 0, self.m**n)]
+
 
 class _RhoGeneratedMachine:
     """Tracks (stage, offset within stage, all-distinguished-so-far,
@@ -257,17 +273,28 @@ class _RhoGeneratedMachine:
         """Levels before membership can next hold: the rest of the stage."""
         return max(self._term(state[0]) - state[1], 1)
 
-    def jump(self, state, n: int):
-        """The states n <= gap(state) levels down: on the all-`digit` path, and off it."""
+    def children(self, state, n=1):
+        """The all-`digit` path keeps its flag, the m**n - 1 other paths lose it."""
         k, i, all_d, prev_u = state
-        return (k, i + n, all_d, prev_u), (k, i + n, False, prev_u)
+        if i < self._term(k):
+            kept, lost = (k, i + n, all_d, prev_u), (k, i + n, False, prev_u)
+        else:  # a stage boundary, where the flag starts afresh
+            k, member_here = self.pattern.canonical_stage(k + 1), all_d and not prev_u
+            kept, lost = (k, 1, True, member_here), (k, 1, False, member_here)
+        if kept == lost:
+            return [(lost, 0, self.m**n)]
+        if self.digit:
+            return [(lost, 0, self.m**n - 1), (kept, self.digit, 1)]
+        return [(kept, 0, 1), (lost, int(n == 1), self.m**n - 1)]
 
 
 class _TableMachine:
     """A finite digit automaton as integer tables: a state is a row id, row s
     keeps its children at ``child[s * m : s * m + m]`` and its membership at
     ``member[s]``.  -1 is dead: the table takes both lists over and appends
-    the dead row last, where state -1 finds it as a negative index."""
+    the dead row last, where state -1 finds it as a negative index.  A row's
+    distinct children are worked out the first time a scan visits it, and
+    kept."""
 
     fixpoint = True
 
@@ -276,6 +303,7 @@ class _TableMachine:
         self._child, self._member, self._root = child, member, root
         child += [-1] * m
         member.append(False)
+        self._kids, self._shared = [None] * len(member), {}
 
     def initial(self):
         return self._root
@@ -285,6 +313,25 @@ class _TableMachine:
 
     def is_member(self, state) -> bool:
         return self._member[state]
+
+    def gap(self, state) -> int:
+        return 1
+
+    def children(self, state, n=1):
+        kids = self._kids[state]
+        if kids is None:
+            m, shared = self.m, self._shared
+            base = state % len(self._kids) * m  # the dead row too
+            row = self._child[base : base + m]
+            least = dict(zip(reversed(row), range(m - 1, -1, -1)))
+            # a Counter keeps its children in order of first digit; a trie's
+            # rows repeat their dead child's triples and their all-dead rows
+            kids = tuple(
+                shared.setdefault(t, t) if t[2] > 1 else t
+                for t in ((c, least[c], k) for c, k in Counter(row).items())
+            )
+            kids = self._kids[state] = shared.setdefault(kids, kids) if len(kids) == 1 else kids
+        return kids
 
 
 def _trie(m: int, members: frozenset[tuple[int, ...]]) -> _TableMachine:
@@ -318,6 +365,12 @@ class _PredicateMachine:
 
     def is_member(self, state) -> bool:
         return bool(self.fn(Vertex(self.m, state)))
+
+    def gap(self, state) -> int:
+        return 1
+
+    def children(self, state, n=1):
+        return [(state + (d,), d, 1) for d in range(self.m)]
 
 
 # ----------------------------------------------------------------------
@@ -545,23 +598,53 @@ def _integer(value, what: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# level scans over automaton state classes
+# the level scan over automaton state classes
 # ----------------------------------------------------------------------
 
 
-def _levels(start, step, m: int, cap: int):
-    """Yield each level's map {class: first vertex} from the root down,
-    capping each.  A child's class is ``step(class, digit)``; a vertex is
-    the chain (parent's vertex, digit), the root's ``()``."""
-    classes, level = {start: ()}, 0
+def _scan(machine, classes: dict, level: int, cap: int, stop: int | None = None):
+    """Yield (level, classes) for each level the scan reaches from the map
+    `classes` at `level` down, capping each map.
+
+    A map is {(state, below a member): (vertex count, first vertex, member)}:
+    a vertex is the chain (parent's vertex, digit), the root's ``()``, and
+    member is ``is_member(state)``.  A class sends count * multiplicity to
+    each of ``machine.children(state, n)``, flagged below a member from a
+    member class on.  Without `stop` the scan moves one level at a time for
+    ever, and a child class's first vertex is its first parent class's
+    with the child's least first digit.  With `stop` it crosses up to the
+    least ``gap`` of its classes at once (no member lies nearer), ends at
+    `stop` and keeps the first vertices of the classes it started from.  A
+    jump has the same class count at every level it crosses, so the cap is
+    checked once and names its first level.
+    """
+    children, gap, is_member = machine.children, machine.gap, machine.is_member
+    _check_scan_size(level, len(classes), cap)
+    walk = stop is None
     while True:
-        _check_scan_size(level, len(classes), cap)
-        yield classes
+        yield level, classes
+        n = 1
+        if not walk:
+            if level >= stop:
+                return
+            n = stop - level
+            for ks, _below in classes:
+                n = min(n, gap(ks))
+                if n == 1:
+                    break
         new: dict = {}
-        for c, path in classes.items():
-            for d in range(m):
-                new.setdefault(step(c, d), (path, d))
-        classes, level = new, level + 1
+        get = new.get
+        for (ks, below), (count, path, member) in classes.items():
+            below = below or member
+            for child, d, k in children(ks, n):
+                key = child, below
+                entry = get(key)
+                if entry is None:
+                    new[key] = (count * k, (path, d) if walk else path, is_member(child))
+                else:
+                    new[key] = (entry[0] + count * k, entry[1], entry[2])
+        _check_scan_size(level + 1, len(new), cap)
+        classes, level = new, level + n
 
 
 def _vertex(m: int, path) -> Vertex:
@@ -578,57 +661,32 @@ def _check_scan_size(level: int, size: int, cap: int) -> None:
         raise exceeded(f"level {level} scan needs {size} state classes", cap)
 
 
-def _first_member(machine, counts: dict, flags: list, level: int, max_offset: int, cap: int):
+def _first_member(machine, classes: dict, level: int, max_offset: int, cap: int):
     """Least offset n in 1..max_offset at which a member descends from a
-    class with a nonzero count in the start map {(state, below a member):
-    vertex count} at `level`, whose ``is_member`` values are `flags`; a
-    class with count 0 is only carried.
+    class with a nonzero count in the map `classes` at `level`; a class with
+    count 0 is only carried.
 
-    Returns (offset | None, definitive, levels_scanned, counts, flags) for
-    the level it stopped at, whose member classes count the member vertices
-    at the offset (none without one).  Without a member, only a repeated
-    set of nonzero-count states on a ``fixpoint`` machine is definitive.
-
-    A non-``fixpoint`` machine with ``jump`` moves j levels at once, up to
-    the least ``gap`` of its classes (none is a member sooner): a class sends
-    its count to the state keeping the all-digit flag and count * (m**j - 1)
-    to the state losing it.  A jump keeps the class count at every level.
+    Returns (offset | None, definitive, levels scanned, classes) for the
+    level it stopped at, whose member classes count the member vertices at
+    the offset (none without one).  Without a member, only a repeated set
+    of nonzero-count states on a ``fixpoint`` machine is definitive.
     """
-    step, is_member, digits = machine.step, machine.is_member, range(machine.m)
-    gap = machine.gap if not machine.fixpoint and hasattr(machine, "jump") else None
-    seen = {frozenset(ks for (ks, _below), c in counts.items() if c)}
-    n = 0
-    while n < max_offset:
-        j = min(min(map(gap, (ks for ks, _below in counts))), max_offset - n) if gap else 1
-        grow = machine.m**j - 1
-        new: dict = {}
-        for ((ks, below), count), member in zip(counts.items(), flags):
-            below = below or member
-            if j > 1:  # the all-digit path keeps its flag, m**j - 1 paths lose it
-                kept, lost = machine.jump(ks, j)
-                new[kept, below] = new.get((kept, below), 0) + count
-                new[lost, below] = new.get((lost, below), 0) + count * grow
-                continue
-            for d in digits:
-                child = (step(ks, d), below)
-                new[child] = new.get(child, 0) + count
-        counts = new
-        _check_scan_size(level + n + 1, len(counts), cap)  # a jump keeps the class count
-        n += j
-        flags = [is_member(ks) for ks, _below in counts]
-        if any(compress(counts.values(), flags)):  # a member with a nonzero count
-            return n, True, n, counts, flags
+    seen = set()
+    for depth, classes in _scan(machine, classes, level, cap, level + max_offset):
+        n = depth - level
+        if n and _members(classes):
+            return n, True, n, classes
         if machine.fixpoint:
-            current = frozenset(ks for (ks, _below), c in counts.items() if c)
+            current = frozenset(ks for (ks, _below), (count, _path, _member) in classes.items() if count)
             if current in seen:
-                return None, True, n, counts, flags
+                return None, True, n, classes
             seen.add(current)
-    return None, False, n, counts, flags
+    return None, False, n, classes
 
 
-def _members(counts: dict, flags: list) -> int:
-    """The member vertices of a class map and its ``is_member`` flags."""
-    return sum(c for c, member in zip(counts.values(), flags) if member)
+def _members(classes: dict) -> int:
+    """The member vertices of a class map."""
+    return sum(count for count, _path, member in classes.values() if member)
 
 
 class _InteriorMachine:
@@ -641,13 +699,29 @@ class _InteriorMachine:
         self.m = machine.m
         self.fixpoint = machine.fixpoint
 
-    def step(self, state, digit):
-        ks, all_zero = state
-        return self.machine.step(ks, digit), all_zero and digit == 0
-
     def is_member(self, state) -> bool:
         ks, all_zero = state
         return not all_zero and self.machine.is_member(ks)
+
+    def gap(self, state) -> int:
+        return 1
+
+    def children(self, state, n=1):
+        """Digit 0 continues the all-zero path; the other digits that reach
+        its child start an off-path copy, whose least digit g is the least
+        one that no other child claims (every machine here reaches at most
+        one child by more than one digit)."""
+        ks, all_zero = state
+        kids = [((c, False), d, k) for c, d, k in self.machine.children(ks)]
+        if all_zero:
+            (c, _off), _d, k = kids[0]
+            kids[0] = ((c, True), 0, 1)
+            if k > 1:
+                g = 1
+                while g < len(kids) and kids[g][1] == g:
+                    g += 1
+                kids.insert(g, ((c, False), g, k - 1))
+        return kids
 
 
 # ----------------------------------------------------------------------
@@ -689,15 +763,15 @@ def density_check(U: SubsetSpec, resolution_level: int) -> DensityResult:
     if U.kind == KIND_FULL_LEVELS:
         return DensityResult(True, None, resolution_level, True)
     machine, cap = U.machine, size_cap()
-    levels = _levels(machine.initial(), machine.step, U.m, cap)
+    root = machine.initial()
+    for level, classes in _scan(machine, {(root, True): (1, (), machine.is_member(root))}, 0, cap):
+        if level == resolution_level:
+            break
     interior = _InteriorMachine(machine)
     max_offset = min(U.depth_bound - resolution_level, _DENSITY_OFFSET_LIMIT)
-    for _ in range(resolution_level):  # islice takes no count past sys.maxsize
-        next(levels)
-    for ks, path in next(levels).items():
-        offset, definitive = _first_member(
-            interior, {((ks, True), True): 1}, [False], resolution_level, max_offset, cap
-        )[:2]
+    for (ks, _below), (_count, path, _member) in classes.items():
+        probe = {((ks, True), True): (1, path, False)}
+        offset, definitive = _first_member(interior, probe, resolution_level, max_offset, cap)[:2]
         if offset is None:
             return DensityResult(False, interval_of(_vertex(U.m, path)), resolution_level, definitive)
     return DensityResult(True, None, resolution_level, True)
@@ -724,12 +798,14 @@ def pa_check(U: SubsetSpec, n_max: int, scan_depth: int | None = None) -> PaResu
             f"trusted depth {U.depth_bound}"
         )
     machine, cap = U.machine, size_cap()
-    levels = _levels(machine.initial(), machine.step, U.m, cap)
+    root = machine.initial()
+    levels = _scan(machine, {(root, True): (1, (), machine.is_member(root))}, 0, cap)
     worst = 0
-    for level, classes in zip(range(scan_depth + 1), levels):
-        for ks, path in classes.items():
+    for _, (level, classes) in zip(range(scan_depth + 1), levels):
+        for (ks, _below), (_count, path, _member) in classes.items():
             # a probe that starts below a member keeps one class per state
-            offset = _first_member(machine, {(ks, True): 1}, [False], level, n_max, cap)[0]
+            probe = {(ks, True): (1, path, False)}
+            offset = _first_member(machine, probe, level, n_max, cap)[0]
             if offset is None:
                 return PaResult(False, None, scan_depth, _vertex(U.m, path))
             worst = max(worst, offset)
@@ -819,8 +895,8 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
     delta = params.delta
 
     level = 0
-    classes = {(machine.initial(), False): 1}  # count 1: an eligible class
-    flags = [machine.is_member(machine.initial())]
+    root = machine.initial()
+    classes = {(root, False): (1, (), machine.is_member(root))}  # count 1: an eligible class
     rho: list[int] = []
     eta: list[int] = []
     notes: list[str] = []
@@ -831,20 +907,18 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
     frontier_empty_at: int | None = None
     terminated = inconclusive = False
 
-    if flags[0]:
+    if classes[root, False][2]:
         notes.append("the root itself is a member; ladder starts at level 1")
 
     for k in range(1, k_max + 1):
         base = level
-        if not any(classes.values()):
+        if not any(count for count, _path, _member in classes.values()):
             frontier_empty_at = base
             notes.append(f"level {base} is fully contained in U")
             break
-        untouched = [ks for (ks, below), count in classes.items() if count and not below]
+        untouched = [ks for (ks, below), (count, _path, _member) in classes.items() if count and not below]
         max_probe = min(U.depth_bound - base, _RHO_PROBE_LIMIT)
-        offset, definitive, scanned, classes, flags = _first_member(
-            machine, classes, flags, base, max_probe, cap
-        )
+        offset, definitive, scanned, classes = _first_member(machine, classes, base, max_probe, cap)
         level = base + scanned
         if offset is None:
             # a fixpoint proves the ladder ends; a spent budget leaves it open
@@ -860,7 +934,7 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
         eta.append(base + offset)
         if k == 1:
             # the stage-1 scan starts from the root alone, with count 1
-            members = _members(classes, flags)
+            members = _members(classes)
             p1_ok = members == 1
             if not p1_ok:
                 notes.append(f"{decimal(members)} members at level {eta[0]}, so (P1) fails")
@@ -868,7 +942,7 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
             # members at the new gap below each untouched frontier class;
             # none lies nearer, since untouched classes are eligible
             counts = [
-                _members(*_first_member(machine, {(ks, False): 1}, [False], base, offset, cap)[3:])
+                _members(_first_member(machine, {(ks, False): (1, (), False)}, base, offset, cap)[3])
                 for ks in untouched
             ]
             if counts:
@@ -881,7 +955,9 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
             else:
                 notes.append(f"stage {k} has an empty untouched frontier")
         # the next stage searches below the non-member classes only
-        classes = {key: int(not member) for key, member in zip(classes, flags)}
+        classes = {
+            key: (int(not member), path, member) for key, (_count, path, member) in classes.items()
+        }
     if len(rho) >= 2:
         p2_ok = not p2_failed
 
@@ -1073,10 +1149,16 @@ class CounterexampleField:
         the first vertex of its level in each class.  Values and whole
         subtrees coincide within a class, so the representatives cover every
         vertex of their level."""
-        m = self.params.m
-        levels = _levels(self._machine.initial(), self._child, m, size_cap())
-        for level, classes in zip(range(max_level + 1), levels):
-            yield level, {c: _vertex(m, path).digits for c, path in classes.items()}
+        m, machine = self.params.m, self._machine
+        root = machine.initial()
+        levels = _scan(machine, {(root, False): (1, (), False)}, 0, size_cap())
+        for _, (level, classes) in zip(range(max_level + 1), levels):
+            reps: dict = {}
+            for (ks, below), (_count, path, member) in classes.items():
+                key = None if below or member else ks
+                if key not in reps:
+                    reps[key] = _vertex(m, path).digits
+            yield level, reps
 
     def residual_certificate(self, max_level: int | None = None) -> "ResidualCertificate":
         """Max operator residual over all vertices up to `max_level`.

@@ -16,7 +16,6 @@ from phtree import (
     DensityResult,
     GameParams,
     InsufficientDepthError,
-    PHTreeError,
     RhoPattern,
     StructuralCheckError,
     SubsetSpec,
@@ -34,13 +33,15 @@ from phtree import (
     root,
     unboundedness_probe,
 )
-from phtree.capacity import size_cap
 from phtree.ucp import (
     UNBOUNDED_DEPTH,
     VERDICT_NO_UCP,
     VERDICT_UCP,
-    _first_member,
+    _FullLevelsMachine,
+    _InteriorMachine,
+    _PredicateMachine,
     _RhoGeneratedMachine,
+    _TableMachine,
 )
 
 P = GameParams(3, 0.5, 0.5)
@@ -384,6 +385,17 @@ class _PrefixMachine:
     def is_member(self, state):
         return state in self.members
 
+    def gap(self, state):
+        return 1
+
+    def children(self, state, n=1):
+        first, count = {}, collections.Counter()
+        for d in range(self.m):
+            child = self.step(state, d)
+            first.setdefault(child, d)
+            count[child] += 1
+        return [(child, d, count[child]) for child, d in first.items()]
+
 
 @st.composite
 def _explicit_sets(draw):
@@ -427,15 +439,15 @@ class TestExplicitTrie:
         assert density_check(U, resolution) == density_check(walk, resolution)
 
     def test_closed_form_takes_no_step(self):
-        """From the deepest member's level on, density_check never steps
+        """From the deepest member's level on, density_check never visits
         the set's machine; one level above it, it walks."""
         U = SubsetSpec.explicit(3, [(1,), (0, 2), (2, 1, 0)])
         steps = []
 
         class CountingMachine(_PrefixMachine):
-            def step(self, state, digit):
-                steps.append(digit)
-                return super().step(state, digit)
+            def children(self, state, n=1):
+                steps.append(state)
+                return super().children(state, n)
 
         U.__dict__["machine"] = CountingMachine(3, U.members)
         for resolution in (3, 4, 10):
@@ -582,67 +594,91 @@ class TestPa:
                 assert density_check(U, 3).dense_up_to
 
 
-def _ladder_outcome(call) -> str:
-    try:
-        return repr(call())
-    except PHTreeError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-class TestStageJumps:
-    """A gap-ladder machine crosses the levels inside a stage in one jump."""
-
-    @staticmethod
-    def _subset(data, continuations):
-        m = data.draw(st.integers(2, 4))
+def _any_subset(data, m):
+    """A subset of every kind of machine, with room for a few levels below
+    the states the tests draw."""
+    kind = data.draw(st.sampled_from(
+        ["last-digit", "digit-avoiding", "full-levels", "rho", "explicit", "prefix", "predicate"]
+    ))
+    digit = data.draw(st.integers(0, m - 1))
+    if kind == "last-digit":
+        return SubsetSpec.last_digit(m, digit)
+    if kind == "digit-avoiding":
+        return SubsetSpec.digit_avoiding(m, digit)
+    if kind == "full-levels":
+        levels = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+        return SubsetSpec.full_levels(m, levels, data.draw(st.sampled_from([None, "doubling"])))
+    if kind == "rho":
         prefix = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
-        continuation = data.draw(st.sampled_from(continuations))
+        continuation = data.draw(st.sampled_from(["finite", "cycle", "arithmetic", "geometric"]))
         step = data.draw(st.integers(int(continuation == "geometric"), 2))
-        digit = data.draw(st.integers(0, m - 1))
         return SubsetSpec.rho_generated(m, RhoPattern(prefix, continuation, step), digit)
+    members = data.draw(st.sets(st.lists(st.integers(0, m - 1), max_size=5).map(tuple), max_size=8))
+    if kind == "predicate":
+        return SubsetSpec.predicate(m, lambda v: v.digits in members, UNBOUNDED_DEPTH)
+    U = SubsetSpec.explicit(m, members)
+    if kind == "prefix":
+        U.__dict__["machine"] = _PrefixMachine(m, U.members)
+    return U
 
-    @settings(max_examples=200, deadline=None)
+
+class TestChildren:
+    """Every machine gives the children of a state n <= gap levels down as
+    the states ``step`` reaches over all m**n digit strings, each with its
+    least first digit and its number of strings, in order of least string."""
+
+    @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_jump_matches_repeated_steps(self, data):
-        machine = self._subset(data, ["finite", "arithmetic", "geometric"]).machine
-        pattern, digit = machine.pattern, machine.digit
-        k = data.draw(st.integers(1, len(pattern.prefix) + 3 * (not pattern.is_finite)))
-        i = data.draw(st.integers(0, pattern.term(k) - 1))
-        state = (k, i, data.draw(st.booleans()), data.draw(st.booleans()))
-        assert machine.gap(state) == pattern.term(k) - i
-        n = data.draw(st.integers(1, machine.gap(state)))
-        kept, lost = machine.jump(state, n)
-        other = st.lists(st.integers(0, machine.m - 1), min_size=n, max_size=n)
-        for path in ([digit] * n, data.draw(other.filter(lambda p: p != [digit] * n))):
+    def test_children_match_steps(self, data):
+        m = data.draw(st.integers(2, 4))
+        U = _any_subset(data, m)
+        machine, step = U.machine, U.machine.step
+        state = machine.initial()
+        if data.draw(st.booleans()):
+            # the density probe's machine, from on or off the all-zero path
+            inner, machine = machine, _InteriorMachine(machine)
+            state = (state, data.draw(st.booleans()))
+
+            def step(state, digit):
+                return inner.step(state[0], digit), state[1] and digit == 0
+
+        depth = data.draw(st.integers(0, min(8, U.depth_bound - 1)))
+        for digit in data.draw(st.lists(st.integers(0, m - 1), min_size=depth, max_size=depth)):
+            state = step(state, digit)
+        n = data.draw(st.integers(1, min(machine.gap(state), 4, U.depth_bound - depth)))
+        expected: dict = {}
+        for digits in itertools.product(range(m), repeat=n):
             end = state
-            for level, d in enumerate(path):
+            for level, digit in enumerate(digits):
                 assert not (level and machine.is_member(end))  # none before the gap
-                end = machine.step(end, d)
-            assert end == (kept if path == [digit] * n else lost)
+                end = step(end, digit)
+            expected.setdefault(end, [digits[0], 0])[1] += 1
+        assert list(machine.children(state, n)) == [(c, d, k) for c, (d, k) in expected.items()]
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_jumps_change_no_outcome(self, data):
-        U = self._subset(data, ["finite", "cycle", "arithmetic", "geometric"])
-        params = GameParams(U.m, 0.5, 0.5)
-        k_max, depth = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 30))
-        machine, start = U.machine, U.machine.initial()
+    def test_rho_gap_is_the_rest_of_the_stage(self):
+        machine = SubsetSpec.parse("rho:3,5;arith=2", 3).machine
+        assert [machine.gap((k, i, True, False)) for k, i in [(1, 0), (1, 2), (1, 3), (2, 1), (3, 4)]] == [
+            3, 1, 1, 4, 3,
+        ]
 
-        def first_member():  # the class map from the root, in a fixed order
-            offset, definitive, n, counts, flags = _first_member(
-                machine, {(start, False): 1}, [machine.is_member(start)], 0, depth, size_cap()
-            )
-            return offset, definitive, n, sorted(zip(counts.items(), flags))
+    def test_no_scan_steps(self, monkeypatch):
+        """analyze and the counterexample's class walk reach every state
+        through ``children``; ``step`` serves ``contains`` and field values."""
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("PHTREE_SIZE_CAP", str(data.draw(st.integers(1, 60))))
-            calls = (
-                lambda: compute_rho(U, params, k_max), lambda: analyze(U, params, k_max), first_member
-            )
-            jumped = [_ladder_outcome(call) for call in calls]
-            mp.delattr(_RhoGeneratedMachine, "jump")
-            stepped = [_ladder_outcome(call) for call in calls]
-        assert jumped == stepped
+        def refuse(machine, state, digit):
+            raise AssertionError(f"{type(machine).__name__}.step called")
+
+        for machine in (_TableMachine, _RhoGeneratedMachine, _FullLevelsMachine, _PredicateMachine):
+            monkeypatch.setattr(machine, "step", refuse)
+        for text in (
+            "last-digit:0", "digit-avoiding:1", "full-levels:2,5", "full-levels:1,3;doubling",
+            "rho:1,4,1,8,1,16", "rho:1,2;arith=1", "rho:1,2,3;finite", "rho:1,3;digit=1",
+        ):
+            analyze(SubsetSpec.parse(text, 3), P, 6)
+        analyze(SubsetSpec.explicit(3, [(1,), (0, 2), (2, 1, 0, 1, 2, 2)]), P, 6, resolution=3)
+        analyze(SubsetSpec.predicate(3, lambda v: v.digits[-1:] == (0,), depth_bound=9), P, 4, 2, 3)
+        field = build_counterexample(RhoPattern((1,), "arithmetic", 1), P, 8)
+        assert len(list(field.class_representatives(8))) == 9
 
 
 class TestComputeRho:
@@ -688,17 +724,18 @@ class TestComputeRho:
 
     def test_each_stage_level_stepped_once(self, monkeypatch):
         # one walk of the class map per stage plus the (P2) recounts, each
-        # jumping from a stage's first level to its boundary
+        # moving its classes one level down from a stage's boundary, then
+        # jumping to the next boundary: one call per class and crossing
         calls = collections.Counter()
-        step = _RhoGeneratedMachine.step
+        children = _RhoGeneratedMachine.children
 
-        def counting_step(machine, state, digit):
-            calls["step"] += 1
-            return step(machine, state, digit)
+        def counting_children(machine, state, n=1):
+            calls[n > 1] += 1
+            return children(machine, state, n)
 
-        monkeypatch.setattr(_RhoGeneratedMachine, "step", counting_step)
+        monkeypatch.setattr(_RhoGeneratedMachine, "children", counting_children)
         compute_rho(SubsetSpec.parse("rho:1,2;arith=1", 3), P, k_max=40)
-        assert calls["step"] == 822
+        assert calls == {False: 274, True: 304}
 
     def test_membership_tested_once_per_class_and_level(self):
         calls = collections.Counter()
