@@ -783,11 +783,15 @@ class PaResult:
     n: int | None
     scan_depth: int
     counterexample: Vertex | None = None
+    #: some scanned level met no state unseen above it, so no deeper level
+    #: does and every reachable state was probed
+    closed: bool = field(default=False, repr=False)
 
 
 def pa_check(U: SubsetSpec, n_max: int, scan_depth: int | None = None) -> PaResult:
     """Uniform hitting: from every vertex scanned, some descendant within
-    n levels is a member.  Returns the least uniform n <= n_max."""
+    n levels is a member.  Returns the least uniform n <= n_max, and
+    whether the scan reached closure (`PaResult.closed`)."""
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     if scan_depth is None:
@@ -800,8 +804,12 @@ def pa_check(U: SubsetSpec, n_max: int, scan_depth: int | None = None) -> PaResu
     machine, cap = U.machine, size_cap()
     root = machine.initial()
     levels = _scan(machine, {(root, True): (1, (), machine.is_member(root))}, 0, cap)
-    worst = 0
+    worst, seen, closed = 0, set(), False
     for _, (level, classes) in zip(range(scan_depth + 1), levels):
+        if not closed:
+            states = [ks for ks, _below in classes]
+            closed = seen.issuperset(states)
+            seen.update(states)
         for (ks, _below), (_count, path, _member) in classes.items():
             # a probe that starts below a member keeps one class per state
             probe = {(ks, True): (1, path, False)}
@@ -809,7 +817,7 @@ def pa_check(U: SubsetSpec, n_max: int, scan_depth: int | None = None) -> PaResu
             if offset is None:
                 return PaResult(False, None, scan_depth, _vertex(U.m, path))
             worst = max(worst, offset)
-    return PaResult(holds=True, n=worst, scan_depth=scan_depth)
+    return PaResult(holds=True, n=worst, scan_depth=scan_depth, closed=closed)
 
 
 # ----------------------------------------------------------------------
@@ -1308,7 +1316,10 @@ def analyze(
                 f"gap series converges (limit {series.limit_sum:.6g}): the "
                 f"explicit bounded construction vanishes on U but not everywhere"
             )
-    if verdict is None and pa is not None and pa.holds:
+    # hitting certifies only what the scan covers: every reachable state of
+    # a finite automaton, with membership trusted at every depth
+    covered = U.depth_bound == UNBOUNDED_DEPTH and U.machine.fixpoint
+    if verdict is None and pa is not None and pa.holds and pa.closed and covered:
         verdict = VERDICT_UCP
         reason = f"every scanned vertex has a member descendant within {pa.n} levels"
     if verdict is None:

@@ -1063,6 +1063,41 @@ class TestAnalyze:
             "notes": [*notes, "no members exist below the level-0 frontier at any depth"],
         }
 
+    @pytest.mark.parametrize("text, n", [("rho:6;finite", 6), ("rho:3,3;finite", 3)])
+    def test_finite_ladder_not_certified_by_hitting(self, text, n):
+        # +1 on the subtree of vertex 1.0 and -1 on that of 1.1 vanishes on
+        # the set; every scanned vertex still has a member within n levels
+        report = analyze(SubsetSpec.parse(text, 3), P)
+        assert report.pa.holds and report.pa.n == n
+        assert report.verdict == f"inconclusive-at-depth-{report.depth_scanned}"
+
+    @pytest.mark.parametrize(
+        "text, closed",
+        [("last-digit:0", True), ("rho:1;cycle", True), ("rho:1,4,1,8,1,16", False), ("rho:1;arith=0", False)],
+    )
+    def test_hitting_scan_closure(self, text, closed):
+        # the 31-level cycle does not close within the 16 scanned levels
+        assert pa_check(SubsetSpec.parse(text, 3), 6).closed is closed
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_finite_depth_never_certified_by_hitting(self, data):
+        """A set known only to a finite depth is never certified from
+        hitting alone."""
+        m = data.draw(st.integers(2, 3))
+        d, r = data.draw(st.integers(0, m - 1)), data.draw(st.integers(1, 3))
+        if data.draw(st.booleans()):
+            prefix = tuple(data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+            U = SubsetSpec.rho_generated(m, RhoPattern(prefix, "finite"), d)
+        else:
+            rule = data.draw(st.sampled_from([
+                lambda v: v.level >= r, lambda v: v.digits[-1:] == (d,), lambda v: v.level % r == 0 < v.level,
+            ]))
+            U = SubsetSpec.predicate(m, rule, data.draw(st.integers(1, 7)))
+        k_max, resolution, pa_n_max = (data.draw(st.integers(lo, 6)) for lo in (1, 0, 1))
+        report = analyze(U, GameParams(m, 0.5, 0.5), k_max, resolution, pa_n_max)
+        assert report.verdict != VERDICT_UCP
+
     def test_unstructured_predicate_is_inconclusive(self):
         U = SubsetSpec.predicate(3, lambda v: v.digits == (0,), depth_bound=6)
         report = analyze(U, P, k_max=2, resolution=2, pa_n_max=2)
