@@ -159,7 +159,7 @@ CASES = {
     ),
     "ucp-rho-finite": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,2,3;finite"],
-        "8fa71b95b867dabdc7867daa6ffcd1fd9a272e0d18dab1a5286d7c74eedc25b5",
+        "9bdc7637b32d80ed11263937aa0635814d29c408bba8cc78ab33ed71e8fdb15d",
     ),
     "ucp-set-file": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set-file", "{set_file}"],
