@@ -250,7 +250,7 @@ UCP_DESCRIPTORS = (
     "rho:1,4,1,8,1,16", "rho:1,2;arith=1", "rho:1,2,3;finite", "rho:2;geom=2",
     "rho:1,3;digit=1", "rho:2,1;finite;digit=1", "rho:3;arith=0", "rho:1;cycle",
 )
-UCP_MATRIX_DIGEST = "9c2afbd08f5a03ccff9df69602bcc56118655afebcd229c31c6a47422b3e1b10"
+UCP_MATRIX_DIGEST = "d9214bcc3b93e1a9d65d7b10c7eeaefa02ec54d3451ac937a84063dda98ca30b"
 
 
 def _ucp_subsets(m):
