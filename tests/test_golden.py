@@ -161,6 +161,12 @@ CASES = {
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,2,3;finite"],
         "9bdc7637b32d80ed11263937aa0635814d29c408bba8cc78ab33ed71e8fdb15d",
     ),
+    # one member, 0^6: hitting holds within 6 levels, but a +1/-1 field on
+    # the subtrees of 1.0 and 1.1 vanishes on it, so the verdict stays open
+    "ucp-rho-finite-single": (
+        ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:6;finite"],
+        "c1e2d1e6d4482ca4aa110d61e85db0c13c3155d2849036e53a5b215a9bbfe32d",
+    ),
     "ucp-set-file": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set-file", "{set_file}"],
         "a891b77315695c5951e665084566bc3d94014596f4731cb3a17382b670336256",
