@@ -63,7 +63,7 @@ from typing import Callable, Iterable
 
 from .capacity import decimal, exceeded, size_cap
 from .dpp import GameParams, residual_at
-from .errors import InsufficientDepthError, StructuralCheckError, ValidationError
+from .errors import CapacityError, InsufficientDepthError, StructuralCheckError, ValidationError
 from .tree import (
     Interval,
     Vertex,
@@ -741,19 +741,38 @@ class DensityResult:
 #: fixpoint argument; structured families find members within a stage or two
 _DENSITY_OFFSET_LIMIT = 512
 
+#: a witness at level d is m**-d wide, and a double is positive only above
+#: 2**-1075, so the deepest resolution has m**d < 2**_FLOAT_BITS
+_FLOAT_BITS = 1075
+
+
+def _check_resolution(m: int, d: int) -> None:
+    """Refuse a resolution whose witness interval prints as a point.  Since
+    2**(b - 1) <= m < 2**b for b = m.bit_length(), m**d is formed only
+    where d * (b - 1) < 1075 <= d * b leaves the answer open."""
+    b = m.bit_length()
+    if d * (b - 1) >= _FLOAT_BITS or (d * b > _FLOAT_BITS and m**d >= 2**_FLOAT_BITS):
+        raise CapacityError(
+            f"density resolution {d} is too deep: a level-{d} witness interval "
+            f"is {m}**-{d} wide, below the smallest double"
+        )
+
 
 def density_check(U: SubsetSpec, resolution_level: int) -> DensityResult:
     """Check that every interval at the given resolution contains an image
     point of U in its interior; on failure return a witness interval.
 
     Full levels, and an explicit set with no member deeper than the
-    resolution, are answered in closed form, without a level walk."""
+    resolution, are answered in closed form, without a level walk.  A
+    resolution d with m**d >= 2**1075 is refused with CapacityError: its
+    witness would print as a point, and no walk goes deeper."""
     if resolution_level < 0:
         raise ValidationError("resolution level must be >= 0")
     if resolution_level > U.depth_bound:
         raise InsufficientDepthError(
             f"resolution {resolution_level} exceeds trusted depth {U.depth_bound}"
         )
+    _check_resolution(U.m, resolution_level)
     # closed form: an interior image point below a level-d vertex needs a
     # member strictly deeper than d; a full level deeper than d gives each one
     deepest = U.max_member_level if U.kind in (KIND_FULL_LEVELS, KIND_EXPLICIT) else None
@@ -867,10 +886,7 @@ class UcpReport:
             "density_witness": (
                 None
                 if self.density is None or self.density.witness_gap is None
-                else {
-                    "left": float(self.density.witness_gap.left),
-                    "right": float(self.density.witness_gap.right),
-                }
+                else _float_ends(self.density.witness_gap)
             ),
             "pa_holds": None if self.pa is None else self.pa.holds,
             "pa_n": None if self.pa is None else self.pa.n,
@@ -878,6 +894,14 @@ class UcpReport:
             "verdict_reason": self.verdict_reason,
             "notes": list(self.notes),
         }
+
+
+def _float_ends(gap: Interval) -> dict:
+    """A witness interval's ends as doubles, refused where they coincide."""
+    left, right = float(gap.left), float(gap.right)
+    if not left < right:
+        raise CapacityError(f"the density witness interval at {left!r} is too narrow to print")
+    return {"left": left, "right": right}
 
 
 #: ceiling on single-stage probes when the trusted depth is unbounded

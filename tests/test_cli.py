@@ -3,8 +3,11 @@
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phtree
-from phtree import GameParams, check_field
+from phtree import (
+    CapacityError, DensityResult, GameParams, Interval, RhoPattern, SubsetSpec, Vertex, analyze,
+    check_field, density_check, interval_of,
+)
 from phtree import solver as solver_mod
 from phtree.cli import canonical_json, main
 from phtree.solver import field_from_csv
@@ -315,13 +321,72 @@ class TestUcp:
         assert result.stderr.startswith("error: level 4 scan needs 81 state classes")
 
     def test_member_count_too_long_to_print(self, runner):
-        # level 10000 holds 3**10000 members, more digits than str gives an int
+        # level 10000 holds 3**10000 members, more digits than str gives an
+        # int; doubling keeps the density resolution at 3
         result = runner.invoke(main, [
-            "ucp", "--m", "3", "--alpha", "0.5", "--set", "full-levels:10000",
+            "ucp", "--m", "3", "--alpha", "0.5", "--set", "full-levels:10000;doubling",
         ])
         assert result.exit_code == 0
         payload = json.loads(result.output, parse_constant=_reject_constant)
         assert "about 10**4771 members at level 10000, so (P1) fails" in payload["notes"]
+
+
+class TestWitnessDepth:
+    """A density witness that would print as a point exits 3, before the
+    walk or the vertex it would need is built."""
+
+    def test_deep_set_file_member(self, runner, tmp_path):
+        # the witness 0^701 is 3**-701 wide, which underflows a double
+        members = tmp_path / "deep.txt"
+        members.write_text(".".join(["1"] * 700) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["ucp", "--m", "3", "--alpha", "0.5", "--set-file", str(members)])
+        assert result.exit_code == 3
+        assert result.stderr == (
+            "error: density resolution 701 is too deep: a level-701 witness interval "
+            "is 3**-701 wide, below the smallest double\n"
+        )
+
+    @pytest.mark.parametrize("m, depth", [(2, 1074), (3, 678), (1024, 107), (1025, 107), (2**53, 20)])
+    def test_deepest_printable_resolution(self, m, depth):
+        # m**depth < 2**1075 <= m**(depth + 1): the deepest walk keeps a
+        # positive width; a gap ladder's automaton does not grow with m
+        assert m**depth < 2**1075 <= m ** (depth + 1)
+        U = SubsetSpec.rho_generated(m, RhoPattern((1,), "cycle"))
+        assert density_check(U, depth).dense_up_to
+        assert float(interval_of(Vertex(m, (0,) * depth)).right) > 0
+        with pytest.raises(CapacityError, match=f"^density resolution {depth + 1} is too deep"):
+            density_check(U, depth + 1)
+
+    def test_witness_with_coinciding_float_ends_refused(self):
+        # 1 - 3**-40 and 1 round to the same double
+        gap = Interval(1 - Fraction(1, 3**40), Fraction(1, 3**40))
+        report = replace(
+            analyze(SubsetSpec.digit_avoiding(3, 1), GameParams(3, 0.5, 0.5)),
+            density=DensityResult(False, gap, 40, True),
+        )
+        with pytest.raises(CapacityError, match="too narrow to print"):
+            report.to_json_obj()
+
+    @pytest.mark.parametrize(
+        "descriptor, depth",
+        [("rho:99999999999999999999;finite", 10**20 - 1), ("full-levels:1000000000", 10**9)],
+    )
+    def test_deep_descriptors_under_a_memory_limit(self, descriptor, depth):
+        """Without the depth check these fill memory, so each runs in a
+        child process held to 2 GB of address space."""
+        limit = 2 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(phtree.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "phtree.cli", "ucp", "--m", "3", "--alpha", "0.5",
+             "--set", descriptor, "--kmax", "2"],
+            env=env, capture_output=True, text=True, timeout=300, preexec_fn=cap_memory,
+        )
+        assert run.returncode == 3, run.stderr
+        assert run.stderr.startswith(f"error: density resolution {depth} is too deep")
 
 
 @pytest.mark.parametrize(
