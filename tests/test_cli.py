@@ -463,7 +463,9 @@ def test_ucp_fuzz(descriptor, m, alpha, scans, cap):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     if result.exit_code == 0:
-        json.loads(result.stdout, parse_constant=_reject_constant)
+        witness = json.loads(result.stdout, parse_constant=_reject_constant)["density_witness"]
+        if witness is not None:
+            assert witness["left"] < witness["right"]
 
 
 @pytest.mark.parametrize(
