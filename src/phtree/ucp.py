@@ -16,7 +16,9 @@ The machinery:
   gap).  Full levels, and explicit sets at or below their deepest member,
   are answered in closed form; every other case walks the levels.
 * ``pa_check`` -- uniform hitting: every vertex has a U descendant within
-  n levels.  Success certifies unique continuation.
+  n levels.  Success certifies unique continuation where membership is
+  trusted at every depth and the scan probed every reachable state of a
+  finite automaton.
 * ``compute_rho`` -- the gap ladder rho_k between successive U-hitting
   levels, with the uniqueness checks (P1)/(P2) along the way.
 * ``criterion_verdict`` -- decides divergence of ``sum delta**rho_k``
