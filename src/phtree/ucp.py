@@ -33,23 +33,18 @@ The machinery:
 
 Each subset compiles to a digit automaton (``initial()``, ``step(state,
 digit)``, ``is_member(state)``, ``m`` and a ``fixpoint`` flag for finite
-states).  Digit rules and explicit sets compile to one integer table.
-Every automaton also gives ``children(state, n)``: the distinct states n
-levels down, each with its least first digit and its number of digit
-strings, for any n up to ``gap(state)``, the levels before membership can
-next hold (one for a table, the rest of the stage for a gap ladder).
-``_scan`` is the one level loop: it moves a {(state, below a member):
-(vertex count, first vertex, member)} map down by these children, a level
-at a time or, towards a stop level, a gap at a time, and caps each map.
-Counting words by a class's count times each child's multiplicity is the
-transfer-matrix method for automata (Flajolet and Sedgewick, *Analytic
-Combinatorics*, 2009, V.6).  ``_first_member`` reads the scan until a
-class with a nonzero count is a member, a set of such states repeats (on
-a ``fixpoint`` machine, proof that no member lies deeper) or its offset
-budget is spent.  The ladder runs one map per stage, count 1 on its
-eligible classes; the map it stops at gives the (P1) count and is the
-next stage's.  ``step`` serves only ``SubsetSpec.contains`` and the
-counterexample's values.
+states); digit rules and explicit sets compile to one integer table.  For
+the scans, ``children(state, n)`` gives the distinct states n <=
+``gap(state)`` levels down (no member lies nearer), each with its least
+first digit and its number of digit strings, and ``_scan``, the one level
+loop, moves a {(state, below a member): (vertex count, first vertex,
+member)} map down by them: the transfer-matrix count of an automaton's
+words (Flajolet and Sedgewick, *Analytic Combinatorics*, 2009, V.6).
+``_first_member`` reads it until a nonzero-count class is a member, a set
+of such states repeats (on a ``fixpoint`` machine, proof that no member
+lies deeper) or its budget is spent; the ladder runs one map per stage,
+count 1 on its eligible classes.  ``step`` serves ``contains`` and field
+values only.
 """
 
 from __future__ import annotations
@@ -57,8 +52,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from collections import Counter
-from functools import cache, cached_property, reduce
-from itertools import accumulate, compress
+from functools import cache, cached_property
+from itertools import accumulate
 from operator import truediv
 from pathlib import Path
 from typing import Callable, Iterable
@@ -255,17 +250,18 @@ class _RhoGeneratedMachine:
     def initial(self):
         return (1, 0, True, False)
 
-    def step(self, state, digit):
+    def _ends(self, state, n: int):
+        """The states n <= gap(state) levels down: on the all-`digit` path,
+        which keeps the flag, and off it."""
         k, i, all_d, prev_u = state
         if i < self._term(k):
-            return (k, i + 1, all_d and digit == self.digit, prev_u)
-        member_here = all_d and not prev_u
-        return (
-            self.pattern.canonical_stage(k + 1),
-            1,
-            digit == self.digit,
-            member_here,
-        )
+            return (k, i + n, all_d, prev_u), (k, i + n, False, prev_u)
+        # a stage boundary, where the flag starts afresh
+        k, member_here = self.pattern.canonical_stage(k + 1), all_d and not prev_u
+        return (k, 1, True, member_here), (k, 1, False, member_here)
+
+    def step(self, state, digit):
+        return self._ends(state, 1)[digit != self.digit]
 
     def is_member(self, state) -> bool:
         k, i, all_d, prev_u = state
@@ -276,13 +272,7 @@ class _RhoGeneratedMachine:
         return max(self._term(state[0]) - state[1], 1)
 
     def children(self, state, n=1):
-        """The all-`digit` path keeps its flag, the m**n - 1 other paths lose it."""
-        k, i, all_d, prev_u = state
-        if i < self._term(k):
-            kept, lost = (k, i + n, all_d, prev_u), (k, i + n, False, prev_u)
-        else:  # a stage boundary, where the flag starts afresh
-            k, member_here = self.pattern.canonical_stage(k + 1), all_d and not prev_u
-            kept, lost = (k, 1, True, member_here), (k, 1, False, member_here)
+        kept, lost = self._ends(state, n)
         if kept == lost:
             return [(lost, 0, self.m**n)]
         if self.digit:
@@ -605,20 +595,14 @@ def _integer(value, what: str) -> int:
 
 
 def _scan(machine, classes: dict, level: int, cap: int, stop: int | None = None):
-    """Yield (level, classes) for each level the scan reaches from the map
-    `classes` at `level` down, capping each map.
-
-    A map is {(state, below a member): (vertex count, first vertex, member)}:
-    a vertex is the chain (parent's vertex, digit), the root's ``()``, and
-    member is ``is_member(state)``.  A class sends count * multiplicity to
-    each of ``machine.children(state, n)``, flagged below a member from a
-    member class on.  Without `stop` the scan moves one level at a time for
-    ever, and a child class's first vertex is its first parent class's
-    with the child's least first digit.  With `stop` it crosses up to the
-    least ``gap`` of its classes at once (no member lies nearer), ends at
-    `stop` and keeps the first vertices of the classes it started from.  A
-    jump has the same class count at every level it crosses, so the cap is
-    checked once and names its first level.
+    """Yield (level, classes) from the map `classes` at `level` down, capping
+    each map.  A class sends count * multiplicity to each of its children,
+    flagged below a member from a member class on.  Without `stop` the scan
+    moves a level at a time, and a new class's first vertex is the chain
+    (its first parent's vertex, least first digit), the root's ``()``.  With
+    `stop` it crosses up to the least ``gap`` of its classes at once, keeps
+    the start classes' vertices and ends at `stop`; the class count is the
+    same on every level a jump crosses, so the cap names the first.
     """
     children, gap, is_member = machine.children, machine.gap, machine.is_member
     _check_scan_size(level, len(classes), cap)
@@ -665,14 +649,10 @@ def _check_scan_size(level: int, size: int, cap: int) -> None:
 
 def _first_member(machine, classes: dict, level: int, max_offset: int, cap: int):
     """Least offset n in 1..max_offset at which a member descends from a
-    class with a nonzero count in the map `classes` at `level`; a class with
-    count 0 is only carried.
-
-    Returns (offset | None, definitive, levels scanned, classes) for the
-    level it stopped at, whose member classes count the member vertices at
-    the offset (none without one).  Without a member, only a repeated set
-    of nonzero-count states on a ``fixpoint`` machine is definitive.
-    """
+    nonzero-count class of the map `classes` at `level` (a count-0 class is
+    only carried).  Returns (offset | None, definitive, levels scanned, the
+    map it stopped at); without a member, only a repeated set of
+    nonzero-count states on a ``fixpoint`` machine is definitive."""
     seen = set()
     for depth, classes in _scan(machine, classes, level, cap, level + max_offset):
         n = depth - level
@@ -709,20 +689,17 @@ class _InteriorMachine:
         return 1
 
     def children(self, state, n=1):
-        """Digit 0 continues the all-zero path; the other digits that reach
-        its child start an off-path copy, whose least digit g is the least
-        one that no other child claims (every machine here reaches at most
-        one child by more than one digit)."""
+        """Digit 0 continues the all-zero path.  The other digits to its child
+        start an off-path copy, whose least digit g is the least that no
+        other child claims: a machine here reaches at most one child by more
+        than one digit."""
         ks, all_zero = state
         kids = [((c, False), d, k) for c, d, k in self.machine.children(ks)]
+        (c, _), _, k = kids[0]
         if all_zero:
-            (c, _off), _d, k = kids[0]
+            g = next(g for g in range(1, len(kids) + 1) if g == len(kids) or kids[g][1] != g)
             kids[0] = ((c, True), 0, 1)
-            if k > 1:
-                g = 1
-                while g < len(kids) and kids[g][1] == g:
-                    g += 1
-                kids.insert(g, ((c, False), g, k - 1))
+            kids[g:g] = [((c, False), g, k - 1)] * (k > 1)
         return kids
 
 
@@ -743,17 +720,13 @@ class DensityResult:
 #: fixpoint argument; structured families find members within a stage or two
 _DENSITY_OFFSET_LIMIT = 512
 
-#: a witness at level d is m**-d wide, and a double is positive only above
-#: 2**-1075, so the deepest resolution has m**d < 2**_FLOAT_BITS
-_FLOAT_BITS = 1075
-
 
 def _check_resolution(m: int, d: int) -> None:
-    """Refuse a resolution whose witness interval prints as a point.  Since
-    2**(b - 1) <= m < 2**b for b = m.bit_length(), m**d is formed only
-    where d * (b - 1) < 1075 <= d * b leaves the answer open."""
+    """Refuse a resolution d whose witness, m**-d wide, prints as a point: a
+    double is positive only above 2**-1075.  Since 2**(b - 1) <= m < 2**b
+    for b = m.bit_length(), m**d is formed only where d * b > 1075 > d * (b - 1)."""
     b = m.bit_length()
-    if d * (b - 1) >= _FLOAT_BITS or (d * b > _FLOAT_BITS and m**d >= 2**_FLOAT_BITS):
+    if d * (b - 1) >= 1075 or (d * b > 1075 and m**d >= 2**1075):
         raise CapacityError(
             f"density resolution {d} is too deep: a level-{d} witness interval "
             f"is {m}**-{d} wide, below the smallest double"
@@ -1149,23 +1122,17 @@ class CounterexampleField:
         """The generated set this field vanishes on."""
         return SubsetSpec.rho_generated(self.params.m, self.pattern, self.digit)
 
-    def _child(self, state, digit):
-        """The class of a child: None at and below a member, else its state.
-        The root's class is its state, which is never a member."""
-        if state is not None:
-            state = self._machine.step(state, digit)
-            if not self._machine.is_member(state):
-                return state
-        return None
-
     def value(self, v: Vertex) -> float:
         if v.m != self.params.m:
             raise ValidationError("vertex branching differs from the field's")
         # the machine folds cycle stages, so the stage comes from the level
         k = self.pattern.stages_to_depth(v.level)
-        state = reduce(self._child, v.digits, self._machine.initial())
-        if state is None:
-            return 0.0
+        machine = self._machine
+        state = machine.initial()
+        for d in v.digits:
+            state = machine.step(state, d)
+            if machine.is_member(state):
+                return 0.0  # at and below a member
         if k == 0:
             return 1.0  # the root
         _stage, i, on_path, _stage_root_member = state
