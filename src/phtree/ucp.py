@@ -1150,16 +1150,10 @@ class CounterexampleField:
         the first vertex of its level in each class.  Values and whole
         subtrees coincide within a class, so the representatives cover every
         vertex of their level."""
-        m, machine = self.params.m, self._machine
-        root = machine.initial()
-        levels = _scan(machine, {(root, False): (1, (), False)}, 0, size_cap())
+        m, machine = self.params.m, _CoveredMachine(self._machine)
+        levels = _scan(machine, {(self._machine.initial(), False): (1, (), False)}, 0, size_cap())
         for _, (level, classes) in zip(range(max_level + 1), levels):
-            reps: dict = {}
-            for (ks, below), (_count, path, member) in classes.items():
-                key = None if below or member else ks
-                if key not in reps:
-                    reps[key] = _vertex(m, path).digits
-            yield level, reps
+            yield level, {ks: _vertex(m, path).digits for (ks, _below), (_c, path, _m) in classes.items()}
 
     def residual_certificate(self, max_level: int | None = None) -> "ResidualCertificate":
         """Max operator residual over all vertices up to `max_level`.
@@ -1193,6 +1187,26 @@ class CounterexampleField:
             levels_covered=max_level,
             classes_checked=classes,
         )
+
+
+class _CoveredMachine:
+    """A counterexample field's classes: the set machine's state, or None at
+    and below a member, where the field is 0.  None may come up as several
+    children; the scan adds their counts."""
+
+    def __init__(self, machine):
+        self.machine, self.m = machine, machine.m
+
+    def is_member(self, state) -> bool:
+        return False
+
+    def gap(self, state) -> int:
+        return 1
+
+    def children(self, state, n=1):
+        if state is None:
+            return [(None, 0, self.m)]
+        return [(None if self.machine.is_member(c) else c, d, k) for c, d, k in self.machine.children(state)]
 
 
 @dataclass(frozen=True)

@@ -279,6 +279,12 @@ class TestSizeCap:
         assert density_check(U, 3).dense_up_to
         assert pa_check(U, 3).n == 1
 
+    def test_class_walk_counts_the_field_classes(self, monkeypatch):
+        # every state at and below a member is the one class None
+        field = build_counterexample(RhoPattern((1,), "arithmetic", 1), P, 10)
+        monkeypatch.setenv("PHTREE_SIZE_CAP", "3")
+        assert [len(reps) for _, reps in field.class_representatives(8)] == [1, 2, 3, 2, 3, 3, 2, 3, 3]
+
     def test_within_cap_unchanged(self, monkeypatch):
         monkeypatch.setenv("PHTREE_SIZE_CAP", str(10**5))
         assert not density_check(self.NEVER, 0).dense_up_to
