@@ -210,6 +210,14 @@ class RhoPattern:
 # digit automata for membership
 # ----------------------------------------------------------------------
 
+class _OneLevel:
+    """A machine whose members may lie on any level: its scans move one
+    level at a time."""
+
+    def gap(self, state) -> int:
+        return 1
+
+
 class _FullLevelsMachine:
     fixpoint = False  # a state is its level, one per level
 
@@ -280,7 +288,7 @@ class _RhoGeneratedMachine:
         return [(kept, 0, 1), (lost, int(n == 1), self.m**n - 1)]
 
 
-class _TableMachine:
+class _TableMachine(_OneLevel):
     """A finite digit automaton as integer tables: a state is a row id, row s
     keeps its children at ``child[s * m : s * m + m]`` and its membership at
     ``member[s]``.  -1 is dead: the table takes both lists over and appends
@@ -305,9 +313,6 @@ class _TableMachine:
 
     def is_member(self, state) -> bool:
         return self._member[state]
-
-    def gap(self, state) -> int:
-        return 1
 
     def children(self, state, n=1):
         kids = self._kids[state]
@@ -342,7 +347,7 @@ def _trie(m: int, members: frozenset[tuple[int, ...]]) -> _TableMachine:
     return _TableMachine(m, child, member, 0 if members else -1)
 
 
-class _PredicateMachine:
+class _PredicateMachine(_OneLevel):
     fixpoint = False
 
     def __init__(self, m: int, fn: Callable[[Vertex], bool]):
@@ -357,9 +362,6 @@ class _PredicateMachine:
 
     def is_member(self, state) -> bool:
         return bool(self.fn(Vertex(self.m, state)))
-
-    def gap(self, state) -> int:
-        return 1
 
     def children(self, state, n=1):
         return [(state + (d,), d, 1) for d in range(self.m)]
@@ -671,7 +673,7 @@ def _members(classes: dict) -> int:
     return sum(count for count, _path, member in classes.values() if member)
 
 
-class _InteriorMachine:
+class _InteriorMachine(_OneLevel):
     """A machine paired with the flag "every digit so far was 0"; its
     members are the wrapped machine's members off the all-zero path, whose
     expansion points lie in the open interior of the start interval."""
@@ -684,9 +686,6 @@ class _InteriorMachine:
     def is_member(self, state) -> bool:
         ks, all_zero = state
         return not all_zero and self.machine.is_member(ks)
-
-    def gap(self, state) -> int:
-        return 1
 
     def children(self, state, n=1):
         """Digit 0 continues the all-zero path.  The other digits to its child
@@ -1189,7 +1188,7 @@ class CounterexampleField:
         )
 
 
-class _CoveredMachine:
+class _CoveredMachine(_OneLevel):
     """A counterexample field's classes: the set machine's state, or None at
     and below a member, where the field is 0.  None may come up as several
     children; the scan adds their counts."""
@@ -1199,9 +1198,6 @@ class _CoveredMachine:
 
     def is_member(self, state) -> bool:
         return False
-
-    def gap(self, state) -> int:
-        return 1
 
     def children(self, state, n=1):
         if state is None:
