@@ -661,7 +661,9 @@ def _first_member(machine, classes: dict, level: int, max_offset: int, cap: int)
         if n and _members(classes):
             return n, True, n, classes
         if machine.fixpoint:
-            current = frozenset(ks for (ks, _below), (count, _path, _member) in classes.items() if count)
+            current = frozenset(
+                ks for (ks, _below), (count, _path, _member) in classes.items() if count
+            )
             if current in seen:
                 return None, True, n, classes
             seen.add(current)
@@ -694,8 +696,8 @@ class _InteriorMachine(_OneLevel):
         than one digit."""
         ks, all_zero = state
         kids = [((c, False), d, k) for c, d, k in self.machine.children(ks)]
-        (c, _), _, k = kids[0]
         if all_zero:
+            (c, _), _, k = kids[0]
             g = next(g for g in range(1, len(kids) + 1) if g == len(kids) or kids[g][1] != g)
             kids[0] = ((c, True), 0, 1)
             kids[g:g] = [((c, False), g, k - 1)] * (k > 1)
@@ -757,7 +759,8 @@ def density_check(U: SubsetSpec, resolution_level: int) -> DensityResult:
         return DensityResult(True, None, resolution_level, True)
     machine, cap = U.machine, size_cap()
     root = machine.initial()
-    for level, classes in _scan(machine, {(root, True): (1, (), machine.is_member(root))}, 0, cap):
+    levels = _scan(machine, {(root, True): (1, (), machine.is_member(root))}, 0, cap)
+    for level, classes in levels:
         if level == resolution_level:
             break
     interior = _InteriorMachine(machine)
@@ -922,7 +925,9 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
             frontier_empty_at = base
             notes.append(f"level {base} is fully contained in U")
             break
-        untouched = [ks for (ks, below), (count, _path, _member) in classes.items() if count and not below]
+        untouched = [
+            ks for (ks, below), (count, _path, _member) in classes.items() if count and not below
+        ]
         max_probe = min(U.depth_bound - base, _RHO_PROBE_LIMIT)
         offset, definitive, scanned, classes = _first_member(machine, classes, base, max_probe, cap)
         level = base + scanned
@@ -1152,7 +1157,7 @@ class CounterexampleField:
         m, machine = self.params.m, _CoveredMachine(self._machine)
         levels = _scan(machine, {(self._machine.initial(), False): (1, (), False)}, 0, size_cap())
         for _, (level, classes) in zip(range(max_level + 1), levels):
-            yield level, {ks: _vertex(m, path).digits for (ks, _below), (_c, path, _m) in classes.items()}
+            yield level, {key[0]: _vertex(m, entry[1]).digits for key, entry in classes.items()}
 
     def residual_certificate(self, max_level: int | None = None) -> "ResidualCertificate":
         """Max operator residual over all vertices up to `max_level`.
@@ -1202,7 +1207,8 @@ class _CoveredMachine(_OneLevel):
     def children(self, state, n=1):
         if state is None:
             return [(None, 0, self.m)]
-        return [(None if self.machine.is_member(c) else c, d, k) for c, d, k in self.machine.children(state)]
+        is_member = self.machine.is_member
+        return [(None if is_member(c) else c, d, k) for c, d, k in self.machine.children(state)]
 
 
 @dataclass(frozen=True)
