@@ -33,13 +33,15 @@ The machinery:
 
 Each subset compiles to a digit automaton (``initial()``, ``step(state,
 digit)``, ``is_member(state)``, ``m`` and a ``fixpoint`` flag for finite
-states); digit rules and explicit sets compile to one integer table.  For
-the scans, ``children(state, n)`` gives the distinct states n <=
-``gap(state)`` levels down (no member lies nearer), each with its least
-first digit and its number of digit strings, and ``_scan``, the one level
-loop, moves a {(state, below a member): (vertex count, first vertex,
-member)} map down by them: the transfer-matrix count of an automaton's
-words (Flajolet and Sedgewick, *Analytic Combinatorics*, 2009, V.6).
+states); digit rules compile to three states and explicit sets to an
+integer table.  For the scans, ``children(state, n)`` gives the distinct
+states n <= ``gap(state)`` levels down (no member lies nearer), each with
+its least first digit and its number of digit strings (a table lists each
+digit's child instead), and ``_scan``, the one level loop, moves a
+{(state, below a member): vertex count} map down by them, with its member
+classes and, walking from the root, each class's first vertex: the
+transfer-matrix count of an automaton's words (Flajolet and Sedgewick,
+*Analytic Combinatorics*, 2009, V.6).
 ``_first_member`` reads it until a nonzero-count class is a member, a set
 of such states repeats (on a ``fixpoint`` machine, proof that no member
 lies deeper) or its budget is spent; the ladder runs one map per stage,
@@ -51,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from collections import Counter
 from functools import cache, cached_property
 from itertools import accumulate
 from operator import truediv
@@ -288,13 +289,39 @@ class _RhoGeneratedMachine:
         return [(kept, 0, 1), (lost, int(n == 1), self.m**n - 1)]
 
 
+class _DigitRuleMachine(_OneLevel):
+    """A digit rule's three states: 0 the root, 1 the members, 2 the rest.
+    `last-digit` goes to 1 on `digit` and to 2 on any other; `digit-avoiding`
+    goes to 2 on `digit` and stays there, and to 1 on any other."""
+
+    fixpoint = True
+
+    def __init__(self, m: int, digit: int, avoiding: bool):
+        self.m, self.digit, self.avoiding = m, digit, avoiding
+        self._on, self._off = (2, 1) if avoiding else (1, 2)  # `digit`'s state, the others'
+        kids = [(self._on, digit, 1), (self._off, int(digit == 0), m - 1)]
+        self._kids = kids if digit == 0 else kids[::-1]
+
+    def initial(self):
+        return 0
+
+    def step(self, state, digit):
+        if self.avoiding and state == 2:
+            return 2
+        return self._on if digit == self.digit else self._off
+
+    def is_member(self, state) -> bool:
+        return state == 1
+
+    def children(self, state, n=1):
+        return [(2, 0, self.m)] if self.avoiding and state == 2 else self._kids
+
+
 class _TableMachine(_OneLevel):
     """A finite digit automaton as integer tables: a state is a row id, row s
     keeps its children at ``child[s * m : s * m + m]`` and its membership at
     ``member[s]``.  -1 is dead: the table takes both lists over and appends
-    the dead row last, where state -1 finds it as a negative index.  A row's
-    distinct children are worked out the first time a scan visits it, and
-    kept."""
+    the dead row last, where state -1 finds it as a negative index."""
 
     fixpoint = True
 
@@ -303,7 +330,7 @@ class _TableMachine(_OneLevel):
         self._child, self._member, self._root = child, member, root
         child += [-1] * m
         member.append(False)
-        self._kids, self._shared = [None] * len(member), {}
+        self._rows, self._digits, self._ones = len(member), range(m), (1,) * m
 
     def initial(self):
         return self._root
@@ -315,20 +342,10 @@ class _TableMachine(_OneLevel):
         return self._member[state]
 
     def children(self, state, n=1):
-        kids = self._kids[state]
-        if kids is None:
-            m, shared = self.m, self._shared
-            base = state % len(self._kids) * m  # the dead row too
-            row = self._child[base : base + m]
-            least = dict(zip(reversed(row), range(m - 1, -1, -1)))
-            # a Counter keeps its children in order of first digit; a trie's
-            # rows repeat their dead child's triples and their all-dead rows
-            kids = tuple(
-                shared.setdefault(t, t) if t[2] > 1 else t
-                for t in ((c, least[c], k) for c, k in Counter(row).items())
-            )
-            kids = self._kids[state] = shared.setdefault(kids, kids) if len(kids) == 1 else kids
-        return kids
+        """Each digit's child, read from the row: a row of a few digits costs
+        less read whole than merged."""
+        base = state % self._rows * self.m  # the dead row too
+        return zip(self._child[base : base + self.m], self._digits, self._ones)
 
 
 def _trie(m: int, members: frozenset[tuple[int, ...]]) -> _TableMachine:
@@ -521,14 +538,8 @@ class SubsetSpec:
     @cached_property
     def machine(self):
         m, digit = self.m, self.digit
-        if self.kind == KIND_LAST_DIGIT:
-            # the root, last digit `digit` and any other last digit
-            row = [1 if e == digit else 2 for e in range(m)]
-            return _TableMachine(m, row * 3, [False, True, False], 0)
-        if self.kind == KIND_DIGIT_AVOIDING:
-            # the root, clean and tainted
-            row = [2 if e == digit else 1 for e in range(m)]
-            return _TableMachine(m, row + row + [2] * m, [False, True, False], 0)
+        if self.kind in (KIND_LAST_DIGIT, KIND_DIGIT_AVOIDING):
+            return _DigitRuleMachine(m, digit, self.kind == KIND_DIGIT_AVOIDING)
         if self.kind == KIND_FULL_LEVELS:
             return _FullLevelsMachine(m, self)
         if self.kind == KIND_RHO_GENERATED:
@@ -596,43 +607,49 @@ def _integer(value, what: str) -> int:
 # ----------------------------------------------------------------------
 
 
-def _scan(machine, classes: dict, level: int, cap: int, stop: int | None = None):
-    """Yield (level, classes) from the map `classes` at `level` down, capping
-    each map.  A class sends count * multiplicity to each of its children,
-    flagged below a member from a member class on.  Without `stop` the scan
-    moves a level at a time, and a new class's first vertex is the chain
-    (its first parent's vertex, least first digit), the root's ``()``.  With
-    `stop` it crosses up to the least ``gap`` of its classes at once, keeps
-    the start classes' vertices and ends at `stop`; the class count is the
-    same on every level a jump crosses, so the cap names the first.
+def _scan(machine, counts: dict, members: set, level: int, cap: int, stop=None, firsts=None):
+    """Yield (level, counts, members, firsts) from the map `counts` {(state,
+    below a member): vertex count} at `level` down, capping each map;
+    `members` holds its member classes.  A class sends count *
+    multiplicity to each of its children, flagged below a member from a
+    member class on.  Without `stop` the scan moves a level at a time, and
+    with `firsts` {class: first vertex} it keeps each class's first vertex:
+    the chain (its first parent's vertex, first digit), the root's ``()``.
+    With `stop` it crosses up to the least ``gap`` of its classes at once
+    and ends at `stop`; the class count is the same on every level a jump
+    crosses, so the cap names the first.
     """
     children, gap, is_member = machine.children, machine.gap, machine.is_member
-    _check_scan_size(level, len(classes), cap)
-    walk = stop is None
+    _check_scan_size(level, len(counts), cap)
     while True:
-        yield level, classes
+        yield level, counts, members, firsts
         n = 1
-        if not walk:
+        if stop is not None:
             if level >= stop:
                 return
             n = stop - level
-            for ks, _below in classes:
+            for ks, _below in counts:
                 n = min(n, gap(ks))
                 if n == 1:
                     break
-        new: dict = {}
+        new, hits, chains = {}, set(), None if firsts is None else {}
         get = new.get
-        for (ks, below), (count, path, member) in classes.items():
-            below = below or member
+        for key, count in counts.items():
+            ks, below = key
+            below = below or key in members
             for child, d, k in children(ks, n):
-                key = child, below
-                entry = get(key)
-                if entry is None:
-                    new[key] = (count * k, (path, d) if walk else path, is_member(child))
+                child_key = child, below
+                old = get(child_key)
+                if old is None:
+                    new[child_key] = count * k
+                    if is_member(child):
+                        hits.add(child_key)
+                    if chains is not None:
+                        chains[child_key] = (firsts[key], d)
                 else:
-                    new[key] = (entry[0] + count * k, entry[1], entry[2])
+                    new[child_key] = old + count * k
         _check_scan_size(level + 1, len(new), cap)
-        classes, level = new, level + n
+        counts, members, firsts, level = new, hits, chains, level + n
 
 
 def _vertex(m: int, path) -> Vertex:
@@ -649,30 +666,38 @@ def _check_scan_size(level: int, size: int, cap: int) -> None:
         raise exceeded(f"level {level} scan needs {size} state classes", cap)
 
 
-def _first_member(machine, classes: dict, level: int, max_offset: int, cap: int):
+def _first_member(machine, counts: dict, members: set, level: int, max_offset: int, cap: int):
     """Least offset n in 1..max_offset at which a member descends from a
-    nonzero-count class of the map `classes` at `level` (a count-0 class is
+    nonzero-count class of the map `counts` at `level` (a count-0 class is
     only carried).  Returns (offset | None, definitive, levels scanned, the
-    map it stopped at); without a member, only a repeated set of
-    nonzero-count states on a ``fixpoint`` machine is definitive."""
+    map and member classes it stopped at); without a member, only a
+    repeated set of nonzero-count states on a ``fixpoint`` machine is
+    definitive."""
     seen = set()
-    for depth, classes in _scan(machine, classes, level, cap, level + max_offset):
+    for depth, counts, members, _ in _scan(machine, counts, members, level, cap, level + max_offset):
         n = depth - level
-        if n and _members(classes):
-            return n, True, n, classes
+        if n and any(counts[key] for key in members):
+            return n, True, n, counts, members
         if machine.fixpoint:
-            current = frozenset(
-                ks for (ks, _below), (count, _path, _member) in classes.items() if count
-            )
+            current = frozenset(ks for (ks, _below), count in counts.items() if count)
             if current in seen:
-                return None, True, n, classes
+                return None, True, n, counts, members
             seen.add(current)
-    return None, False, n, classes
+    return None, False, n, counts, members
 
 
-def _members(classes: dict) -> int:
+def _members(counts: dict, members: set) -> int:
     """The member vertices of a class map."""
-    return sum(count for count, _path, member in classes.values() if member)
+    return sum(counts[key] for key in members)
+
+
+def _walk(machine, cap: int, below: bool = True):
+    """The scan from the root a level at a time, keeping first vertices; it
+    starts below a member unless `below` is false, so by default it keeps
+    one class per state."""
+    start = (machine.initial(), below)
+    members = {start} if machine.is_member(start[0]) else set()
+    return _scan(machine, {start: 1}, members, 0, cap, firsts={start: ()})
 
 
 class _InteriorMachine(_OneLevel):
@@ -758,16 +783,14 @@ def density_check(U: SubsetSpec, resolution_level: int) -> DensityResult:
     if U.kind == KIND_FULL_LEVELS:
         return DensityResult(True, None, resolution_level, True)
     machine, cap = U.machine, size_cap()
-    root = machine.initial()
-    levels = _scan(machine, {(root, True): (1, (), machine.is_member(root))}, 0, cap)
-    for level, classes in levels:
+    for level, _, _, firsts in _walk(machine, cap):
         if level == resolution_level:
             break
     interior = _InteriorMachine(machine)
     max_offset = min(U.depth_bound - resolution_level, _DENSITY_OFFSET_LIMIT)
-    for (ks, _below), (_count, path, _member) in classes.items():
-        probe = {((ks, True), True): (1, path, False)}
-        offset, definitive = _first_member(interior, probe, resolution_level, max_offset, cap)[:2]
+    for (ks, _below), path in firsts.items():
+        probe = {((ks, True), True): 1}
+        offset, definitive = _first_member(interior, probe, set(), resolution_level, max_offset, cap)[:2]
         if offset is None:
             return DensityResult(False, interval_of(_vertex(U.m, path)), resolution_level, definitive)
     return DensityResult(True, None, resolution_level, True)
@@ -798,18 +821,15 @@ def pa_check(U: SubsetSpec, n_max: int, scan_depth: int | None = None) -> PaResu
             f"trusted depth {U.depth_bound}"
         )
     machine, cap = U.machine, size_cap()
-    root = machine.initial()
-    levels = _scan(machine, {(root, True): (1, (), machine.is_member(root))}, 0, cap)
     worst, seen, closed = 0, set(), False
-    for _, (level, classes) in zip(range(scan_depth + 1), levels):
+    for _, (level, _, _, firsts) in zip(range(scan_depth + 1), _walk(machine, cap)):
         if not closed:
-            states = [ks for ks, _below in classes]
+            states = [ks for ks, _below in firsts]
             closed = seen.issuperset(states)
             seen.update(states)
-        for (ks, _below), (_count, path, _member) in classes.items():
+        for (ks, _below), path in firsts.items():
             # a probe that starts below a member keeps one class per state
-            probe = {(ks, True): (1, path, False)}
-            offset = _first_member(machine, probe, level, n_max, cap)[0]
+            offset = _first_member(machine, {(ks, True): 1}, set(), level, n_max, cap)[0]
             if offset is None:
                 return PaResult(False, None, scan_depth, _vertex(U.m, path))
             worst = max(worst, offset)
@@ -904,8 +924,9 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
     delta = params.delta
 
     level = 0
-    root = machine.initial()
-    classes = {(root, False): (1, (), machine.is_member(root))}  # count 1: an eligible class
+    root = (machine.initial(), False)
+    counts = {root: 1}  # count 1: an eligible class
+    members = {root} if machine.is_member(root[0]) else set()
     rho: list[int] = []
     eta: list[int] = []
     notes: list[str] = []
@@ -916,20 +937,20 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
     frontier_empty_at: int | None = None
     terminated = inconclusive = False
 
-    if classes[root, False][2]:
+    if members:
         notes.append("the root itself is a member; ladder starts at level 1")
 
     for k in range(1, k_max + 1):
         base = level
-        if not any(count for count, _path, _member in classes.values()):
+        if not any(counts.values()):
             frontier_empty_at = base
             notes.append(f"level {base} is fully contained in U")
             break
-        untouched = [
-            ks for (ks, below), (count, _path, _member) in classes.items() if count and not below
-        ]
+        untouched = [ks for (ks, below), count in counts.items() if count and not below]
         max_probe = min(U.depth_bound - base, _RHO_PROBE_LIMIT)
-        offset, definitive, scanned, classes = _first_member(machine, classes, base, max_probe, cap)
+        offset, definitive, scanned, counts, members = _first_member(
+            machine, counts, members, base, max_probe, cap
+        )
         level = base + scanned
         if offset is None:
             # a fixpoint proves the ladder ends; a spent budget leaves it open
@@ -945,30 +966,28 @@ def compute_rho(U: SubsetSpec, params: GameParams, k_max: int) -> UcpReport:
         eta.append(base + offset)
         if k == 1:
             # the stage-1 scan starts from the root alone, with count 1
-            members = _members(classes)
-            p1_ok = members == 1
+            hits = _members(counts, members)
+            p1_ok = hits == 1
             if not p1_ok:
-                notes.append(f"{decimal(members)} members at level {eta[0]}, so (P1) fails")
+                notes.append(f"{decimal(hits)} members at level {eta[0]}, so (P1) fails")
         else:
             # members at the new gap below each untouched frontier class;
             # none lies nearer, since untouched classes are eligible
-            counts = [
-                _members(_first_member(machine, {(ks, False): (1, (), False)}, base, offset, cap)[3])
+            recounts = [
+                _members(*_first_member(machine, {(ks, False): 1}, set(), base, offset, cap)[3:])
                 for ks in untouched
             ]
-            if counts:
-                if any(c != 1 for c in counts):
+            if recounts:
+                if any(c != 1 for c in recounts):
                     p2_failed.append(k)
-                if all(c == 0 for c in counts):
+                if all(c == 0 for c in recounts):
                     # the witness for this gap lives below a frontier vertex
                     # that already sits under an earlier member
                     divergence.append(k)
             else:
                 notes.append(f"stage {k} has an empty untouched frontier")
         # the next stage searches below the non-member classes only
-        classes = {
-            key: (int(not member), path, member) for key, (_count, path, member) in classes.items()
-        }
+        counts = {key: int(key not in members) for key in counts}
     if len(rho) >= 2:
         p2_ok = not p2_failed
 
@@ -1154,10 +1173,9 @@ class CounterexampleField:
         the first vertex of its level in each class.  Values and whole
         subtrees coincide within a class, so the representatives cover every
         vertex of their level."""
-        m, machine = self.params.m, _CoveredMachine(self._machine)
-        levels = _scan(machine, {(self._machine.initial(), False): (1, (), False)}, 0, size_cap())
-        for _, (level, classes) in zip(range(max_level + 1), levels):
-            yield level, {key[0]: _vertex(m, entry[1]).digits for key, entry in classes.items()}
+        m, levels = self.params.m, _walk(_CoveredMachine(self._machine), size_cap(), below=False)
+        for _, (level, _, _, firsts) in zip(range(max_level + 1), levels):
+            yield level, {key[0]: _vertex(m, path).digits for key, path in firsts.items()}
 
     def residual_certificate(self, max_level: int | None = None) -> "ResidualCertificate":
         """Max operator residual over all vertices up to `max_level`.
@@ -1200,6 +1218,7 @@ class _CoveredMachine(_OneLevel):
 
     def __init__(self, machine):
         self.machine, self.m = machine, machine.m
+        self.initial = machine.initial  # the root is never a member
 
     def is_member(self, state) -> bool:
         return False
