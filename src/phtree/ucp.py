@@ -691,11 +691,10 @@ def _members(counts: dict, members: set) -> int:
     return sum(counts[key] for key in members)
 
 
-def _walk(machine, cap: int, below: bool = True):
+def _walk(machine, cap: int):
     """The scan from the root a level at a time, keeping first vertices; it
-    starts below a member unless `below` is false, so by default it keeps
-    one class per state."""
-    start = (machine.initial(), below)
+    starts below a member, so it keeps one class per state."""
+    start = (machine.initial(), True)
     members = {start} if machine.is_member(start[0]) else set()
     return _scan(machine, {start: 1}, members, 0, cap, firsts={start: ()})
 
@@ -717,15 +716,16 @@ class _InteriorMachine(_OneLevel):
     def children(self, state, n=1):
         """Digit 0 continues the all-zero path.  The other digits to its child
         start an off-path copy, whose least digit g is the least that no
-        other child claims: a machine here reaches at most one child by more
-        than one digit."""
+        other child claims: every machine here lists at most one child
+        reached by more than one digit."""
         ks, all_zero = state
         kids = [((c, False), d, k) for c, d, k in self.machine.children(ks)]
         if all_zero:
             (c, _), _, k = kids[0]
-            g = next(g for g in range(1, len(kids) + 1) if g == len(kids) or kids[g][1] != g)
             kids[0] = ((c, True), 0, 1)
-            kids[g:g] = [((c, False), g, k - 1)] * (k > 1)
+            if k > 1:
+                g = next(g for g in range(1, len(kids) + 1) if g == len(kids) or kids[g][1] != g)
+                kids.insert(g, ((c, False), g, k - 1))
         return kids
 
 
@@ -1173,7 +1173,7 @@ class CounterexampleField:
         the first vertex of its level in each class.  Values and whole
         subtrees coincide within a class, so the representatives cover every
         vertex of their level."""
-        m, levels = self.params.m, _walk(_CoveredMachine(self._machine), size_cap(), below=False)
+        m, levels = self.params.m, _walk(_CoveredMachine(self._machine), size_cap())
         for _, (level, _, _, firsts) in zip(range(max_level + 1), levels):
             yield level, {key[0]: _vertex(m, path).digits for key, path in firsts.items()}
 
