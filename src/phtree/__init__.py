@@ -31,7 +31,6 @@ from .errors import (
     MissingValueError,
     PHTreeError,
     StructuralCheckError,
-    UnsupportedError,
     ValidationError,
 )
 from .game import (
@@ -112,7 +111,6 @@ __all__ = [
     "SubsetSpec",
     "UcpReport",
     "UniformRandomStrategy",
-    "UnsupportedError",
     "ValidationError",
     "Vertex",
     "analyze",

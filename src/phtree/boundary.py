@@ -2,9 +2,12 @@
 
 Builtin families (identity, centred square, constants) are evaluated
 exactly; tabulated data is completed to a continuous function by
-piecewise-linear interpolation between samples, which makes its Lipschitz
-constant computable from the sample slopes.  ``sample_Fn`` produces the
-flat array of left-endpoint samples ``F(j / m**n)`` that seeds the solver.
+piecewise-linear interpolation between samples.  Every spec works out its
+own exact Lipschitz constant: 1 for the identity and the centred square,
+0 for a constant and the maximal sample slope for tabulated data, so the
+solver's bound ``L / m**n`` is always certified.  ``sample_Fn`` produces
+the flat array of left-endpoint samples ``F(j / m**n)`` that seeds the
+solver.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .capacity import blocks, check_level_size
-from .errors import DomainError, UnsupportedError, ValidationError
+from .errors import DomainError, ValidationError
 
 KIND_LINEAR = "builtin-linear"
 KIND_QUADRATIC = "builtin-quadratic-centered"
@@ -28,17 +31,17 @@ KIND_TABULATED = "tabulated"
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """Description of boundary data F: [0, 1] -> R with continuity metadata.
+    """Description of boundary data F: [0, 1] -> R.
 
-    ``lipschitz_bound`` may be None to signal that no certified modulus is
-    available (the solver then falls back to empirical Cauchy stopping).
+    ``lipschitz_bound`` is F's exact Lipschitz constant, worked out from
+    the kind and the samples; a constant that is not finite is refused.
     """
 
     kind: str
     value: float = 0.0
     ts: tuple[float, ...] | None = None
     vs: tuple[float, ...] | None = None
-    lipschitz_bound: float | None = None
+    lipschitz_bound: float = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_LINEAR, KIND_QUADRATIC, KIND_CONSTANT, KIND_TABULATED):
@@ -60,47 +63,36 @@ class BoundarySpec:
             raise ValidationError(f"boundary value must be finite, got {self.value}")
         if self.vs is not None and not all(math.isfinite(v) for v in self.vs):
             raise ValidationError("tabulated boundary values must be finite")
-        if self.lipschitz_bound is not None and not 0 <= self.lipschitz_bound < math.inf:
-            raise ValidationError(
-                f"lipschitz_bound must be finite and >= 0, got {self.lipschitz_bound}"
-            )
+        if self.kind == KIND_TABULATED:
+            bound = _max_slope(self.ts, self.vs)
+        else:
+            bound = 0.0 if self.kind == KIND_CONSTANT else 1.0
+        if not math.isfinite(bound):
+            raise ValidationError(f"the Lipschitz constant of the samples is not finite: {bound}")
+        object.__setattr__(self, "lipschitz_bound", bound)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def linear(cls) -> "BoundarySpec":
         """F(t) = t."""
-        return cls(kind=KIND_LINEAR, lipschitz_bound=1.0)
+        return cls(kind=KIND_LINEAR)
 
     @classmethod
     def quadratic_centered(cls) -> "BoundarySpec":
         """F(t) = (t - 1/2)**2."""
-        return cls(kind=KIND_QUADRATIC, lipschitz_bound=1.0)
+        return cls(kind=KIND_QUADRATIC)
 
     @classmethod
     def constant(cls, c: float) -> "BoundarySpec":
-        return cls(kind=KIND_CONSTANT, value=float(c), lipschitz_bound=0.0)
+        return cls(kind=KIND_CONSTANT, value=float(c))
 
     @classmethod
-    def tabulated(
-        cls,
-        ts,
-        vs,
-        lipschitz_bound: "float | None | str" = "auto",
-    ) -> "BoundarySpec":
-        """Piecewise-linear completion of (t, value) samples.
-
-        With ``lipschitz_bound="auto"`` (the default) the exact Lipschitz
-        constant of the interpolant, the maximal sample slope, is stored.
-        Pass None to deliberately drop the metadata.
-        """
-        ts = tuple(float(t) for t in ts)
-        vs = tuple(float(v) for v in vs)
-        if lipschitz_bound == "auto":
-            if len(ts) != len(vs) or len(ts) < 2:
-                raise ValidationError("tabulated boundary needs matching t/value samples")
-            lipschitz_bound = _max_slope(ts, vs)
-        return cls(kind=KIND_TABULATED, ts=ts, vs=vs, lipschitz_bound=lipschitz_bound)
+    def tabulated(cls, ts, vs) -> "BoundarySpec":
+        """Piecewise-linear completion of (t, value) samples."""
+        return cls(
+            kind=KIND_TABULATED, ts=tuple(float(t) for t in ts), vs=tuple(float(v) for v in vs)
+        )
 
     @classmethod
     def from_csv(cls, source) -> "BoundarySpec":
@@ -151,12 +143,8 @@ class BoundarySpec:
 
 
 def _max_slope(ts, vs) -> float:
-    """The maximal sample slope, the interpolant's exact Lipschitz constant;
-    pairs out of order are left to the spec's own check."""
-    return max(
-        (abs(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:]) if t1 > t0),
-        default=0.0,
-    )
+    """The maximal sample slope, the interpolant's exact Lipschitz constant."""
+    return max(abs(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:]))
 
 
 def eval_F(spec: BoundarySpec, t):
@@ -211,10 +199,4 @@ def modulus_bound(spec: BoundarySpec, scale: float) -> float:
     """Upper bound for ``sup |F(x) - F(y)|`` over ``|x - y| <= scale``."""
     if scale <= 0:
         raise ValidationError(f"scale must be positive, got {scale}")
-    if spec.lipschitz_bound is not None:
-        return spec.lipschitz_bound * scale
-    if spec.kind == KIND_TABULATED:
-        return _max_slope(spec.ts, spec.vs) * scale
-    raise UnsupportedError(
-        f"no continuity metadata for boundary kind {spec.kind!r}"
-    )
+    return spec.lipschitz_bound * scale

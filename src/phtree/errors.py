@@ -34,10 +34,6 @@ class CapacityError(PHTreeError):
     """A requested enumeration or array would exceed the size cap."""
 
 
-class UnsupportedError(PHTreeError):
-    """The requested computation needs metadata the input does not carry."""
-
-
 class InsufficientDepthError(PHTreeError):
     """A subset analysis was asked to look deeper than the membership
     oracle is trusted."""

@@ -3,10 +3,9 @@
 ``build_un`` seeds level n with the boundary samples and sweeps the
 averaging operator upward a level (and a block of rows) at a time, so
 every interior value is exactly the operator applied to its m children.
-For Lipschitz boundary data (constant L) the field is within ``L / m**n``
-of the limit solution everywhere, which is what ``error_bound`` certifies
-and ``solve_to_tolerance`` inverts; without a Lipschitz bound an
-empirical Cauchy criterion on consecutive fields is used instead.
+Every boundary spec carries its exact Lipschitz constant L, and the field
+is within ``L / m**n`` of the limit solution everywhere, which is what
+``error_bound`` certifies and ``solve_to_tolerance`` inverts.
 """
 
 from __future__ import annotations
@@ -18,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundarySpec, modulus_bound, sample_Fn
+from .boundary import BoundarySpec, sample_Fn
 from .capacity import blocks, max_level
 from .dpp import GameParams, operator_average
-from .errors import ContractViolationError, UnsupportedError, ValidationError
+from .errors import ContractViolationError, ValidationError
 from .tree import Vertex
 
 
@@ -93,11 +92,6 @@ def build_un(spec: BoundarySpec, params: GameParams, n: int) -> LevelField:
 
 def error_bound(spec: BoundarySpec, params: GameParams, n: int) -> float:
     """Certified sup-distance ``L / m**n`` between u_n and the limit solution."""
-    if spec.lipschitz_bound is None:
-        raise UnsupportedError(
-            "boundary data carries no Lipschitz bound; use modulus_bound or "
-            "solve_to_tolerance's empirical stopping instead"
-        )
     return spec.lipschitz_bound / params.m**n
 
 
@@ -106,8 +100,7 @@ class SolveResult:
     field: LevelField
     n_used: int
     certified: bool
-    certified_bound: float | None
-    empirical_gap: float | None
+    certified_bound: float
 
 
 #: deepest level `solve_to_tolerance` builds, whatever the size cap allows
@@ -115,53 +108,18 @@ MAX_SOLVE_DEPTH = 24
 
 
 def solve_to_tolerance(spec: BoundarySpec, params: GameParams, tol: float) -> SolveResult:
-    """Find the shallowest field meeting `tol`.
-
-    With Lipschitz metadata this is the least n with ``L / m**n <= tol``
-    (certified).  Otherwise n is increased until consecutive fields agree
-    to ``tol/2`` on the coarser field's deepest level, which is reported
-    as an uncertified empirical bound.  Hitting the size cap or
-    `MAX_SOLVE_DEPTH` first yields a partial, not-certified result.
-    """
+    """Find the shallowest field meeting `tol`: the least n with
+    ``L / m**n <= tol``.  Hitting the size cap or `MAX_SOLVE_DEPTH` first
+    yields the deepest field allowed, with its bound but not certified."""
     if not tol > 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
-    m = params.m
-    deepest = min(MAX_SOLVE_DEPTH, max_level(m))
-    if spec.lipschitz_bound is not None:
-        n = 1
-        while spec.lipschitz_bound / m**n > tol and n < deepest:
-            n += 1
-        field = build_un(spec, params, n)
-        bound = spec.lipschitz_bound / m**n
-        return SolveResult(
-            field=field,
-            n_used=n,
-            certified=bound <= tol,
-            certified_bound=bound,
-            empirical_gap=None,
-        )
-    current = build_un(spec, params, 1)
-    gap = math.inf
-    while current.n < deepest:
-        finer = build_un(spec, params, current.n + 1)
-        coarse_level = current.levels[current.n]
-        same_level = finer.levels[current.n]
-        gap = float(np.abs(coarse_level - same_level).max())
-        current = finer
-        if gap <= tol / 2.0:
-            return SolveResult(
-                field=current,
-                n_used=current.n,
-                certified=False,
-                certified_bound=None,
-                empirical_gap=gap,
-            )
+    deepest = min(MAX_SOLVE_DEPTH, max_level(params.m))
+    n = 1
+    while error_bound(spec, params, n) > tol and n < deepest:
+        n += 1
+    bound = error_bound(spec, params, n)
     return SolveResult(
-        field=current,
-        n_used=current.n,
-        certified=False,
-        certified_bound=None,
-        empirical_gap=None if math.isinf(gap) else gap,
+        field=build_un(spec, params, n), n_used=n, certified=bound <= tol, certified_bound=bound
     )
 
 

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phtree import (
     BoundarySpec,
     DomainError,
-    UnsupportedError,
     ValidationError,
     eval_F,
     modulus_bound,
@@ -94,7 +95,8 @@ class TestValidation:
         with pytest.raises(ValidationError):
             BoundarySpec.tabulated([0.0, 0.5, 1.0], [0.0, bad, 1.0])
         with pytest.raises(ValidationError):
-            BoundarySpec.tabulated([0.0, 1.0], [0.0, 1.0], lipschitz_bound=bad)
+            # finite samples whose slope overflows
+            BoundarySpec.tabulated([0.0, 1.0], [-1e308, 1e308])
 
 
 class TestSampleFn:
@@ -125,6 +127,57 @@ class TestSampleFn:
             sample_Fn(BoundarySpec.linear(), 3, 8)
 
 
+#: increasing knots from 0 to 1 with finite values in [-1e6, 1e6]; inner
+#: knots stay in [1e-6, 1 - 1e-6], so no slope overflows
+tabulated_samples = st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=12, unique=True).flatmap(
+    lambda inner: st.tuples(
+        st.just((0.0, *sorted(inner), 1.0)),
+        st.lists(st.floats(-1e6, 1e6), min_size=len(inner) + 2, max_size=len(inner) + 2),
+    )
+)
+
+
+class TestLipschitzConstant:
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            (BoundarySpec.linear(), 1.0),
+            (BoundarySpec.quadratic_centered(), 1.0),
+            (BoundarySpec.constant(-7.5), 0.0),
+            (BoundarySpec(kind="builtin-constant", value=3.0), 0.0),
+            (BoundarySpec(kind="builtin-linear"), 1.0),
+            (BoundarySpec.tabulated([0.0, 0.25, 1.0], [1.0, -2.0, 1.0]), 12.0),
+        ],
+        ids=["linear", "quadratic", "constant", "constant-init", "linear-init", "tabulated"],
+    )
+    def test_derived_per_kind(self, spec, expected):
+        assert spec.lipschitz_bound == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples=tabulated_samples)
+    def test_tabulated_is_the_maximal_sample_slope(self, samples):
+        ts, vs = samples
+        spec = BoundarySpec.tabulated(ts, vs)
+        slopes = [abs(vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i]) for i in range(len(ts) - 1)]
+        assert spec.lipschitz_bound == max(slopes)
+        # it bounds the interpolant between any two knots, not only adjacent ones
+        for i in range(len(ts)):
+            for j in range(i + 1, len(ts)):
+                gap = abs(vs[j] - vs[i])
+                assert gap <= spec.lipschitz_bound * (ts[j] - ts[i]) * (1 + 1e-12)
+
+    def test_not_settable(self):
+        with pytest.raises(TypeError):
+            BoundarySpec(kind="builtin-linear", lipschitz_bound=0.0)
+        with pytest.raises(TypeError):
+            BoundarySpec.tabulated([0.0, 1.0], [0.0, 1.0], lipschitz_bound=0.0)
+
+    def test_not_compared(self):
+        # equal data give equal specs; the derived constant adds nothing to compare
+        assert BoundarySpec.constant(2.0) == BoundarySpec(kind="builtin-constant", value=2.0)
+        assert hash(BoundarySpec.linear()) == hash(BoundarySpec(kind="builtin-linear"))
+
+
 class TestModulusBound:
     def test_lipschitz_scaling(self):
         assert modulus_bound(BoundarySpec.linear(), 1 / 27) == pytest.approx(1 / 27)
@@ -135,15 +188,6 @@ class TestModulusBound:
     def test_tabulated_slope_scan(self):
         spec = BoundarySpec.tabulated([0.0, 0.5, 1.0], [0.0, 1.0, 0.5])
         assert modulus_bound(spec, 0.1) <= 0.2 + 1e-15
-
-    def test_no_metadata_error(self):
-        spec = BoundarySpec(kind="builtin-linear", lipschitz_bound=None)
-        with pytest.raises(UnsupportedError):
-            modulus_bound(spec, 0.1)
-
-    def test_dropped_metadata_still_scans_slopes(self):
-        spec = BoundarySpec.tabulated([0.0, 1.0], [0.0, 3.0], lipschitz_bound=None)
-        assert modulus_bound(spec, 0.1) == pytest.approx(0.3)
 
 
 class TestPiecewiseEnvelope:

@@ -11,7 +11,6 @@ from phtree import (
     CapacityError,
     ContractViolationError,
     GameParams,
-    UnsupportedError,
     ValidationError,
     Vertex,
     build_un,
@@ -97,11 +96,6 @@ class TestErrorBound:
         spec = BoundarySpec.tabulated([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
         assert error_bound(spec, P, 3) == pytest.approx(2 / 27)
 
-    def test_missing_metadata(self):
-        spec = BoundarySpec.tabulated([0.0, 1.0], [0.0, 1.0], lipschitz_bound=None)
-        with pytest.raises(UnsupportedError):
-            error_bound(spec, P, 3)
-
 
 class TestSolveToTolerance:
     def test_linear_certified_depth(self):
@@ -120,15 +114,34 @@ class TestSolveToTolerance:
         result = solve_to_tolerance(BoundarySpec.quadratic_centered(), params, 1e-3)
         assert abs(result.field.root_value - 1 / 12) <= 1e-3
 
-    def test_empirical_fallback(self):
-        spec = BoundarySpec.tabulated(
-            [0.0, 0.4, 1.0], [0.0, 1.0, 0.3], lipschitz_bound=None
-        )
-        result = solve_to_tolerance(spec, P, 1e-3)
-        assert not result.certified
-        assert result.certified_bound is None
-        assert result.empirical_gap is not None
-        assert result.empirical_gap <= 5e-4
+    def test_bare_spec_is_certified(self):
+        # a spec built without its constructor still carries L = 1
+        result = solve_to_tolerance(BoundarySpec(kind="builtin-linear"), P, 1e-6)
+        assert result.certified
+        assert result.n_used == 13  # 3**-13 <= 1e-6 < 3**-12
+        assert result.certified_bound == 3.0**-13
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            LINEAR,
+            BoundarySpec.quadratic_centered(),
+            BoundarySpec.tabulated([0.0, 0.4, 1.0], [0.0, 1.0, 0.3]),
+            BoundarySpec.tabulated([0.0, 0.1, 0.5, 0.7, 1.0], [2.0, -3.0, 0.5, 0.5, -1.0]),
+        ],
+        ids=["linear", "quadratic", "tabulated", "zigzag"],
+    )
+    @pytest.mark.parametrize("params", [P, GameParams(2, 1.0, 0.0), GameParams(4, 0.0, 1.0)])
+    def test_certified_bound_covers_root_error(self, spec, params):
+        """The root stays within the certified bound of a much deeper field's
+        root, give or take that field's own bound."""
+        deep = 11 if params.m < 4 else 8
+        result = solve_to_tolerance(spec, params, 0.05)
+        assert result.certified and result.certified_bound <= 0.05
+        reference = build_un(spec, params, deep)
+        slack = error_bound(spec, params, deep)
+        error = abs(result.field.root_value - reference.root_value)
+        assert error <= result.certified_bound + slack + 1e-12
 
     def test_capacity_flags_partial(self, monkeypatch):
         monkeypatch.setenv("PHTREE_SIZE_CAP", str(3**4))
@@ -136,21 +149,9 @@ class TestSolveToTolerance:
         assert not result.certified
         assert result.n_used == 4
 
-    def test_capacity_flags_partial_empirical(self, monkeypatch):
-        monkeypatch.setenv("PHTREE_SIZE_CAP", str(3**4))
-        spec = BoundarySpec.tabulated(
-            [0.0, 0.4, 1.0], [0.0, 1.0, 0.3], lipschitz_bound=None
-        )
-        result = solve_to_tolerance(spec, P, 1e-9)
-        assert result.n_used == 4
-        assert not result.certified
-        assert result.certified_bound is None
-        assert result.empirical_gap == 0.030864197530864224
-
-    @pytest.mark.parametrize("lipschitz_bound", ["auto", None], ids=["lipschitz", "empirical"])
-    def test_cap_below_branching_refuses_level_1(self, monkeypatch, lipschitz_bound):
+    def test_cap_below_branching_refuses_level_1(self, monkeypatch):
         monkeypatch.setenv("PHTREE_SIZE_CAP", "2")
-        spec = BoundarySpec.tabulated([0.0, 1.0], [0.0, 1.0], lipschitz_bound=lipschitz_bound)
+        spec = BoundarySpec.tabulated([0.0, 1.0], [0.0, 1.0])
         with pytest.raises(CapacityError, match="level 1 of the 3-branching tree has 3 vertices"):
             solve_to_tolerance(spec, P, 1e-9)
 
