@@ -1346,14 +1346,22 @@ def analyze(
             )
     # hitting certifies only what the scan covers: every reachable state of
     # a finite automaton, with membership trusted at every depth
-    covered = U.depth_bound == UNBOUNDED_DEPTH and U.machine.fixpoint
-    if verdict is None and pa is not None and pa.holds and pa.closed and covered:
-        verdict = VERDICT_UCP
+    if verdict is None and pa is not None and pa.holds:
         reason = f"every scanned vertex has a member descendant within {pa.n} levels"
+        if U.depth_bound != UNBOUNDED_DEPTH:
+            uncovered = f"membership is trusted only to depth {U.depth_bound}"
+        elif not U.machine.fixpoint:
+            uncovered = "the membership automaton is not finite-state"
+        elif not pa.closed:
+            uncovered = f"the scan to level {pa.scan_depth} met a new state on every level"
+        else:
+            verdict = VERDICT_UCP
+        if verdict is None:
+            reason += f", but {uncovered}, so hitting does not certify"
     if verdict is None:
         depth = max(report.depth_scanned, effective_resolution)
         verdict = f"inconclusive-at-depth-{depth}"
-        reason = "finite-depth evidence does not decide unique continuation"
+        reason = reason or "finite-depth evidence does not decide unique continuation"
 
     return replace(
         report,

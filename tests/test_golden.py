@@ -159,13 +159,13 @@ CASES = {
     ),
     "ucp-rho-finite": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,2,3;finite"],
-        "9bdc7637b32d80ed11263937aa0635814d29c408bba8cc78ab33ed71e8fdb15d",
+        "c73ac159d0efc4f3c1da031d55183e4966cc5c2902099b2b1d05aa878fb5a6b4",
     ),
     # one member, 0^6: hitting holds within 6 levels, but a +1/-1 field on
     # the subtrees of 1.0 and 1.1 vanishes on it, so the verdict stays open
     "ucp-rho-finite-single": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:6;finite"],
-        "c1e2d1e6d4482ca4aa110d61e85db0c13c3155d2849036e53a5b215a9bbfe32d",
+        "8ee9319b41dd24ba7b5243080db1fb38ae1ba3b2422567c30deb414f40df6178",
     ),
     "ucp-set-file": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set-file", "{set_file}"],
@@ -256,7 +256,7 @@ UCP_DESCRIPTORS = (
     "rho:1,4,1,8,1,16", "rho:1,2;arith=1", "rho:1,2,3;finite", "rho:2;geom=2",
     "rho:1,3;digit=1", "rho:2,1;finite;digit=1", "rho:3;arith=0", "rho:1;cycle",
 )
-UCP_MATRIX_DIGEST = "d9214bcc3b93e1a9d65d7b10c7eeaefa02ec54d3451ac937a84063dda98ca30b"
+UCP_MATRIX_DIGEST = "681bbcf952ed9824390e9a9be133eee721d5f342db1f0c13805a391c32e5d192"
 
 
 def _ucp_subsets(m):

@@ -1,6 +1,7 @@
 """Subset analysis: density, hitting, the gap ladder, and counterexamples."""
 
 import collections
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -1083,9 +1084,27 @@ class TestAnalyze:
     def test_finite_ladder_not_certified_by_hitting(self, text, n):
         # +1 on the subtree of vertex 1.0 and -1 on that of 1.1 vanishes on
         # the set; every scanned vertex still has a member within n levels
-        report = analyze(SubsetSpec.parse(text, 3), P)
+        U = SubsetSpec.parse(text, 3)
+        report = analyze(U, P)
         assert report.pa.holds and report.pa.n == n
         assert report.verdict == f"inconclusive-at-depth-{report.depth_scanned}"
+        assert f"membership is trusted only to depth {U.depth_bound}" in report.verdict_reason
+
+    def test_hitting_reason_names_an_infinite_automaton(self, monkeypatch):
+        U = SubsetSpec.parse("last-digit:0", 3)
+        monkeypatch.setattr(U.machine, "fixpoint", False)
+        report = analyze(U, P)
+        assert report.verdict.startswith("inconclusive-at-depth-")
+        assert "the membership automaton is not finite-state" in report.verdict_reason
+
+    def test_hitting_reason_names_an_open_scan(self, monkeypatch):
+        monkeypatch.setattr(
+            "phtree.ucp.pa_check",
+            lambda U, n_max: dataclasses.replace(pa_check(U, n_max), closed=False),
+        )
+        report = analyze(SubsetSpec.parse("last-digit:0", 3), P)
+        assert report.verdict.startswith("inconclusive-at-depth-")
+        assert "the scan to level 16 met a new state on every level" in report.verdict_reason
 
     @pytest.mark.parametrize(
         "text, closed",
