@@ -170,19 +170,19 @@ class RhoPattern:
         return cls(tuple(value), FINITE)
 
     @classmethod
-    def parse(cls, text: str, default_continuation: str = CYCLE) -> "RhoPattern":
+    def parse(cls, text: str) -> "RhoPattern":
         """Parse ``"1,4,1,8"`` with optional ``;finite``/``;cycle``/``;arith=s``/``;geom=r``.
 
         A bare list defaults to cyclic continuation, which is what makes a
         finite descriptor denote a genuinely infinite set.
         """
         try:
-            return cls._parse(text, default_continuation)
+            return cls._parse(text)
         except ValueError as exc:
             raise ValidationError(f"malformed rho descriptor {text!r}") from exc
 
     @classmethod
-    def _parse(cls, text: str, default_continuation: str = CYCLE) -> "RhoPattern":
+    def _parse(cls, text: str) -> "RhoPattern":
         """`parse`, except that a malformed suffix number raises ValueError."""
         parts = [p.strip() for p in text.split(";") if p.strip()]
         if not parts:
@@ -191,7 +191,7 @@ class RhoPattern:
             prefix = tuple(int(p) for p in parts[0].split(","))
         except ValueError as exc:
             raise ValidationError(f"malformed rho list {parts[0]!r}") from exc
-        continuation = default_continuation
+        continuation = CYCLE
         step = 0
         for suffix in parts[1:]:
             if suffix == "finite":

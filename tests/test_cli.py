@@ -424,6 +424,20 @@ def test_capacity_error_names_the_env_var(runner, tmp_path, monkeypatch, subcomm
     assert result.stderr.rstrip("\n").endswith("(set PHTREE_SIZE_CAP to raise it)")
 
 
+@pytest.mark.parametrize(
+    "cap, message",
+    [("abc", "must be an integer, got 'abc'"), ("0", "must be positive, got 0"),
+     ("-5", "must be positive, got -5")],
+)
+def test_malformed_size_cap_exits_2(runner, monkeypatch, cap, message):
+    monkeypatch.setenv("PHTREE_SIZE_CAP", cap)
+    result = runner.invoke(main, [
+        "solve", "--m", "3", "--alpha", "0.5", "--boundary", "linear", "--n", "2",
+    ])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: PHTREE_SIZE_CAP {message}\n"
+
+
 # small numbers only, a repeat weighting the valid ones: a level in the
 # billions is a memory fault of its own
 _NUMBERS = st.sampled_from([*map(str, range(7)), "1", "2", "-1", "", "x", "1.5", " 2"])

@@ -23,7 +23,7 @@ from phtree import (
     residual_at,
     root,
 )
-from phtree.dpp import HARMONIOUS, SUBHARMONIOUS, SUPERHARMONIOUS, operator_average
+from phtree.dpp import HARMONIOUS, NEITHER, SUBHARMONIOUS, SUPERHARMONIOUS, operator_average
 
 P = GameParams(3, 0.5, 0.5)
 
@@ -264,3 +264,26 @@ class TestCheckField:
         report = check_field(corrupted, P)
         assert report.worst_vertex == Vertex(3, (1, 1))  # parent of leaf 13
         assert report.max_abs_residual >= 0.1 * P.beta / P.m - 1e-12
+
+    @pytest.mark.parametrize(
+        "shifts, label",
+        [
+            # every interior value raised: each parent of leaves sits above
+            # its children's average, and every other residual stays zero
+            ({0: 0.1, 1: 0.1, 2: 0.1}, SUPERHARMONIOUS),
+            # a middle child up under one parent and down under another
+            ({(3, 13): 0.1, (3, 22): -0.1}, NEITHER),
+            ({(3, 13): 0.1}, SUBHARMONIOUS),
+        ],
+        ids=["superharmonious", "neither", "subharmonious"],
+    )
+    def test_labels(self, shifts, label):
+        field = build_un(BoundarySpec.linear(), P, 3)
+        levels = [np.array(arr) for arr in field.levels]
+        for where, shift in shifts.items():
+            if isinstance(where, tuple):
+                levels[where[0]][where[1]] += shift
+            else:
+                levels[where] += shift
+        shifted = type(field)(params=field.params, n=field.n, levels=tuple(levels))
+        assert check_field(shifted, P).classification == label

@@ -85,6 +85,13 @@ class TestStrategies:
             GreedyMaxStrategy(scaled).choose_batch(2, indices),
         )
 
+    def test_fixed_digit_batch_matches_single_choice(self):
+        strat = FixedDigitStrategy(2, 3)
+        indices = np.arange(9)
+        batch = strat.choose_batch(2, indices)
+        for index in indices:
+            assert strat.choose((Vertex(3, tuple(_digits(int(index), 2))),)) == batch[index] == 2
+
     def test_batch_matches_single_choice(self):
         field = build_un(BoundarySpec.quadratic_centered(), P, 4)
         strat = GreedyMaxStrategy(field)

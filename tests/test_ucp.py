@@ -108,6 +108,10 @@ class TestRhoPattern:
 
 
 class TestMembership:
+    def test_vertex_branching_mismatch_refused(self):
+        with pytest.raises(ValidationError, match="vertex branching differs from the subset's"):
+            SubsetSpec.last_digit(3, 0).contains(Vertex(2, (1, 0)))
+
     def test_last_digit(self):
         U = SubsetSpec.last_digit(3, 0)
         assert U.contains(Vertex(3, (2, 0)))
@@ -699,6 +703,10 @@ class TestChildren:
 
 
 class TestComputeRho:
+    def test_params_branching_mismatch_refused(self):
+        with pytest.raises(ValidationError, match="params branching factor differs"):
+            compute_rho(SubsetSpec.last_digit(3, 0), GameParams(2, 0.5, 0.5), 4)
+
     def test_round_trip_alternating_gaps(self):
         pattern = RhoPattern((1, 4, 1, 8, 1, 16), "cycle")
         report = compute_rho(SubsetSpec.rho_generated(3, pattern, 0), P, 6)
@@ -969,6 +977,11 @@ class TestCounterexample:
         with pytest.raises(ValidationError, match="rho pattern must be"):
             CounterexampleField(5, P, 3)
 
+    def test_vertex_branching_mismatch_refused(self):
+        field = CounterexampleField(RhoPattern((1, 2), "finite"), P, 3)
+        with pytest.raises(ValidationError, match="vertex branching differs from the field's"):
+            field.value(Vertex(2, (0, 1)))
+
     @pytest.mark.parametrize("depth", [2.5, True, 0, "3"])
     def test_bad_depth_refused(self, depth):
         with pytest.raises(ValidationError, match="depth must be"):
@@ -1007,6 +1020,17 @@ class TestUnboundednessProbe:
     def test_refusal_when_uniqueness_fails(self):
         with pytest.raises(StructuralCheckError):
             unboundedness_probe(SubsetSpec.digit_avoiding(3, 1), P, 2)
+
+    def test_refusal_when_p2_fails(self):
+        # vertex 1 has two members one level below it: (P1) holds, (P2) not
+        U = SubsetSpec.explicit(3, [(0,), (1, 0), (1, 1)])
+        assert len(unboundedness_probe(U, P, 1)) == 1
+        with pytest.raises(StructuralCheckError, match="per-frontier uniqueness check"):
+            unboundedness_probe(U, P, 2)
+
+    def test_negative_stage_count_refused(self):
+        with pytest.raises(ValidationError, match="number of stages must be >= 0"):
+            unboundedness_probe(SubsetSpec.last_digit(3, 0), P, -1)
 
 
 class TestAnalyze:
