@@ -89,12 +89,6 @@ def _write_report(data: bytearray, output: str) -> None:
             fh.write(data)
 
 
-def _build_params(m: int, alpha: float, beta: float | None) -> GameParams:
-    if beta is None:
-        beta = 1.0 - alpha
-    return GameParams(m=m, alpha=alpha, beta=beta)
-
-
 def _fail(message: str, code: int) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -124,8 +118,7 @@ def main() -> None:
 
 _common = [
     click.option("--m", "m", type=int, default=3, show_default=True, help="branching factor"),
-    click.option("--alpha", type=float, required=True, help="competitive-move probability"),
-    click.option("--beta", type=float, default=None, help="random-move probability (default 1 - alpha)"),
+    click.option("--alpha", type=float, required=True, help="competitive-move probability (beta = 1 - alpha)"),
 ]
 
 
@@ -142,28 +135,26 @@ def _with_common(fn):
 @click.option("--tol", type=float, default=None, help="target sup-error instead of a fixed depth")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--output", default="-", show_default=True, help="report path ('-' = stdout)")
-def solve(m, alpha, beta, boundary, depth, tol, fmt, output) -> None:
+def solve(m, alpha, boundary, depth, tol, fmt, output) -> None:
     """Build the approximating field for the given boundary data."""
 
     def run() -> None:
-        params = _build_params(m, alpha, beta)
+        params = GameParams(m, alpha)
         spec = BoundarySpec.parse(boundary)
         if (depth is None) == (tol is None):
             raise ValidationError("pass exactly one of --n and --tol")
         if depth is not None:
-            field = solver_mod.build_un(spec, params, depth)
-            n_used, certified, bound = depth, None, None
+            field, n_used, bound = solver_mod.build_un(spec, params, depth), depth, None
         else:
             result = solver_mod.solve_to_tolerance(spec, params, tol)
-            field = result.field
-            n_used, certified, bound = result.n_used, result.certified, result.certified_bound
+            field, n_used, bound = result.field, result.n_used, result.certified_bound
         if fmt == "csv":
             data = solver_mod.field_to_csv(field)
         else:
             obj = solver_mod.field_to_json_obj(field)
             obj["root_value"] = field.root_value
-            if certified is not None:
-                obj["certified"] = certified
+            if bound is not None:
+                obj["certified"] = True
                 obj["certified_bound"] = bound
             obj["n_used"] = n_used
             data = canonical_json(obj)
@@ -183,11 +174,11 @@ def solve(m, alpha, beta, boundary, depth, tol, fmt, output) -> None:
 @click.option("--strategy-i", default="greedy-max", show_default=True)
 @click.option("--strategy-ii", default="greedy-min", show_default=True)
 @click.option("--output", default="-", show_default=True)
-def simulate(m, alpha, beta, boundary, seed, plays, depth, x0, advice_n, strategy_i, strategy_ii, output) -> None:
+def simulate(m, alpha, boundary, seed, plays, depth, x0, advice_n, strategy_i, strategy_ii, output) -> None:
     """Monte Carlo tug-of-war estimate of the game value at a vertex."""
 
     def run() -> None:
-        params = _build_params(m, alpha, beta)
+        params = GameParams(m, alpha)
         spec = BoundarySpec.parse(boundary)
         start = parse_vertex(x0, m)
         advice = None
@@ -220,11 +211,11 @@ def simulate(m, alpha, beta, boundary, seed, plays, depth, x0, advice_n, strateg
 @click.option("--resolution", type=int, default=3, show_default=True, help="density resolution level")
 @click.option("--pa-nmax", type=int, default=6, show_default=True, help="uniform-hitting lookahead")
 @click.option("--output", default="-", show_default=True)
-def ucp(m, alpha, beta, set_descriptor, set_file, kmax, resolution, pa_nmax, output) -> None:
+def ucp(m, alpha, set_descriptor, set_file, kmax, resolution, pa_nmax, output) -> None:
     """Unique-continuation analysis of a tree subset."""
 
     def run() -> None:
-        params = _build_params(m, alpha, beta)
+        params = GameParams(m, alpha)
         if (set_descriptor is None) == (set_file is None):
             raise ValidationError("pass exactly one of --set and --set-file")
         if set_descriptor is not None:
@@ -246,11 +237,11 @@ def ucp(m, alpha, beta, set_descriptor, set_file, kmax, resolution, pa_nmax, out
 @main.command()
 @_with_common
 @click.option("--output", default="-", show_default=True)
-def dim(m, alpha, beta, output) -> None:
+def dim(m, alpha, output) -> None:
     """Minimal Hausdorff dimension of convergence sets (closed form)."""
 
     def run() -> None:
-        params = _build_params(m, alpha, beta)
+        params = GameParams(m, alpha)
         result = analysis_mod.fatou_dimension(params)
         obj = {
             "m": result.m,

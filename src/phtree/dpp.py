@@ -36,10 +36,11 @@ DEFAULT_TOL = 1e-12
 class GameParams:
     """Branching factor and coin weights, with the derived contraction weights.
 
-    theta = alpha/2 + (m-1)*beta/m is the largest weight the operator can
-    put on the maximal successor value; delta = 1 - theta = alpha/2 + beta/m
-    is the complementary weight.  For any admissible (m, alpha, beta) with
-    alpha + beta = 1, delta lies in [1/m, 1/2].
+    beta is ``1.0 - alpha``; a beta passed in must lie within 1e-12 of it
+    and is then discarded.  theta = alpha/2 + (m-1)*beta/m is the largest
+    weight the operator can put on the maximal successor value; delta = 1 -
+    theta = alpha/2 + beta/m is the complementary weight, in [1/m, 1/2],
+    though as ``1.0 - theta`` it rounds to 0.0 from about m = 1e16 at alpha = 0.
 
     The endpoints alpha=1 (pure tug-of-war) and alpha=0 (pure averaging)
     are accepted.  m may not exceed the largest float, since the weights
@@ -48,7 +49,7 @@ class GameParams:
 
     m: int
     alpha: float
-    beta: float
+    beta: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _validate_branching(self.m))
@@ -57,13 +58,13 @@ class GameParams:
                 f"branching factor m must be at most the largest float, "
                 f"{sys.float_info.max:.17g}; got about 10**{math.log10(self.m):.0f}"
             )
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+        beta = 1.0 - self.alpha if self.beta is None else self.beta
+        for name, value in (("alpha", self.alpha), ("beta", beta)):
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
-        if abs(self.alpha + self.beta - 1.0) > 1e-12:
-            raise ValidationError(
-                f"alpha + beta must equal 1, got {self.alpha} + {self.beta}"
-            )
+        if abs(self.alpha + beta - 1.0) > 1e-12:
+            raise ValidationError(f"alpha + beta must equal 1, got {self.alpha} + {beta}")
+        object.__setattr__(self, "beta", 1.0 - self.alpha)
 
     @property
     def theta(self) -> float:
@@ -170,16 +171,14 @@ class FieldCheckReport:
     vertices_checked: int
 
 
-def check_field(field, params: GameParams | None = None, tol: float = DEFAULT_TOL) -> FieldCheckReport:
+def check_field(field, *, tol: float = DEFAULT_TOL) -> FieldCheckReport:
     """Scan all interior vertices of a level field and report the worst residual.
 
     `field` is a solver LevelField (or anything exposing ``params``, ``n``
-    and per-level value arrays ``levels``).
+    and per-level value arrays ``levels``); the operator is that of
+    ``field.params``.
     """
-    if params is None:
-        params = field.params
-    if params.m != field.params.m:
-        raise ContractViolationError("params branching factor differs from the field's")
+    params = field.params
     m = params.m
     worst = 0.0
     worst_level = 0

@@ -4,8 +4,8 @@
 averaging operator upward a level (and a block of rows) at a time, so
 every interior value is exactly the operator applied to its m children.
 Every boundary spec carries its exact Lipschitz constant L, and the field
-is within ``L / m**n`` of the limit solution everywhere, which is what
-``error_bound`` certifies and ``solve_to_tolerance`` inverts.
+is within ``L / m**n`` (``error_bound``) of the limit solution everywhere;
+``solve_to_tolerance`` returns a field within its tolerance or refuses.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundarySpec, sample_Fn
-from .capacity import blocks, max_level
+from .capacity import blocks, check_level_size, decimal, exceeded, max_level, size_cap
 from .dpp import GameParams, operator_average
-from .errors import ContractViolationError, ValidationError
+from .errors import CapacityError, ContractViolationError, ValidationError
 from .tree import Vertex
 
 
@@ -99,7 +99,6 @@ def error_bound(spec: BoundarySpec, params: GameParams, n: int) -> float:
 class SolveResult:
     field: LevelField
     n_used: int
-    certified: bool
     certified_bound: float
 
 
@@ -108,25 +107,29 @@ MAX_SOLVE_DEPTH = 24
 
 
 def solve_to_tolerance(spec: BoundarySpec, params: GameParams, tol: float) -> SolveResult:
-    """Find the shallowest field meeting `tol`: the least n with
-    ``L / m**n <= tol``.  Hitting the size cap or `MAX_SOLVE_DEPTH` first
-    yields the deepest field allowed, with its bound but not certified."""
-    if not tol > 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
-    deepest = min(MAX_SOLVE_DEPTH, max_level(params.m))
+    """Build the shallowest field meeting `tol`: the least n with
+    ``L / m**n <= tol``.  Where no level under the size cap and
+    `MAX_SOLVE_DEPTH` meets it, raise CapacityError before building any."""
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
+    m = params.m
+    deepest = min(MAX_SOLVE_DEPTH, max_level(m))
     n = 1
     while error_bound(spec, params, n) > tol and n < deepest:
         n += 1
     bound = error_bound(spec, params, n)
-    return SolveResult(
-        field=build_un(spec, params, n), n_used=n, certified=bound <= tol, certified_bound=bound
-    )
+    if bound > tol:
+        check_level_size(m, n)  # a cap below m refuses level 1 itself
+        unmet = f"tolerance {tol} is below the bound {bound} of level {n}"
+        if n == MAX_SOLVE_DEPTH:
+            raise CapacityError(f"{unmet}, the deepest level solve builds (MAX_SOLVE_DEPTH)")
+        raise exceeded(f"{unmet}, and level {n + 1} has {decimal(m ** (n + 1))} vertices", size_cap())
+    return SolveResult(field=build_un(spec, params, n), n_used=n, certified_bound=bound)
 
 
 def compare_fields(field_f: LevelField, field_g: LevelField) -> bool:
     """True iff field_f <= field_g at every stored vertex."""
-    pf, pg = field_f.params, field_g.params
-    if (pf.m, pf.alpha, pf.beta) != (pg.m, pg.alpha, pg.beta) or field_f.n != field_g.n:
+    if field_f.params != field_g.params or field_f.n != field_g.n:
         raise ContractViolationError("fields must share params and depth to compare")
     return all(
         bool(np.all(a <= b)) for a, b in zip(field_f.levels, field_g.levels)

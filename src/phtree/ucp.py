@@ -1021,20 +1021,17 @@ class CriterionVerdict:
     reason: str
 
 
-def criterion_verdict(
-    rho_pattern, params: GameParams | None = None, delta: float | None = None
-) -> CriterionVerdict:
-    """Decide whether ``sum_k delta**rho_k`` diverges for a described sequence.
+def criterion_verdict(rho_pattern, params: GameParams) -> CriterionVerdict:
+    """Decide whether ``sum_k delta**rho_k`` diverges for a described sequence,
+    with the delta of `params`.
 
     Explicit finite lists are undecidable (returns unknown with the
     partial sum); any infinitely repeated finite value forces divergence;
     arithmetic or geometric growth gives a convergent tail with a
     computable limit.
     """
-    if delta is None:
-        if params is None:
-            raise ValidationError("need params or an explicit delta")
-        delta = params.delta
+    delta = params.delta
+    # 1 - theta rounds to 0.0 from about m = 1e16 at alpha = 0
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta must lie strictly between 0 and 1, got {delta}")
     pattern = RhoPattern.coerce(rho_pattern)

@@ -52,6 +52,20 @@ def test_cli_import_leaves_out_the_float_kernel():
     assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
 
 
+def test_each_subcommand_takes_exactly_its_options():
+    """A new option, or one removed, needs an edit here."""
+    options = {name: [p.name for p in command.params] for name, command in main.commands.items()}
+    assert options == {
+        "solve": ["m", "alpha", "boundary", "depth", "tol", "fmt", "output"],
+        "simulate": [
+            "m", "alpha", "boundary", "seed", "plays", "depth", "x0", "advice_n",
+            "strategy_i", "strategy_ii", "output",
+        ],
+        "ucp": ["m", "alpha", "set_descriptor", "set_file", "kmax", "resolution", "pa_nmax", "output"],
+        "dim": ["m", "alpha", "output"],
+    }
+
+
 class TestFileErrors:
     """An input or output file the run cannot use exits 2 with one error line."""
 
@@ -104,7 +118,7 @@ class TestCanonicalJson:
 class TestSolve:
     def test_json_root_value(self, runner):
         result = runner.invoke(main, [
-            "solve", "--m", "3", "--alpha", "0.5", "--beta", "0.5",
+            "solve", "--m", "3", "--alpha", "0.5",
             "--boundary", "linear", "--n", "2", "--format", "json",
         ])
         assert result.exit_code == 0
@@ -115,19 +129,18 @@ class TestSolve:
     def test_csv_round_trip(self, runner, tmp_path):
         out = tmp_path / "field.csv"
         result = runner.invoke(main, [
-            "solve", "--m", "3", "--alpha", "0.5", "--beta", "0.5",
+            "solve", "--m", "3", "--alpha", "0.5",
             "--boundary", "quadratic-centered", "--n", "3",
             "--format", "csv", "--output", str(out),
         ])
         assert result.exit_code == 0
-        params = GameParams(3, 0.5, 0.5)
-        reloaded = field_from_csv(out.read_text(encoding="utf-8"), params)
-        report = check_field(reloaded, params)
+        reloaded = field_from_csv(out.read_text(encoding="utf-8"), GameParams(3, 0.5))
+        report = check_field(reloaded)
         assert report.max_abs_residual <= 1e-12
 
     def test_tolerance_mode(self, runner):
         result = runner.invoke(main, [
-            "solve", "--m", "3", "--alpha", "0.5", "--beta", "0.5",
+            "solve", "--m", "3", "--alpha", "0.5",
             "--boundary", "linear", "--tol", "0.02",
         ])
         assert result.exit_code == 0
@@ -148,11 +161,15 @@ class TestSolve:
         assert "boundary" in result.output or "boundary" in (result.stderr or "")
 
     def test_weights_must_sum_to_one(self, runner):
+        """beta is 1 - alpha; no option sets it."""
         result = runner.invoke(main, [
             "solve", "--m", "3", "--alpha", "0.7", "--beta", "0.5",
             "--boundary", "linear", "--n", "2",
         ])
         assert result.exit_code == 2
+        assert "No such option '--beta'" in result.stderr
+        payload = json.loads(runner.invoke(main, ["dim", "--m", "3", "--alpha", "0.7"]).output)
+        assert payload["beta"] == 1.0 - 0.7
 
     def test_capacity_exit_code(self, runner, monkeypatch):
         monkeypatch.setenv("PHTREE_SIZE_CAP", "100")
@@ -167,7 +184,7 @@ class TestSolve:
 
         monkeypatch.setattr(solver_mod, "build_un", exhausted)
         result = runner.invoke(main, [
-            "solve", "--m", "3", "--alpha", "0.5", "--boundary", "linear", "--tol", "1e-300",
+            "solve", "--m", "3", "--alpha", "0.5", "--boundary", "linear", "--n", "2",
         ])
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
@@ -199,12 +216,35 @@ class TestSolve:
         assert result.exit_code == 2
         assert "tolerance" in result.stderr
 
+    def test_infinite_tolerance_exits_2(self, runner):
+        result = runner.invoke(main, [
+            "solve", "--m", "3", "--alpha", "0.5", "--boundary", "linear", "--tol", "inf",
+        ])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: tolerance must be positive and finite, got inf\n"
+
+    def test_unmet_tolerance_exits_3(self, runner, tmp_path):
+        """Level 24 of the binary tree is bound by 2**-24, above 1e-9: refused
+        before any level is built or the report is opened."""
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, [
+            "solve", "--m", "2", "--alpha", "0.5", "--boundary", "linear",
+            "--tol", "1e-9", "--output", str(out),
+        ])
+        assert result.exit_code == 3
+        assert result.stderr == (
+            "error: tolerance 1e-09 is below the bound 5.960464477539063e-08 of level 24, "
+            "the deepest level solve builds (MAX_SOLVE_DEPTH)\n"
+        )
+        assert not out.exists()
+
     def test_byte_reproducibility(self, runner, tmp_path):
         outputs = []
         for name in ("a.json", "b.json"):
             path = tmp_path / name
             result = runner.invoke(main, [
-                "solve", "--m", "3", "--alpha", "0.5", "--beta", "0.5",
+                "solve", "--m", "3", "--alpha", "0.5",
                 "--boundary", "linear", "--n", "4", "--output", str(path),
             ])
             assert result.exit_code == 0
@@ -229,7 +269,7 @@ class TestDim:
 class TestUcp:
     def test_rho_descriptor_certified(self, runner):
         result = runner.invoke(main, [
-            "ucp", "--m", "3", "--alpha", "0.5", "--beta", "0.5",
+            "ucp", "--m", "3", "--alpha", "0.5",
             "--set", "rho:1,4,1,8,1,16", "--kmax", "6",
         ])
         assert result.exit_code == 0
@@ -550,8 +590,6 @@ def _solve_simulate_dim_calls(draw):
     alpha = _mostly(["0.5", "0", "1", "0.3", "-0", "5e-324", "1e-13", "0.9999999999999999"],
                     st.sampled_from(["nan", "inf", "1.5", "x"]))
     args = [command, "--m", str(m), "--alpha", draw(alpha)]
-    if draw(st.integers(0, 3)) == 0:
-        args += ["--beta", draw(st.sampled_from(["0.5", "0", "1", "0.7", "1e-13", "nan", "-0.5", "x"]))]
     if command == "dim":
         return args
     args += ["--boundary", draw(_mostly(
@@ -599,9 +637,7 @@ def test_solve_simulate_dim_fuzz(boundary_files, args):
     if result.exit_code != 0:
         return
     if _option(args, "--format") == "csv":
-        alpha = float(_option(args, "--alpha"))
-        beta = float(_option(args, "--beta", 1.0 - alpha))
-        field_from_csv(result.stdout, GameParams(int(_option(args, "--m")), alpha, beta))
+        field_from_csv(result.stdout, GameParams(int(_option(args, "--m")), float(_option(args, "--alpha"))))
     else:
         json.loads(result.stdout, parse_constant=_reject_constant)
 
@@ -609,7 +645,7 @@ def test_solve_simulate_dim_fuzz(boundary_files, args):
 class TestSimulate:
     def test_report_schema_and_determinism(self, runner):
         args = [
-            "simulate", "--m", "3", "--alpha", "0.5", "--beta", "0.5",
+            "simulate", "--m", "3", "--alpha", "0.5",
             "--boundary", "linear", "--plays", "500", "--depth", "10",
             "--seed", "11", "--advice-n", "4",
         ]
@@ -637,7 +673,7 @@ class TestSimulate:
         [
             ["--seed", "-5"],
             # payoffs of 1e308 overflow the mean to inf
-            ["--alpha", "1", "--beta", "0", "--boundary", "constant:1e308"],
+            ["--alpha", "1", "--boundary", "constant:1e308"],
         ],
         ids=["negative-seed", "non-finite-estimate"],
     )

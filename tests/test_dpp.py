@@ -81,6 +81,23 @@ class TestGameParams:
         params = GameParams(np.int64(3), 0.5, 0.5)
         assert params == P and type(params.m) is int
 
+    @settings(max_examples=80, deadline=None)
+    @given(alpha=st.floats(0.0, 1.0), slack=st.floats(-1e-12, 1e-12))
+    def test_beta_is_one_minus_alpha(self, alpha, slack):
+        """A passed beta within 1e-12 of 1 - alpha is checked, then discarded."""
+        try:
+            passed = GameParams(3, alpha, 1.0 - alpha + slack)
+        except ValidationError:  # outside [0, 1], or past 1e-12 after rounding
+            passed = None
+        derived = GameParams(3, alpha)
+        assert derived.beta == 1.0 - alpha
+        assert passed is None or passed == derived
+
+    def test_beta_slack_does_not_change_the_operator(self):
+        params = GameParams(3, 0.5, 0.5 + 9e-13)
+        assert params.beta == 0.5
+        assert classify(lambda v: 1000.0, root(3), params) == HARMONIOUS
+
 
 class TestDppAverage:
     def test_hand_value(self):
@@ -245,9 +262,14 @@ class TestCheckField:
         assert report.max_abs_residual == pytest.approx(0.0, abs=1e-15)
         assert report.classification == HARMONIOUS
 
+    def test_params_come_from_the_field(self):
+        field = build_un(BoundarySpec.linear(), P, 2)
+        with pytest.raises(TypeError):
+            check_field(field, P)
+
     def test_solver_output_within_tolerance(self):
         field = build_un(BoundarySpec.linear(), P, 4)
-        report = check_field(field, P, tol=1e-12)
+        report = check_field(field, tol=1e-12)
         assert report.max_abs_residual <= 1e-12
         assert report.vertices_checked == 1 + 3 + 9 + 27
 
@@ -261,7 +283,7 @@ class TestCheckField:
             n=field.n,
             levels=tuple(levels),
         )
-        report = check_field(corrupted, P)
+        report = check_field(corrupted)
         assert report.worst_vertex == Vertex(3, (1, 1))  # parent of leaf 13
         assert report.max_abs_residual >= 0.1 * P.beta / P.m - 1e-12
 
@@ -286,4 +308,4 @@ class TestCheckField:
             else:
                 levels[where] += shift
         shifted = type(field)(params=field.params, n=field.n, levels=tuple(levels))
-        assert check_field(shifted, P).classification == label
+        assert check_field(shifted).classification == label

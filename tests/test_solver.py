@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phtree import (
     BoundarySpec,
@@ -22,7 +24,9 @@ from phtree import (
     sample_Fn,
     solve_to_tolerance,
 )
-from phtree.solver import field_from_csv, field_to_csv, field_to_json_obj
+from phtree import solver as solver_mod
+from phtree.capacity import max_level
+from phtree.solver import MAX_SOLVE_DEPTH, field_from_csv, field_to_csv, field_to_json_obj
 
 P = GameParams(3, 0.5, 0.5)
 LINEAR = BoundarySpec.linear()
@@ -101,13 +105,12 @@ class TestSolveToTolerance:
     def test_linear_certified_depth(self):
         result = solve_to_tolerance(LINEAR, P, 0.02)
         assert result.n_used == 4  # 1/81 <= 0.02 < 1/27
-        assert result.certified
         assert result.certified_bound == pytest.approx(1 / 81)
 
     def test_constant_needs_depth_one(self):
         result = solve_to_tolerance(BoundarySpec.constant(2.0), P, 1e-9)
         assert result.n_used == 1
-        assert result.certified
+        assert result.certified_bound == 0.0
 
     def test_pure_average_quadratic(self):
         params = GameParams(3, 0.0, 1.0)
@@ -117,7 +120,6 @@ class TestSolveToTolerance:
     def test_bare_spec_is_certified(self):
         # a spec built without its constructor still carries L = 1
         result = solve_to_tolerance(BoundarySpec(kind="builtin-linear"), P, 1e-6)
-        assert result.certified
         assert result.n_used == 13  # 3**-13 <= 1e-6 < 3**-12
         assert result.certified_bound == 3.0**-13
 
@@ -137,17 +139,56 @@ class TestSolveToTolerance:
         root, give or take that field's own bound."""
         deep = 11 if params.m < 4 else 8
         result = solve_to_tolerance(spec, params, 0.05)
-        assert result.certified and result.certified_bound <= 0.05
+        assert result.certified_bound <= 0.05
         reference = build_un(spec, params, deep)
         slack = error_bound(spec, params, deep)
         error = abs(result.field.root_value - reference.root_value)
         assert error <= result.certified_bound + slack + 1e-12
 
-    def test_capacity_flags_partial(self, monkeypatch):
+    def test_capacity_refuses_unmet_tolerance(self, monkeypatch):
         monkeypatch.setenv("PHTREE_SIZE_CAP", str(3**4))
-        result = solve_to_tolerance(LINEAR, P, 1e-9)
-        assert not result.certified
-        assert result.n_used == 4
+        with pytest.raises(CapacityError) as err:
+            solve_to_tolerance(LINEAR, P, 1e-9)
+        assert str(err.value) == (
+            "tolerance 1e-09 is below the bound 0.012345679012345678 of level 4, and level 5 "
+            "has 243 vertices, exceeding the size cap of 81 (set PHTREE_SIZE_CAP to raise it)"
+        )
+
+    def test_depth_limit_refuses_unmet_tolerance(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("no level is built")
+
+        monkeypatch.setattr(solver_mod, "build_un", build)
+        with pytest.raises(CapacityError, match=r"bound 5\.960464477539063e-08 of level 24, .*MAX_SOLVE_DEPTH"):
+            solve_to_tolerance(LINEAR, GameParams(2, 0.5), 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.sampled_from([
+            LINEAR, BoundarySpec.quadratic_centered(), BoundarySpec.constant(2.0),
+            BoundarySpec.tabulated([0.0, 0.1, 1.0], [0.0, 30.0, 0.0]),
+        ]),
+        m=st.integers(2, 5),
+        alpha=st.floats(0.0, 1.0),
+        tol=st.floats(5e-324, 10.0),
+        cap=st.integers(1, 3000),
+    )
+    def test_certified_or_refused(self, spec, m, alpha, tol, cap):
+        """A result is the shallowest level within `tol`; no level under the
+        cap and the depth limit meeting it is a CapacityError."""
+        params = GameParams(m, alpha)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("PHTREE_SIZE_CAP", str(cap))
+            try:
+                result = solve_to_tolerance(spec, params, tol)
+            except CapacityError:
+                deepest = min(MAX_SOLVE_DEPTH, max_level(m))
+                assert deepest == 0 or error_bound(spec, params, deepest) > tol
+                return
+        n = result.n_used
+        assert result.certified_bound == error_bound(spec, params, n) <= tol
+        assert n == 1 or error_bound(spec, params, n - 1) > tol
+        assert result.field.n == n
 
     def test_cap_below_branching_refuses_level_1(self, monkeypatch):
         monkeypatch.setenv("PHTREE_SIZE_CAP", "2")
@@ -155,7 +196,7 @@ class TestSolveToTolerance:
         with pytest.raises(CapacityError, match="level 1 of the 3-branching tree has 3 vertices"):
             solve_to_tolerance(spec, P, 1e-9)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
     def test_non_positive_tolerance_rejected(self, tol):
         with pytest.raises(ValidationError):
             solve_to_tolerance(LINEAR, P, tol)

@@ -861,18 +861,24 @@ class TestCriterionVerdict:
         assert criterion_verdict(RhoPattern((3,), "geometric", 1), params=P).diverges
 
     def test_geometric_growth_converges(self):
-        verdict = criterion_verdict(RhoPattern((1,), "geometric", 2), delta=0.4)
+        params = GameParams(3, 0.4)  # delta = 0.2 + 0.6 / 3 = 0.4
+        assert params.delta == pytest.approx(0.4, abs=1e-15)
+        verdict = criterion_verdict(RhoPattern((1,), "geometric", 2), params=params)
         assert verdict.diverges is False
         expected = 0.4 + 0.4**2 + 0.4**4 + 0.4**8 + 0.4**16 + 0.4**32
         assert verdict.limit_sum == pytest.approx(expected, abs=1e-12)
 
     def test_delta_validation(self):
-        with pytest.raises(ValidationError):
-            criterion_verdict(RhoPattern((1,), "cycle"), delta=1.5)
-        with pytest.raises(ValidationError):
-            criterion_verdict(RhoPattern((1,), "cycle"), delta=0.0)
-        with pytest.raises(ValidationError):
+        """delta comes from params alone; at m = 10**16 and alpha = 0 it
+        rounds to 0.0, which the criterion refuses."""
+        with pytest.raises(TypeError):
+            criterion_verdict(RhoPattern((1,), "cycle"), P, delta=0.4)
+        with pytest.raises(TypeError):
             criterion_verdict(RhoPattern((1,), "cycle"))
+        huge = GameParams(10**16, 0.0)
+        assert huge.delta == 0.0
+        with pytest.raises(ValidationError, match="delta must lie strictly between 0 and 1"):
+            criterion_verdict(RhoPattern((1,), "geometric", 2), huge)
 
 
 def _stage_values_by_recurrence(theta: float, rho: int, entry: float):
