@@ -11,8 +11,8 @@ the boundary modulus at that scale into a rigorous payoff uncertainty.
 :func:`simulate_batch` is the one engine.  It advances all plays in
 lockstep; at each step it lists the plays each player moves as one
 ascending index array (``np.flatnonzero``), asks that player's strategy for
-their moves at once (play by play without ``choose_batch``), and puts the
-picks back by the same indices.  Greedy moves compare children column by column.
+their moves (all at once, or play by play: see :class:`Strategy`), and puts
+the picks back by the same indices.  Greedy moves compare children column by column.
 
 Randomness contract: the coin, turn and random-move variates are three
 ``(plays, depth)`` row-major blocks of the ``default_rng(master_seed)``
@@ -42,42 +42,33 @@ from .tree import Vertex, _is_integer, vertex_from_index
 
 
 class Strategy:
-    """A deterministic rule mapping a play history to a successor index.
+    """A deterministic rule picking successor indices, by one of two protocols.
 
-    The history is the path of the play from its start vertex ``x0`` to the
-    current vertex.  Builtins are Markov (they only look at the last
-    vertex), but `choose` receives the whole history so custom
-    history-dependent strategies fit the same interface.  Subclasses may
-    provide ``choose_batch(level, indices)``, which picks the moves of many
-    plays at once from their current level and vertex indices; the engine
-    calls a strategy without it (``choose_batch is None``) play by play.
+    ``choose_batch(level, indices)`` picks the moves of many plays at once
+    from their level and vertex indices.  Without it (None), the engine calls
+    ``choose(step, v)`` play by play: ``v`` is the vertex the mover stands on
+    and ``step`` the number of moves since the play's start vertex ``x0``.
     """
 
-    def choose(self, history: tuple[Vertex, ...]) -> int:
+    def choose(self, step: int, v: Vertex) -> int:
         raise NotImplementedError
 
     choose_batch = None  # type: ignore[assignment]
 
 
 class _GreedyStrategy(Strategy):
-    """Step to the successor that `_pick` selects from the advice field.
+    """Step to the successor with the extreme advice value.
 
-    `_pick` is ``np.argmax`` or ``np.argmin``; both break ties to the lowest
-    successor index (fixed for reproducibility).  `choose_batch` gathers child
-    d as ``indices * m + d``, one column at a time, and picks it only if it
-    `_beats` the running `_extreme` strictly, so ties keep the lower index.
-    Advice must be finite (`build_un` and `field_from_csv` ensure it).
+    `choose_batch` gathers child d as ``indices * m + d``, one column at a
+    time, and picks it only if it `_beats` the running `_extreme` strictly,
+    so ties break to the lowest index (fixed for reproducibility).  Advice
+    must be finite (`build_un` and `field_from_csv` ensure it).
     """
 
-    _pick = _beats = _extreme = None
+    _beats = _extreme = None
 
     def __init__(self, advice: LevelField):
         self.advice = advice
-
-    def choose(self, history: tuple[Vertex, ...]) -> int:
-        v = history[-1]
-        values = [self.advice.value(y) for y in v.successors()]
-        return int(self._pick(values))
 
     def choose_batch(self, level: int, indices: np.ndarray) -> np.ndarray:
         m = self.advice.params.m
@@ -99,14 +90,12 @@ class _GreedyStrategy(Strategy):
 class GreedyMaxStrategy(_GreedyStrategy):
     """Step to an argmax of the advice field (lowest index on ties)."""
 
-    _pick = staticmethod(np.argmax)
     _beats, _extreme = np.greater, np.maximum
 
 
 class GreedyMinStrategy(_GreedyStrategy):
     """Step to an argmin of the advice field (lowest index on ties)."""
 
-    _pick = staticmethod(np.argmin)
     _beats, _extreme = np.less, np.minimum
 
 
@@ -119,19 +108,15 @@ class FixedDigitStrategy(Strategy):
         if not 0 <= digit < m:
             raise ValidationError(f"digit {digit} out of range for branching {m}")
         self.digit = int(digit)
-        self.m = m
-
-    def choose(self, history: tuple[Vertex, ...]) -> int:
-        return self.digit
 
     def choose_batch(self, level: int, indices: np.ndarray) -> np.ndarray:
         return np.full(indices.shape, self.digit, dtype=np.int64)
 
 
 class UniformRandomStrategy(Strategy):
-    """Seeded uniform moves, derived statelessly from (seed, step, position).
+    """Seeded uniform moves from ``default_rng((seed, step) + v.digits)``.
 
-    Stateless derivation keeps the strategy a pure function of the history,
+    Stateless derivation keeps the strategy a pure function of (step, v),
     so shared instances stay safe under concurrent plays.
     """
 
@@ -143,9 +128,8 @@ class UniformRandomStrategy(Strategy):
             raise ValidationError(f"random strategy seed must be >= 0, got {seed}")
         self.m = m
 
-    def choose(self, history: tuple[Vertex, ...]) -> int:
-        step = len(history) - 1
-        rng = np.random.default_rng((self.seed, step) + history[-1].digits)
+    def choose(self, step: int, v: Vertex) -> int:
+        rng = np.random.default_rng((self.seed, step) + v.digits)
         return int(rng.integers(self.m))
 
 
@@ -264,10 +248,7 @@ def simulate_batch(
                     digits[movers] = strat.choose_batch(level, indices[movers])
                 else:
                     for p in movers:
-                        # the path from x0 to v: its ancestors from x0's level on
-                        v = vertex_from_index(m, level, int(indices[p]))
-                        history = tuple(v.ancestor(k) for k in range(x0.level, level + 1))
-                        digits[p] = strat.choose(history)
+                        digits[p] = strat.choose(step, vertex_from_index(m, level, int(indices[p])))
             indices *= m
             indices += digits
         payoffs[start : start + rows] = eval_F(spec, indices / float(m**final_level))

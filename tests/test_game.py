@@ -60,14 +60,15 @@ class TestPlayOnce:
 class TestStrategies:
     def test_greedy_ties_break_to_lowest_index(self):
         flat = build_un(BoundarySpec.constant(1.0), P, 3)
-        assert GreedyMaxStrategy(flat).choose((root(3),)) == 0
-        assert GreedyMinStrategy(flat).choose((root(3),)) == 0
+        at_root = np.array([0])
+        assert GreedyMaxStrategy(flat).choose_batch(0, at_root).tolist() == [0]
+        assert GreedyMinStrategy(flat).choose_batch(0, at_root).tolist() == [0]
 
     def test_greedy_picks_extremes(self):
         field = build_un(LINEAR, P, 4)
-        history = (root(3),)
-        assert GreedyMaxStrategy(field).choose(history) == 2
-        assert GreedyMinStrategy(field).choose(history) == 0
+        at_root = np.array([0])
+        assert GreedyMaxStrategy(field).choose_batch(0, at_root).tolist() == [2]
+        assert GreedyMinStrategy(field).choose_batch(0, at_root).tolist() == [0]
 
     def test_scale_invariance_of_greedy_choices(self):
         field = build_un(LINEAR, P, 4)
@@ -76,37 +77,17 @@ class TestStrategies:
             params=field.params, n=field.n, levels=scaled_levels,
         )
         for digits in [(), (0,), (2, 1), (1, 0, 2)]:
-            history = (Vertex(3, digits),)
-            assert GreedyMaxStrategy(field).choose(history) == GreedyMaxStrategy(scaled).choose(history)
-            assert GreedyMinStrategy(field).choose(history) == GreedyMinStrategy(scaled).choose(history)
+            v = Vertex(3, digits)
+            at_v = np.array([v.index])
+            for greedy in (GreedyMaxStrategy, GreedyMinStrategy):
+                np.testing.assert_array_equal(
+                    greedy(field).choose_batch(v.level, at_v), greedy(scaled).choose_batch(v.level, at_v)
+                )
         indices = np.array([0, 1, 2, 5])
         np.testing.assert_array_equal(
             GreedyMaxStrategy(field).choose_batch(2, indices),
             GreedyMaxStrategy(scaled).choose_batch(2, indices),
         )
-
-    def test_fixed_digit_batch_matches_single_choice(self):
-        strat = FixedDigitStrategy(2, 3)
-        indices = np.arange(9)
-        batch = strat.choose_batch(2, indices)
-        for index in indices:
-            assert strat.choose((Vertex(3, tuple(_digits(int(index), 2))),)) == batch[index] == 2
-
-    def test_batch_matches_single_choice(self):
-        field = build_un(BoundarySpec.quadratic_centered(), P, 4)
-        strat = GreedyMaxStrategy(field)
-        for level in (0, 1, 3, 4, 6):
-            for index in (0, 1, 2):
-                count = 3**min(level, 4)
-                if index >= count:
-                    continue
-                if level <= 4:
-                    v = Vertex(3, tuple(_digits(index, level)))
-                else:
-                    v = Vertex(3, tuple(_digits(index, 4)) + (0,) * (level - 4))
-                single = strat.choose((v,))
-                batch = strat.choose_batch(level, np.array([v.index]))[0]
-                assert single == batch
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -147,17 +128,9 @@ class TestStrategies:
 
     def test_uniform_random_in_range_and_deterministic(self):
         strat = UniformRandomStrategy(9, 3)
-        history = (root(3), Vertex(3, (1,)))
-        first = strat.choose(history)
+        first = strat.choose(1, Vertex(3, (1,)))
         assert 0 <= first < 3
-        assert strat.choose(history) == first
-
-
-def _digits(index, level):
-    digits = [0] * level
-    for pos in range(level - 1, -1, -1):
-        index, digits[pos] = divmod(index, 3)
-    return digits
+        assert strat.choose(1, Vertex(3, (1,))) == first
 
 
 class _PythonFixedDigit(Strategy):
@@ -166,25 +139,25 @@ class _PythonFixedDigit(Strategy):
     def __init__(self, digit):
         self.digit = digit
 
-    def choose(self, history):
+    def choose(self, step, v):
         return self.digit
 
 
-class _HistoryLength(Strategy):
-    """Digit ``len(history) % m``, read from the history of the play."""
+class _StepReading(Strategy):
+    """Digit ``(step + 1) % m``, read from the step the engine passes; checks
+    that the step counts the moves since x0 and that v descends from x0."""
 
     def __init__(self, x0):
         self.x0 = x0
 
-    def choose(self, history):
-        assert history[0] == self.x0
-        assert all(b.parent() == a for a, b in zip(history, history[1:]))
-        return len(history) % self.x0.m
+    def choose(self, step, v):
+        assert v.level == self.x0.level + step
+        assert self.x0.is_prefix_of(v)
+        return (step + 1) % self.x0.m
 
 
 class _StepDigit(Strategy):
-    """The batched form of _HistoryLength: the history has one vertex per
-    level from x0 up to the current one."""
+    """The batched form of _StepReading: step is level - x0.level."""
 
     def __init__(self, x0):
         self.x0 = x0
@@ -223,6 +196,19 @@ class TestEstimator:
         assert sum(map(len, first.received)) == runs[1].moves_player_i
         assert sum(map(len, second.received)) == runs[1].moves_player_ii
 
+    def test_batched_strategies_are_never_asked_play_by_play(self, monkeypatch):
+        def refuse(self, step, v):
+            raise AssertionError(f"{type(self).__name__}.choose called")
+
+        monkeypatch.setattr(Strategy, "choose", refuse)
+        field = build_un(LINEAR, P, 4)
+        for strats in (
+            (GreedyMaxStrategy(field), GreedyMinStrategy(field)),
+            (FixedDigitStrategy(2, 3), FixedDigitStrategy(0, 3)),
+        ):
+            assert all(type(strat).choose is refuse for strat in strats)
+            batch = simulate_batch(Vertex(3, (1,)), *strats, LINEAR, P, depth=8, plays=200, master_seed=3)
+            assert batch.moves_player_i and batch.moves_player_ii
 
     def test_constant_boundary_zero_variance(self):
         est = estimate_value(
@@ -243,12 +229,12 @@ class TestEstimator:
     def test_slow_path_matches_batched_path(self):
         # the variates do not depend on the strategy, so one without batch support
         # must reproduce the batched payoffs decision for decision; the
-        # history-reading pair also checks that a non-root play's history
-        # starts at x0
+        # step-reading pair also checks that a non-root play counts its
+        # steps from x0
         x0 = Vertex(3, (0, 2))
         cases = [
             (root(3), FixedDigitStrategy(2, 3), _PythonFixedDigit(2)),
-            (x0, _StepDigit(x0), _HistoryLength(x0)),
+            (x0, _StepDigit(x0), _StepReading(x0)),
         ]
         for start, batched, per_play in cases:
             fast = simulate_batch(
@@ -287,7 +273,7 @@ class TestEstimator:
         cases = [
             (root(3), GreedyMaxStrategy(field), GreedyMinStrategy(field)),
             (root(3), FixedDigitStrategy(2, 3), FixedDigitStrategy(0, 3)),
-            (x0, _HistoryLength(x0), GreedyMinStrategy(field)),
+            (x0, _StepReading(x0), GreedyMinStrategy(field)),
         ]
         for start, strat_i, strat_ii in cases:
             runs = []

@@ -108,8 +108,8 @@ CASES = {
          "--strategy-i", "random:7", "--strategy-ii", "random:8"],
         "4b81e4a75a82b3252e7fcab870426f41c7c89f9adad760c5fee7b7b1134e05c9",
     ),
-    # a history-reading strategy from a non-root start: the per-play path
-    # must hand it the history from x0, not from the root
+    # a per-play strategy from a non-root start: the per-play path must
+    # count its steps from x0, not from the root
     "simulate-random-x0": (
         ["simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear", "--x0", "0.2",
          "--strategy-i", "random:7", "--strategy-ii", "greedy-min", "--advice-n", "4",
