@@ -39,8 +39,7 @@ class GameParams:
     beta is ``1.0 - alpha``; a beta passed in must lie within 1e-12 of it
     and is then discarded.  theta = alpha/2 + (m-1)*beta/m is the largest
     weight the operator can put on the maximal successor value; delta = 1 -
-    theta = alpha/2 + beta/m is the complementary weight, in [1/m, 1/2],
-    though as ``1.0 - theta`` it rounds to 0.0 from about m = 1e16 at alpha = 0.
+    theta = alpha/2 + beta/m is the complementary weight, in [1/m, 1/2].
 
     The endpoints alpha=1 (pure tug-of-war) and alpha=0 (pure averaging)
     are accepted.  m may not exceed the largest float, since the weights
@@ -72,7 +71,7 @@ class GameParams:
 
     @property
     def delta(self) -> float:
-        return 1.0 - self.theta
+        return self.alpha / 2.0 + self.beta / self.m
 
 
 def dpp_average(params: GameParams, succ_values: Sequence[float]) -> float:

@@ -1031,9 +1031,6 @@ def criterion_verdict(rho_pattern, params: GameParams) -> CriterionVerdict:
     computable limit.
     """
     delta = params.delta
-    # 1 - theta rounds to 0.0 from about m = 1e16 at alpha = 0
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must lie strictly between 0 and 1, got {delta}")
     pattern = RhoPattern.coerce(rho_pattern)
     partial = math.fsum(delta**r for r in pattern.prefix)
     if pattern.continuation == FINITE:

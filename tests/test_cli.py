@@ -360,6 +360,17 @@ class TestUcp:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: level 4 scan needs 81 state classes")
 
+    def test_delta_at_huge_branching(self, runner):
+        # delta = alpha/2 + beta/m is 1/m at alpha = 0; as 1 - theta it
+        # rounded to 0.0 here and the series criterion refused it
+        result = runner.invoke(main, [
+            "ucp", "--m", str(10**20), "--alpha", "0", "--set", "rho:1;geom=2",
+        ])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["delta"] == 1e-20
+        assert payload["verdict"] == "no-UCP-certified"
+
     def test_member_count_too_long_to_print(self, runner):
         # level 10000 holds 3**10000 members, more digits than str gives an
         # int; doubling keeps the density resolution at 3

@@ -131,49 +131,49 @@ CASES = {
     ),
     "ucp-rho": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,4,1,8,1,16", "--kmax", "6"],
-        "5555b0c12d8b20a9d65a255932ec46a8732c16efe3f3722acf92a6b2935cb212",
+        "90a2d5190e69e4f0a39b647191d2ed0c86d28347a4d3bd4a4a432b8eb2d854ad",
     ),
     # one ucp report per scan path: density refuted by the interior scan,
     # uniform hitting, the full-levels closed form, a long probe ladder with
     # P2 counts, a ladder that runs out of trusted depth, and an explicit set
     "ucp-digit-avoiding": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "digit-avoiding:1"],
-        "0c7576cf70e63b82dcf8976e5410558ffa875cc1a383c91eebc26f85218dc003",
+        "4650f925b19c93d3afe0be8069295cef636f3d1f342e2ffcfbf56b8cfbc196aa",
     ),
     "ucp-last-digit": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "last-digit:2"],
-        "2b9dfaa86e88f0a466de4e7fc48ec98099dc5e54d69ef313825a909b3d160329",
+        "9f78dfc5a09b61ef993b7b6da21e0e1b2d8179606ab73ea0fc7480005f986062",
     ),
     "ucp-full-levels-doubling": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "full-levels:1,3;doubling"],
-        "e98c7572efcaa4b956e0134bbbb7c29b2ada4b96c022f621a4b1a8866f3c4c3e",
+        "d13a420c48d2f47bcb9f7cfafceed6c309887987cd81113d93060bae263e439e",
     ),
     "ucp-rho-arith": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,2;arith=1", "--kmax", "40"],
-        "236f527129f6ee066aa243a53d9467a3db0dcfc40ac85e4ec4f26cc899e909e0",
+        "7b8fcee53b54d3faa3b6c5b32fc3f7adf3ab35064d32c5df3ad4effdfcdd39c4",
     ),
     # 17 geometric stages to the probe limit, 196,607 levels in all
     "ucp-rho-geom": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,2;geom=2", "--kmax", "30"],
-        "4f77c5c715cc8c811b0fc69c644d56a5fe529dd88461ef23e5e6951019928781",
+        "b8866e7810835abcb6fe9cce9fb55b9b28c063f591d04ebcf16cfbbbda60bf5f",
     ),
     "ucp-rho-finite": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,2,3;finite"],
-        "c73ac159d0efc4f3c1da031d55183e4966cc5c2902099b2b1d05aa878fb5a6b4",
+        "8058cf1f9561313d41fb6489e7dab290bdff10079b2059c83d689060648b160f",
     ),
     # one member, 0^6: hitting holds within 6 levels, but a +1/-1 field on
     # the subtrees of 1.0 and 1.1 vanishes on it, so the verdict stays open
     "ucp-rho-finite-single": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:6;finite"],
-        "8ee9319b41dd24ba7b5243080db1fb38ae1ba3b2422567c30deb414f40df6178",
+        "c853a2201f50124399183fdef15a5e83ceeec91b12c6d6e4547dcb0741704584",
     ),
     "ucp-set-file": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set-file", "{set_file}"],
-        "a891b77315695c5951e665084566bc3d94014596f4731cb3a17382b670336256",
+        "80fae5993553808c3fe1a7ea9c3c27ba26e76129c17a0d1f8fa5fe97613ef951",
     ),
     "ucp-set-file-deep": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set-file", "{deep_set_file}"],
-        "255d8412270c3382e3a9f61c0237f9fc1c02016202fd9931ddf1c2ad4f8eec12",
+        "7e362a991f1e3e07e00079958e39b4ab1db118a3d274062996f60d2fdc4debca",
     ),
     "dim": (
         ["dim", "--m", "3", "--alpha", "0.5"],
@@ -256,7 +256,7 @@ UCP_DESCRIPTORS = (
     "rho:1,4,1,8,1,16", "rho:1,2;arith=1", "rho:1,2,3;finite", "rho:2;geom=2",
     "rho:1,3;digit=1", "rho:2,1;finite;digit=1", "rho:3;arith=0", "rho:1;cycle",
 )
-UCP_MATRIX_DIGEST = "681bbcf952ed9824390e9a9be133eee721d5f342db1f0c13805a391c32e5d192"
+UCP_MATRIX_DIGEST = "ca39d219a88eaf64141a461015b800b1e240f1172d3769b87d4d7680694907cb"
 
 
 def _ucp_subsets(m):
@@ -321,7 +321,7 @@ COUNTEREXAMPLE_FIELDS = (
     (CounterexampleField, "3;arith=0", 8),
     (CounterexampleField, "1,2,3;finite", 6),
 )
-COUNTEREXAMPLE_DIGEST = "0ac06ef6b476a8fd0a8b05fd17b9d21ee7b49d1a78fb092ba6c5f904b9080727"
+COUNTEREXAMPLE_DIGEST = "d6e1b502ca6c6b11d1651eb3299495e51d9a4d44eefe2e7b1274847dc3359240"
 
 
 def test_counterexample_fields():

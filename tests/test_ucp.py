@@ -869,16 +869,13 @@ class TestCriterionVerdict:
         assert verdict.limit_sum == pytest.approx(expected, abs=1e-12)
 
     def test_delta_validation(self):
-        """delta comes from params alone; at m = 10**16 and alpha = 0 it
-        rounds to 0.0, which the criterion refuses."""
+        """delta comes from params alone, and stays 1/m at m = 10**16 and
+        alpha = 0, where 1 - theta would round to 0.0."""
         with pytest.raises(TypeError):
             criterion_verdict(RhoPattern((1,), "cycle"), P, delta=0.4)
         with pytest.raises(TypeError):
             criterion_verdict(RhoPattern((1,), "cycle"))
-        huge = GameParams(10**16, 0.0)
-        assert huge.delta == 0.0
-        with pytest.raises(ValidationError, match="delta must lie strictly between 0 and 1"):
-            criterion_verdict(RhoPattern((1,), "geometric", 2), huge)
+        assert GameParams(10**16, 0.0).delta == 1e-16
 
 
 def _stage_values_by_recurrence(theta: float, rho: int, entry: float):
