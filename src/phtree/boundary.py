@@ -57,8 +57,6 @@ class BoundarySpec:
             for a, b in zip(ts, ts[1:]):
                 if not a < b:
                     raise ValidationError("tabulated t values must be strictly increasing")
-            if any(t < 0.0 or t > 1.0 for t in ts):
-                raise ValidationError("tabulated t values must lie in [0, 1]")
         if not math.isfinite(self.value):
             raise ValidationError(f"boundary value must be finite, got {self.value}")
         if self.vs is not None and not all(math.isfinite(v) for v in self.vs):

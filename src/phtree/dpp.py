@@ -144,20 +144,15 @@ def residual_at(
     return dpp_average(params, succ) - centre
 
 
-def classify(
-    field: Callable[[Vertex], float],
-    v: Vertex,
-    params: GameParams,
-    tol: float = DEFAULT_TOL,
-) -> str:
+def classify(field: Callable[[Vertex], float], v: Vertex, params: GameParams) -> str:
     """Classify `field` at a single vertex from the sign of its residual.
 
     A nonnegative residual (value <= operator average) is the
     subharmonious side; nonpositive is the superharmonious side; within
-    tol of zero is harmonious.
+    ``DEFAULT_TOL`` of zero is harmonious.
     """
     r = residual_at(field, v, params)
-    if abs(r) <= tol:
+    if abs(r) <= DEFAULT_TOL:
         return HARMONIOUS
     return SUBHARMONIOUS if r > 0 else SUPERHARMONIOUS
 
@@ -170,12 +165,12 @@ class FieldCheckReport:
     vertices_checked: int
 
 
-def check_field(field, *, tol: float = DEFAULT_TOL) -> FieldCheckReport:
+def check_field(field) -> FieldCheckReport:
     """Scan all interior vertices of a level field and report the worst residual.
 
     `field` is a solver LevelField (or anything exposing ``params``, ``n``
     and per-level value arrays ``levels``); the operator is that of
-    ``field.params``.
+    ``field.params``.  Residuals within ``DEFAULT_TOL`` of zero count as 0.
     """
     params = field.params
     m = params.m
@@ -195,11 +190,11 @@ def check_field(field, *, tol: float = DEFAULT_TOL) -> FieldCheckReport:
         if abs(residuals[j]) > worst:
             worst = float(abs(residuals[j]))
             worst_level, worst_index = k, j
-    if max_resid <= tol and min_resid >= -tol:
+    if max_resid <= DEFAULT_TOL and min_resid >= -DEFAULT_TOL:
         label = HARMONIOUS
-    elif min_resid >= -tol:
+    elif min_resid >= -DEFAULT_TOL:
         label = SUBHARMONIOUS
-    elif max_resid <= tol:
+    elif max_resid <= DEFAULT_TOL:
         label = SUPERHARMONIOUS
     else:
         label = NEITHER

@@ -269,7 +269,7 @@ class TestCheckField:
 
     def test_solver_output_within_tolerance(self):
         field = build_un(BoundarySpec.linear(), P, 4)
-        report = check_field(field, tol=1e-12)
+        report = check_field(field)
         assert report.max_abs_residual <= 1e-12
         assert report.vertices_checked == 1 + 3 + 9 + 27
 
