@@ -128,3 +128,13 @@ class TestOracle:
         ) * x.sum()
         assert constraint == pytest.approx(0.0, abs=1e-12)
         assert np.exp(x).sum() == pytest.approx(result.min_value, rel=1e-12)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: kl_minimization_oracle(GameParams(65, 0.5)), ValidationError,
+                 "oracle intended for small branching factors (m <= 64)", id="oracle-m-65"),
+])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (info.type, str(info.value)) == (error, message)

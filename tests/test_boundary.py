@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from phtree import (
     BoundarySpec,
     DomainError,
+    SampledBoundary,
     ValidationError,
     eval_F,
     modulus_bound,
@@ -200,3 +201,25 @@ class TestPiecewiseEnvelope:
             cells = np.minimum((t * m**n).astype(int), m**n - 1)
             gap = np.abs(np.asarray(eval_F(spec, t)) - sampled[cells])
             assert gap.max() <= spec.lipschitz_bound / m**n + 1e-12
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: BoundarySpec("cubic"), ValidationError, "unknown boundary kind 'cubic'",
+                 id="unknown-kind"),
+    pytest.param(lambda: BoundarySpec.tabulated([0.0, 1.0], [0.0]), ValidationError,
+                 "tabulated boundary needs matching t/value samples", id="length-mismatch"),
+    pytest.param(lambda: BoundarySpec.tabulated([0.0], [0.0]), ValidationError,
+                 "tabulated boundary needs at least two samples", id="single-sample"),
+    pytest.param(lambda: BoundarySpec.from_csv(io.StringIO("t,value\n0,0,0\n1,1\n")), ValidationError,
+                 "malformed CSV row ['0', '0', '0']", id="three-field-row"),
+    pytest.param(lambda: SampledBoundary(3, 2, np.zeros(8)), ValidationError,
+                 "expected 9 samples at level 2, got (8,)", id="sampled-shape"),
+    pytest.param(lambda: sample_Fn(BoundarySpec.linear(), 3, -1), ValidationError,
+                 "level must be >= 0, got -1", id="negative-level"),
+    pytest.param(lambda: modulus_bound(BoundarySpec.linear(), 0.0), ValidationError,
+                 "scale must be positive, got 0.0", id="zero-scale"),
+])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (info.type, str(info.value)) == (error, message)

@@ -720,3 +720,13 @@ class TestSimulate:
         payload = json.loads(result.output)
         assert payload["mean"] == 2.5
         assert payload["std_error"] == 0.0
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: canonical_json({"x": object()}), TypeError,
+                 "cannot serialise <class 'object'>", id="unserialisable"),
+])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (info.type, str(info.value)) == (error, message)

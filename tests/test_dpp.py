@@ -309,3 +309,15 @@ class TestCheckField:
                 levels[where] += shift
         shifted = type(field)(params=field.params, n=field.n, levels=tuple(levels))
         assert check_field(shifted).classification == label
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: residual_at(lambda v: None, root(3), P), MissingValueError,
+                 "field is undefined at vertex <root>", id="none"),
+    pytest.param(lambda: residual_at(lambda v: 0.0 if v.level else math.nan, root(3), P),
+                 MissingValueError, "field is undefined at vertex <root>", id="nan"),
+])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (info.type, str(info.value)) == (error, message)

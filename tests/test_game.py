@@ -383,3 +383,20 @@ class TestTruncationError:
     def test_depth_validation(self):
         with pytest.raises(ValidationError):
             truncation_error(LINEAR, P, 0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: game.strategy_from_name("greedy-max", 3, None), ValidationError,
+                 "strategy 'greedy-max' needs an advice field", id="greedy-without-advice"),
+    pytest.param(lambda: simulate_batch(root(3), FixedDigitStrategy(0, 3), FixedDigitStrategy(0, 3),
+                                        LINEAR, P, depth=4, plays=0, master_seed=0),
+                 ValidationError, "plays must be >= 1, got 0", id="no-plays"),
+    pytest.param(lambda: simulate_batch(root(2), FixedDigitStrategy(0, 3), FixedDigitStrategy(0, 3),
+                                        LINEAR, P, depth=4, plays=4, master_seed=0),
+                 ValidationError, "starting vertex and params disagree on branching",
+                 id="branching-mismatch"),
+])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (info.type, str(info.value)) == (error, message)

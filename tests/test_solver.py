@@ -13,6 +13,7 @@ from phtree import (
     CapacityError,
     ContractViolationError,
     GameParams,
+    LevelField,
     ValidationError,
     Vertex,
     build_un,
@@ -361,3 +362,15 @@ class TestSerialization:
     def test_malformed_rows_rejected(self, body):
         with pytest.raises(ValidationError):
             field_from_csv("level,index,psi_left,value\n" + body, P)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: LevelField(P, 2, (np.zeros(1), np.zeros(3))), ContractViolationError,
+                 "expected 3 level arrays, got 2", id="level-count"),
+    pytest.param(lambda: LevelField(P, 1, (np.zeros(1), np.zeros(2))), ContractViolationError,
+                 "level 1 array has shape (2,), expected (3,)", id="level-shape"),
+])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (info.type, str(info.value)) == (error, message)

@@ -249,3 +249,17 @@ class TestEnumerateLevel:
             list(enumerate_level(3, 3))
         monkeypatch.setenv("PHTREE_SIZE_CAP", "50")
         assert len(list(enumerate_level(3, 3))) == 27
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: root(3).is_prefix_of(root(2)), ValidationError,
+                 "vertices belong to trees with different branching", id="prefix-across-branchings"),
+    pytest.param(lambda: tree_distance((0, 1), (1,)), ValidationError,
+                 "branching factor m required for raw digit sequences", id="raw-digits-without-m"),
+    pytest.param(lambda: list(enumerate_level(3, -1)), ValidationError,
+                 "level must be >= 0, got -1", id="negative-level"),
+])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (info.type, str(info.value)) == (error, message)

@@ -1175,3 +1175,30 @@ class TestAnalyze:
             "rho", "eta", "partial_sum", "p1_ok", "p2_ok", "pa_holds",
             "pa_n", "verdict", "verdict_reason", "notes",
         }
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: RhoPattern(()), ValidationError,
+                 "rho pattern needs at least one explicit term", id="empty-prefix"),
+    pytest.param(lambda: RhoPattern((1,), "spiral"), ValidationError,
+                 "unknown continuation 'spiral'", id="unknown-continuation"),
+    pytest.param(lambda: RhoPattern((1,), "arithmetic", -1), ValidationError,
+                 "arithmetic step must be >= 0", id="negative-step"),
+    pytest.param(lambda: RhoPattern((1,), "geometric", 0), ValidationError,
+                 "geometric ratio must be >= 1", id="ratio-below-1"),
+    pytest.param(lambda: RhoPattern((1,), "cycle").term(0), ValidationError,
+                 "stage index must be >= 1, got 0", id="term-0"),
+    pytest.param(lambda: RhoPattern.parse(";"), ValidationError, "empty rho descriptor",
+                 id="empty-descriptor"),
+    pytest.param(lambda: SubsetSpec.full_levels(3, [1], rule="tripling"), ValidationError,
+                 "unknown full-levels rule 'tripling'", id="unknown-rule"),
+    pytest.param(lambda: SubsetSpec.predicate(3, lambda v: True, depth_bound=0), ValidationError,
+                 "predicate subsets need a positive depth bound", id="predicate-depth-0"),
+    pytest.param(lambda: unboundedness_probe(SubsetSpec.full_levels(3, [1]), P, 1),
+                 StructuralCheckError, "the first-stage uniqueness check (P1) failed",
+                 id="probe-without-p1"),
+])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (info.type, str(info.value)) == (error, message)
