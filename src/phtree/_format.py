@@ -1,13 +1,16 @@
 """Report text of float64 arrays: the exact bytes of ``"%.17g" % v``.
 
-``write_rows(out, columns)`` appends a table to a bytearray, one block of
-``capacity.BLOCK`` rows at a time.  Each row is the concatenation of its
+``write_rows(write, columns)`` passes the text of a table to a ``write``
+callable, one block of ``capacity.BLOCK`` rows at a time, so a report is
+never held whole: its destination gets each block as it is formatted.
+Each row is the concatenation of its
 columns: a str column is written as it is on every row, and a float64
 array column (the only kind of float column) gives that row's value as
 ``"%.17g" % v``, byte for byte what the ``%`` operator gives value by
 value.  A block is one ``(rows, width)`` matrix of little-endian 8-byte
 words in which every column has fixed places and unused bytes are NUL;
-deleting the NUL bytes in one ``translate`` gives the block's text.
+deleting the NUL bytes in one ``translate`` gives the block's text, which is
+the one chunk ``write`` gets for that block.
 
 The kernel covers +-0.0 and 1e-4 <= |x| < 1e15, where "%.17g" uses fixed
 notation.  There x = f * 2**e with a 53-bit integer f.  With E the decimal
@@ -27,7 +30,7 @@ those values, so the output is ``"%.17g" % v`` for every float64.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -180,14 +183,15 @@ def _const_words(text: str) -> np.ndarray:
     return np.frombuffer(data + bytes(-len(data) % 8), _WORD)
 
 
-def write_rows(out: bytearray, columns: Sequence[str | np.ndarray]) -> None:
-    """Append the text of a table to `out`, one block of rows at a time.
+def write_rows(write: Callable[[bytes], object], columns: Sequence[str | np.ndarray]) -> None:
+    """Pass the text of a table to `write`, one block of rows per call.
 
     Each row is the concatenation of `columns`: a str (ASCII, no NUL) on
     every row, or the row's element of a float64 column as ``"%.17g" % v``.
     A float column is an array, or any sized object whose slice by a block
-    of rows is one.  All float columns have the same length.  The text goes
-    straight into `out`, so no block outlives its own step.
+    of rows is one.  All float columns have the same length; a table of no
+    rows makes no call.  Each block's text goes to `write` as soon as it is
+    formatted, so no block outlives its own step.
     """
     consts = [_const_words(c) if isinstance(c, str) else None for c in columns]
     count = min(len(c) for c, words in zip(columns, consts) if words is None)
@@ -204,4 +208,4 @@ def write_rows(out: bytearray, columns: Sequence[str | np.ndarray]) -> None:
             else:
                 block[:, col : col + len(words)] = words
                 col += len(words)
-        out += buffer.translate(None, b"\0")
+        write(buffer.translate(None, b"\0"))

@@ -8,7 +8,8 @@ exhausting memory.  The cap is ``2**31`` values unless the
 to set it.  The cap counts values, not bytes: a field build fills each
 level `BLOCK` values at a time, so its peak is the field's own bytes plus
 one block.  `BLOCK` also sizes the blocks of rows in which reports are
-formatted.
+formatted and written: a report goes to its destination one block at a
+time, so its peak is the result it prints plus one block, not its text.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import CapacityError, ValidationError
 
 DEFAULT_SIZE_CAP = 2**31
 
-#: values per block of boundary sampling, of the operator sweep and of report rows
+#: values per block of boundary sampling, of the operator sweep and of report rows and writes
 BLOCK = 1 << 13
 
 _ENV_VAR = "PHTREE_SIZE_CAP"

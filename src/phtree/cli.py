@@ -3,15 +3,19 @@
 Every run is fully determined by its flags (seeds included): identical
 invocations produce identical output bytes.  JSON reports use sorted keys
 and fixed 17-significant-digit float formatting; CSV fields use the same
-float format.  A report is one bytearray, field levels included straight
-from the float kernel, and is written in one write.  Exit codes: 0
-success, 2 validation error or an unusable input or output file, 3
-capacity error or out of memory.
+float format.  A report goes straight to its destination, one formatted
+block at a time, so a run holds its result plus one block and never the
+report's text.  The destination is opened only once the object to report
+is complete, so a run that fails before then leaves an existing
+``--output`` file untouched.  Exit codes: 0 success, 2 validation error or
+an unusable input or output file, 3 capacity error or out of memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import sys
+from collections.abc import Callable
 
 import click
 import numpy as np
@@ -29,24 +33,27 @@ EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
 
 
-def canonical_json(obj) -> bytearray:
-    """Deterministic JSON as bytes: sorted keys, floats as ``"%.17g" % v``.
+def canonical_json(obj, write: Callable[[bytes], object]) -> None:
+    """Pass deterministic JSON of `obj` to `write` as bytes: sorted keys,
+    floats as ``"%.17g" % v``.
 
     A float64 array (a field level) is rendered by ``_format.write_rows``
-    straight into the report, a block of items at a time, with its exact
-    integer kernel for 0.0 and 1e-4 <= |v| < 1e15 and the ``%`` operator for
-    every other value; the bytes are those of formatting each item alone.
+    straight to `write`, a block of items at a time, with its exact integer
+    kernel for 0.0 and 1e-4 <= |v| < 1e15 and the ``%`` operator for every
+    other value; the bytes are those of formatting each item alone.
     """
-    out = bytearray()
 
     def put(obj, pad: str) -> None:
         child_pad = pad + "  "
         if isinstance(obj, np.ndarray):
+            if not obj.size:
+                write(b"[]")
+                return
             from . import _format  # only float-level reports need its tables
-            out.extend(b"[\n")
-            _format.write_rows(out, [child_pad, obj, ",\n"])
+            write(b"[\n")
+            _format.write_rows(write, [child_pad, obj[:-1], ",\n"])
             # no separator after the last item
-            out[-2:] = f"\n{pad}]".encode() if obj.size else b"[]"
+            _format.write_rows(write, [child_pad, obj[-1:], f"\n{pad}]"])
             return
         if isinstance(obj, (dict, list, tuple)):
             if isinstance(obj, dict):
@@ -55,7 +62,7 @@ def canonical_json(obj) -> bytearray:
                 brackets, items = "[]", [("", v) for v in obj]
             sep = brackets[0] + "\n"
             for prefix, value in items:
-                out.extend(f"{sep}{child_pad}{prefix}".encode())
+                write(f"{sep}{child_pad}{prefix}".encode())
                 put(value, child_pad)
                 sep = ",\n"
             text = f"\n{pad}{brackets[1]}" if items else brackets
@@ -71,22 +78,34 @@ def canonical_json(obj) -> bytearray:
             text = '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
         else:
             raise TypeError(f"cannot serialise {type(obj)!r}")
-        out.extend(text.encode())
+        write(text.encode())
 
     put(obj, "")
-    return out
 
 
-def _write_report(data: bytearray, output: str) -> None:
-    """Write a report that ends in exactly one newline, in one write.  CSV
-    data already ends in one, so it is appended only where it is missing."""
-    if not data.endswith(b"\n"):
-        data += b"\n"
+@contextlib.contextmanager
+def _write_report(output: str):
+    """Open `output` ('-' for stdout) and yield a ``write`` that passes each
+    chunk of a report to it.  The report ends in exactly one newline: CSV
+    text already ends in one, so it is appended only where the last chunk
+    lacks it."""
+    last = b""
+
+    def write(chunk) -> None:
+        nonlocal last
+        if chunk:
+            last = chunk[-1:]
+            sink.write(chunk)
+
     if output == "-":
-        click.echo(data, nl=False)
+        target = contextlib.nullcontext(click.get_binary_stream("stdout"))
     else:
-        with open(output, "wb") as fh:
-            fh.write(data)
+        target = open(output, "wb")
+    with target as sink:
+        yield write
+        if last != b"\n":
+            sink.write(b"\n")
+        sink.flush()
 
 
 def _fail(message: str, code: int) -> None:
@@ -149,16 +168,17 @@ def solve(m, alpha, boundary, depth, tol, fmt, output) -> None:
             result = solver_mod.solve_to_tolerance(spec, params, tol)
             field, n_used, bound = result.field, result.n_used, result.certified_bound
         if fmt == "csv":
-            data = solver_mod.field_to_csv(field)
-        else:
-            obj = solver_mod.field_to_json_obj(field)
-            obj["root_value"] = field.root_value
-            if bound is not None:
-                obj["certified"] = True
-                obj["certified_bound"] = bound
-            obj["n_used"] = n_used
-            data = canonical_json(obj)
-        _write_report(data, output)
+            with _write_report(output) as write:
+                solver_mod.field_to_csv(field, write)
+            return
+        obj = solver_mod.field_to_json_obj(field)
+        obj["root_value"] = field.root_value
+        if bound is not None:
+            obj["certified"] = True
+            obj["certified_bound"] = bound
+        obj["n_used"] = n_used
+        with _write_report(output) as write:
+            canonical_json(obj, write)
 
     _run_guarded(run)
 
@@ -198,7 +218,8 @@ def simulate(m, alpha, boundary, seed, plays, depth, x0, advice_n, strategy_i, s
             "beta": params.beta,
             "seed": seed,
         }
-        _write_report(canonical_json(obj), output)
+        with _write_report(output) as write:
+            canonical_json(obj, write)
 
     _run_guarded(run)
 
@@ -229,7 +250,8 @@ def ucp(m, alpha, set_descriptor, set_file, kmax, resolution, pa_nmax, output) -
         obj["alpha"] = params.alpha
         obj["beta"] = params.beta
         obj["delta"] = params.delta
-        _write_report(canonical_json(obj), output)
+        with _write_report(output) as write:
+            canonical_json(obj, write)
 
     _run_guarded(run)
 
@@ -251,7 +273,8 @@ def dim(m, alpha, output) -> None:
             "objective": result.objective,
             "dimension": result.dimension,
         }
-        _write_report(canonical_json(obj), output)
+        with _write_report(output) as write:
+            canonical_json(obj, write)
 
     _run_guarded(run)
 

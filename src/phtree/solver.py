@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,23 +142,23 @@ def compare_fields(field_f: LevelField, field_g: LevelField) -> bool:
 CSV_HEADER = ["level", "index", "psi_left", "value"]
 
 
-def field_to_csv(field: LevelField) -> bytearray:
-    """Render the field as ASCII CSV rows ``level,index,psi_left,value``.
+def field_to_csv(field: LevelField, write: Callable[[bytes], object]) -> None:
+    """Pass the field to `write` as ASCII CSV rows ``level,index,psi_left,value``.
 
     Floats are ``"%.17g" % v``, so no field needs CSV quoting, and the
     index is ``"%d"``.  ``_format.write_rows`` renders each level a block of
     ``capacity.BLOCK`` rows at a time with its exact integer kernel, and
-    falls back to the ``%`` operator for values outside its range.
+    falls back to the ``%`` operator for values outside its range; each
+    block goes to `write` as soon as it is formatted.
     """
     from . import _format  # only float-level reports need its tables
-    text = bytearray(",".join(CSV_HEADER).encode() + b"\n")
+    write(",".join(CSV_HEADER).encode() + b"\n")
     m = field.params.m
     for k, arr in enumerate(field.levels):
         # "%.17g" prints a whole float below 1e15 as "%d" does; a level of
         # 1e15 vertices would take 8 PB
         index, psi = _RowIndex(arr.size, 1.0), _RowIndex(arr.size, float(m**k))
-        _format.write_rows(text, [f"{k},", index, ",", psi, ",", arr, "\n"])
-    return text
+        _format.write_rows(write, [f"{k},", index, ",", psi, ",", arr, "\n"])
 
 
 class _RowIndex:

@@ -20,6 +20,7 @@ from phtree import (
     CapacityError, DensityResult, GameParams, Interval, RhoPattern, SubsetSpec, Vertex, analyze,
     check_field, density_check, interval_of,
 )
+from phtree import capacity
 from phtree import solver as solver_mod
 from phtree.cli import canonical_json, main
 from phtree.solver import field_from_csv
@@ -103,15 +104,21 @@ class TestFileErrors:
         assert "Traceback" not in result.output
 
 
+def rendered(obj) -> str:
+    buf = bytearray()
+    canonical_json(obj, buf.extend)
+    return buf.decode()
+
+
 class TestCanonicalJson:
     def test_sorted_keys_and_float_format(self):
-        text = canonical_json({"b": 1 / 3, "a": [1, True, None], "c": "x"}).decode()
+        text = rendered({"b": 1 / 3, "a": [1, True, None], "c": "x"})
         assert text.index('"a"') < text.index('"b"') < text.index('"c"')
         assert "0.33333333333333331" in text
         assert json.loads(text) == {"a": [1, True, None], "b": 1 / 3, "c": "x"}
 
     def test_escaping(self):
-        text = canonical_json({"k": 'a"b\\c'}).decode()
+        text = rendered({"k": 'a"b\\c'})
         assert json.loads(text) == {"k": 'a"b\\c'}
 
 
@@ -125,6 +132,21 @@ class TestSolve:
         payload = json.loads(result.output)
         assert payload["root_value"] == pytest.approx(4 / 9, abs=1e-14)
         assert payload["n_used"] == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_written_in_blocks_of_5(self, runner, tmp_path, monkeypatch, fmt):
+        """Written a few rows at a time, a report has the bytes it has when
+        written a whole level at a time, on stdout and in a file alike, and
+        ends in exactly one newline."""
+        args = ["solve", "--m", "3", "--alpha", "0.5", "--boundary", "quadratic-centered",
+                "--n", "3", "--format", fmt]
+        whole = runner.invoke(main, args).stdout_bytes
+        monkeypatch.setattr(capacity, "BLOCK", 5)
+        out = tmp_path / f"report.{fmt}"
+        stdout = runner.invoke(main, args).stdout_bytes
+        assert runner.invoke(main, args + ["--output", str(out)]).exit_code == 0
+        assert stdout == out.read_bytes() == whole
+        assert whole.endswith(b"\n") and not whole.endswith(b"\n\n")
 
     def test_csv_round_trip(self, runner, tmp_path):
         out = tmp_path / "field.csv"
@@ -226,18 +248,23 @@ class TestSolve:
 
     def test_unmet_tolerance_exits_3(self, runner, tmp_path):
         """Level 24 of the binary tree is bound by 2**-24, above 1e-9: refused
-        before any level is built or the report is opened."""
+        before any level is built or the report is opened, so no report is
+        made and an earlier one at the output path stays as it was."""
         out = tmp_path / "report.json"
-        result = runner.invoke(main, [
+        args = [
             "solve", "--m", "2", "--alpha", "0.5", "--boundary", "linear",
             "--tol", "1e-9", "--output", str(out),
-        ])
-        assert result.exit_code == 3
-        assert result.stderr == (
-            "error: tolerance 1e-09 is below the bound 5.960464477539063e-08 of level 24, "
-            "the deepest level solve builds (MAX_SOLVE_DEPTH)\n"
-        )
-        assert not out.exists()
+        ]
+        for existing in (None, b"an earlier report\n"):
+            if existing is not None:
+                out.write_bytes(existing)
+            result = runner.invoke(main, args)
+            assert result.exit_code == 3
+            assert result.stderr == (
+                "error: tolerance 1e-09 is below the bound 5.960464477539063e-08 of level 24, "
+                "the deepest level solve builds (MAX_SOLVE_DEPTH)\n"
+            )
+            assert (out.read_bytes() if out.exists() else None) == existing
 
     def test_byte_reproducibility(self, runner, tmp_path):
         outputs = []
@@ -723,7 +750,7 @@ class TestSimulate:
 
 
 @pytest.mark.parametrize("call, error, message", [
-    pytest.param(lambda: canonical_json({"x": object()}), TypeError,
+    pytest.param(lambda: canonical_json({"x": object()}, bytearray().extend), TypeError,
                  "cannot serialise <class 'object'>", id="unserialisable"),
 ])
 def test_refusals(call, error, message):

@@ -33,7 +33,7 @@ float_arrays = st.lists(bit_patterns, min_size=1, max_size=64).map(
 
 def rendered(values):
     text = bytearray()
-    _format.write_rows(text, [values, "\n"])
+    _format.write_rows(text.extend, [values, "\n"])
     return text.decode().split("\n")[:-1]
 
 
@@ -54,5 +54,5 @@ def test_kernel_matches_format(values):
 def test_columns_of_a_row():
     values = np.array([0.5, -2.0, 1e-300])
     text = bytearray()
-    _format.write_rows(text, ["<", values, ",", values[::-1], ">\n"])
+    _format.write_rows(text.extend, ["<", values, ",", values[::-1], ">\n"])
     assert text.decode() == "<0.5,1e-300>\n<-2,-2>\n<1e-300,0.5>\n"

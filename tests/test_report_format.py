@@ -8,12 +8,25 @@ bytes of the one-value-at-a-time formatting they replace.
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phtree import BoundarySpec, GameParams, build_un, capacity
 from phtree.cli import canonical_json
 from phtree.solver import LevelField, field_to_csv
+
+
+def json_text(obj) -> str:
+    buf = bytearray()
+    canonical_json(obj, buf.extend)
+    return buf.decode()
+
+
+def csv_text(field) -> str:
+    buf = bytearray()
+    field_to_csv(field, buf.extend)
+    return buf.decode()
 
 
 def reference_json(obj, indent=0):
@@ -72,9 +85,20 @@ def test_canonical_json_matches_element_wise(values):
             (items, values),
             ({"levels": [items, items], "n": len(values)}, {"levels": [values, values], "n": len(values)}),
         ):
-            text = canonical_json(obj).decode()
+            text = json_text(obj)
             assert text == reference_json(expected)
             assert json.loads(text, parse_constant=_reject_constant) == expected
+
+
+@pytest.mark.parametrize("size", [0, 1, 5, 6])
+def test_canonical_json_of_arrays_in_blocks_of_5(monkeypatch, size):
+    """Arrays of no item, one item, one block and one block plus one, where a
+    block is 5 items: each array's last item, written alone, closes it."""
+    monkeypatch.setattr(capacity, "BLOCK", 5)
+    values = [1 / 3, -0.0, 1e-300, 2.5e20, -123.456, 7.0][:size]
+    array = np.array(values)
+    obj = {"levels": [array, array], "root": array}
+    assert json_text(obj) == reference_json({"levels": [values, values], "root": values})
 
 
 @st.composite
@@ -92,7 +116,7 @@ def fields(draw):
 @settings(max_examples=100, deadline=None)
 @given(field=fields())
 def test_field_to_csv_matches_element_wise(field):
-    lines = field_to_csv(field).decode().split("\n")
+    lines = csv_text(field).split("\n")
     assert lines[0] == "level,index,psi_left,value"
     assert lines[1:] == reference_csv_rows(field) + [""]
 
@@ -100,4 +124,4 @@ def test_field_to_csv_matches_element_wise(field):
 def test_field_to_csv_spans_several_blocks():
     field = build_un(BoundarySpec.quadratic_centered(), GameParams(3, 0.3, 0.7), 10)
     assert field.levels[-1].size > capacity.BLOCK
-    assert field_to_csv(field).decode().split("\n")[1:-1] == reference_csv_rows(field)
+    assert csv_text(field).split("\n")[1:-1] == reference_csv_rows(field)

@@ -310,10 +310,16 @@ class TestSchemeProperties:
             assert field.value(deep) == field.value(v)
 
 
+def csv_text(field) -> str:
+    buf = bytearray()
+    field_to_csv(field, buf.extend)
+    return buf.decode()
+
+
 class TestSerialization:
     def test_csv_round_trip_preserves_checks(self):
         field = build_un(BoundarySpec.quadratic_centered(), P, 3)
-        text = field_to_csv(field).decode()
+        text = csv_text(field)
         reloaded = field_from_csv(text, P)
         for a, b in zip(field.levels, reloaded.levels):
             np.testing.assert_array_equal(a, b)
@@ -324,13 +330,13 @@ class TestSerialization:
 
     def test_csv_header(self):
         field = build_un(LINEAR, P, 1)
-        lines = field_to_csv(field).decode().splitlines()
+        lines = csv_text(field).splitlines()
         assert lines[0] == "level,index,psi_left,value"
         assert lines[1].startswith("0,0,0,")
 
     def test_csv_psi_column(self):
         field = build_un(LINEAR, P, 2)
-        rows = field_to_csv(field).decode().splitlines()[1:]
+        rows = csv_text(field).splitlines()[1:]
         for row in rows:
             level, index, psi_left, _ = row.split(",")
             expected = Fraction(int(index), 3 ** int(level))
