@@ -3,14 +3,13 @@
 ``write_rows(write, columns)`` passes the text of a table to a ``write``
 callable, one block of ``capacity.BLOCK`` rows at a time, so a report is
 never held whole: its destination gets each block as it is formatted.
-Each row is the concatenation of its
-columns: a str column is written as it is on every row, and a float64
-array column (the only kind of float column) gives that row's value as
-``"%.17g" % v``, byte for byte what the ``%`` operator gives value by
-value.  A block is one ``(rows, width)`` matrix of little-endian 8-byte
-words in which every column has fixed places and unused bytes are NUL;
-deleting the NUL bytes in one ``translate`` gives the block's text, which is
-the one chunk ``write`` gets for that block.
+Each row is the concatenation of its columns: a str column is written as
+it is on every row, and a float64 array column (the only kind of float
+column) gives that row's value as ``"%.17g" % v``, byte for byte what the
+``%`` operator gives value by value.  A block is one ``(rows, width)``
+matrix of little-endian 8-byte words in which every column has fixed
+places and unused bytes are NUL; deleting the NUL bytes in one
+``translate`` gives the block's text, which ``write`` gets in one call.
 
 The kernel covers +-0.0 and 1e-4 <= |x| < 1e15, where "%.17g" uses fixed
 notation.  There x = f * 2**e with a 53-bit integer f.  With E the decimal

@@ -104,7 +104,7 @@ class TestFileErrors:
         assert "Traceback" not in result.output
 
 
-def rendered(obj) -> str:
+def json_text(obj) -> str:
     buf = bytearray()
     canonical_json(obj, buf.extend)
     return buf.decode()
@@ -112,13 +112,13 @@ def rendered(obj) -> str:
 
 class TestCanonicalJson:
     def test_sorted_keys_and_float_format(self):
-        text = rendered({"b": 1 / 3, "a": [1, True, None], "c": "x"})
+        text = json_text({"b": 1 / 3, "a": [1, True, None], "c": "x"})
         assert text.index('"a"') < text.index('"b"') < text.index('"c"')
         assert "0.33333333333333331" in text
         assert json.loads(text) == {"a": [1, True, None], "b": 1 / 3, "c": "x"}
 
     def test_escaping(self):
-        text = rendered({"k": 'a"b\\c'})
+        text = json_text({"k": 'a"b\\c'})
         assert json.loads(text) == {"k": 'a"b\\c'}
 
 
