@@ -98,6 +98,31 @@ class TestWorkingSet:
         assert peaks[11] <= self.FEW_BLOCKS * self.BLOCK_BYTES
         assert peaks[12] <= peaks[10] + self.BLOCK_BYTES
 
+    @staticmethod
+    def json_length(obj) -> int:
+        """Stream `obj`'s canonical JSON into a sink that keeps only its byte
+        count, and return that count."""
+        length = [0]
+
+        def count(chunk) -> None:
+            length[0] += len(chunk)
+
+        canonical_json(obj, count)
+        return length[0]
+
+    def test_json_report_holds_its_text_twice(self, traced_peak):
+        field = build_un(self.TABULATED, self.P, 10)
+        obj = field_to_json_obj(field)
+        obj["root_value"] = field.root_value
+        obj["n_used"] = 10
+        length, peak = traced_peak(self.json_length, obj)
+        assert peak <= 2.25 * length
+
+    def test_json_report_holds_its_text_once(self, traced_peak):
+        field = build_un(self.TABULATED, self.P, 11)
+        length, peak = traced_peak(lambda: self.json_length(field_to_json_obj(field)))
+        assert peak <= 1.5 * length
+
     def test_json_levels_are_the_field_arrays(self):
         field = build_un(self.TABULATED, self.P, 3)
         levels = field_to_json_obj(field)["levels"]
