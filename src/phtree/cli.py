@@ -86,16 +86,19 @@ def canonical_json(obj, write: Callable[[bytes], object]) -> None:
 @contextlib.contextmanager
 def _write_report(output: str):
     """Open `output` ('-' for stdout) and yield a ``write`` that passes each
-    chunk of a report to it.  The report ends in exactly one newline: CSV
-    text already ends in one, so it is appended only where the last chunk
-    lacks it."""
+    chunk of a report to it, until all of it is written: a raw stdout
+    (``PYTHONUNBUFFERED=1``) may take part of a chunk.  The report ends in
+    exactly one newline: CSV text already ends in one, so it is appended
+    only where the last chunk lacks it."""
     last = b""
 
     def write(chunk) -> None:
         nonlocal last
         if chunk:
             last = chunk[-1:]
-            sink.write(chunk)
+            view = memoryview(chunk)
+            while view:
+                view = view[sink.write(view) :]
 
     if output == "-":
         target = contextlib.nullcontext(click.get_binary_stream("stdout"))
@@ -104,7 +107,7 @@ def _write_report(output: str):
     with target as sink:
         yield write
         if last != b"\n":
-            sink.write(b"\n")
+            write(b"\n")
         sink.flush()
 
 

@@ -10,6 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -147,6 +148,27 @@ class TestSolve:
         assert runner.invoke(main, args + ["--output", str(out)]).exit_code == 0
         assert stdout == out.read_bytes() == whole
         assert whole.endswith(b"\n") and not whole.endswith(b"\n\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_short_writes_lose_no_bytes(self, runner, monkeypatch, fmt):
+        """A raw stdout may take only part of each chunk; the report still
+        reaches it whole."""
+        args = ["solve", "--m", "3", "--alpha", "0.5", "--boundary", "quadratic-centered",
+                "--n", "3", "--format", fmt]
+        whole = runner.invoke(main, args).stdout_bytes
+        taken = bytearray()
+
+        class ThreeBytesAtATime:
+            def write(self, chunk):
+                taken.extend(chunk[:3])
+                return min(len(chunk), 3)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(click, "get_binary_stream", lambda name: ThreeBytesAtATime())
+        assert runner.invoke(main, args).exit_code == 0
+        assert bytes(taken) == whole
 
     def test_csv_round_trip(self, runner, tmp_path):
         out = tmp_path / "field.csv"
