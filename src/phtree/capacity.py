@@ -67,9 +67,11 @@ def check_level_size(m: int, k: int) -> int:
     return m**k
 
 
-def blocks(count: int):
-    """Slices that cover ``range(count)`` `BLOCK` items at a time."""
-    return (slice(start, min(start + BLOCK, count)) for start in range(0, count, BLOCK))
+def blocks(count: int, width: int = 1):
+    """Slices that cover ``range(count)`` one block of `BLOCK` values at a
+    time, for items of `width` values each (at least one item a block)."""
+    step = max(1, BLOCK // width)
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
 def max_level(m: int) -> int:

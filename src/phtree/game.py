@@ -14,27 +14,32 @@ ascending index array (``np.flatnonzero``), asks that player's strategy for
 their moves (all at once, or play by play: see :class:`Strategy`), and puts
 the picks back by the same indices.  Greedy moves compare children column by column.
 
-Randomness contract: the coin, turn and random-move variates are three
-``(plays, depth)`` row-major blocks of the ``default_rng(master_seed)``
-stream, at offsets 0, ``plays*depth`` and ``2*plays*depth``; play p reads
-row p of each, so estimates are reproducible bit-for-bit.  Copies of the
-master's bit generator, placed with ``advance``, draw them in chunks of
-``CHUNK_PLAYS`` rows: the engine's memory is one chunk plus the payoffs,
-and a passed-in generator is not consumed.  Means and standard errors
-use numpy's pairwise summation, so merging is order-independent at the
-1e-12 level.
+Randomness contract: the engine draws two ``(plays, depth)`` row-major
+blocks of the ``default_rng(master_seed)`` stream, uniforms at offset 0
+and digits ``integers(0, m)`` at offset ``plays*depth``; play p reads row
+p of each, so estimates are reproducible bit-for-bit.  A move whose
+uniform is below alpha/2 is Player I's, one below alpha is Player II's,
+and any other takes the random digit.  Copies of the master's bit generator,
+placed with ``advance``, draw them in chunks of ``CHUNK_PLAYS`` rows, the
+digits one ``BLOCK`` of values at a time: the engine's memory is one
+chunk of move masks and digits, one block and the payoffs, and a
+passed-in generator is not consumed.  `UniformRandomStrategy` draws from
+no stream: its move is a counter-based Philox4x64-10 function of its
+seed, the step and the vertex.  Means and standard errors use numpy's
+pairwise summation, so merging is order-independent at the 1e-12 level.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import BoundarySpec, eval_F, modulus_bound
-from .capacity import exceeded, size_cap
+from .capacity import blocks, exceeded, size_cap
 from .dpp import GameParams
 from .errors import ValidationError
 from .solver import LevelField
@@ -113,24 +118,54 @@ class FixedDigitStrategy(Strategy):
         return np.full(indices.shape, self.digit, dtype=np.int64)
 
 
-class UniformRandomStrategy(Strategy):
-    """Seeded uniform moves from ``default_rng((seed, step) + v.digits)``.
+#: Philox4x64-10's multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_WORD = (1 << 64) - 1
 
-    Stateless derivation keeps the strategy a pure function of (step, v),
-    so shared instances stay safe under concurrent plays.
+
+def _philox(key: int, counter: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The four 64-bit words of Philox4x64-10 for a 128-bit `key` and four
+    64-bit `counter` words, low word first: numpy's
+    ``Philox(key=key, counter=c - 1).random_raw(4)``, since numpy increments
+    its counter before each block."""
+    k0, k1 = key & _WORD, key >> 64
+    c0, c1, c2, c3 = counter
+    for _ in range(10):
+        p0, p1 = _PHILOX_M[0] * c0, _PHILOX_M[1] * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _WORD, (p0 >> 64) ^ c3 ^ k1, p0 & _WORD
+        k0, k1 = (k0 + _PHILOX_W[0]) & _WORD, (k1 + _PHILOX_W[1]) & _WORD
+    return c0, c1, c2, c3
+
+
+class UniformRandomStrategy(Strategy):
+    """Uniform moves from the Philox4x64-10 block keyed by the seed at
+    counter ``(step, v.level, v.index, attempt)``.
+
+    A word is reduced mod m.  Words at or above the largest multiple of m
+    up to ``2**64`` are rejected, so the digit is exactly uniform, and the
+    next ``attempt`` gives four fresh words.  The move is a pure function
+    of (seed, step, v), so shared instances stay safe.
     """
 
     def __init__(self, seed: int, m: int):
         if not _is_integer(seed):
             raise ValidationError(f"random strategy seed must be an integer, got {seed!r}")
         self.seed = int(seed)
-        if self.seed < 0:
-            raise ValidationError(f"random strategy seed must be >= 0, got {seed}")
+        if not 0 <= self.seed < 2**128:
+            raise ValidationError(f"random strategy seed must lie in [0, 2**128), got {seed}")
+        if m > 2**64:
+            raise ValidationError(f"random strategy needs branching m <= 2**64, got {m}")
         self.m = m
+        self._limit = 2**64 - 2**64 % m
 
     def choose(self, step: int, v: Vertex) -> int:
-        rng = np.random.default_rng((self.seed, step) + v.digits)
-        return int(rng.integers(self.m))
+        if v.index >> 64:
+            raise ValidationError(f"random strategy needs a vertex index below 2**64, got level {v.level}")
+        for attempt in itertools.count():
+            for word in _philox(self.seed, (step, v.level, v.index, attempt)):
+                if word < self._limit:
+                    return word % self.m
 
 
 def strategy_from_name(name: str, m: int, advice: LevelField | None) -> Strategy:
@@ -155,12 +190,12 @@ def strategy_from_name(name: str, m: int, advice: LevelField | None) -> Strategy
     )
 
 
-#: plays advanced together; the engine holds 3 * CHUNK_PLAYS * depth variates plus the payoffs
+#: plays advanced together; the engine holds their move masks and digits, one block of draws and the payoffs
 CHUNK_PLAYS = 1 << 14
 
 
 def _streams(master_seed, stride: int) -> list[np.random.Generator]:
-    """Copies of the master generator at offsets 0, `stride` and 2 * `stride`."""
+    """Copies of the master generator at offsets 0 and `stride`."""
     try:
         bits = np.random.default_rng(master_seed).bit_generator
     except (TypeError, ValueError) as exc:
@@ -170,10 +205,10 @@ def _streams(master_seed, stride: int) -> list[np.random.Generator]:
             f"master seed {master_seed!r} cannot advance its {type(bits).__name__} stream; "
             f"pass an integer, a SeedSequence, or a PCG64 or PCG64DXSM generator"
         )
-    clones = [copy.deepcopy(bits).advance(offset) for offset in (0, stride, 2 * stride)]
+    clones = [copy.deepcopy(bits).advance(offset) for offset in (0, stride)]
     # advance() drops the master's buffered 32-bit half, which the digits read first
     buffered = {key: bits.state[key] for key in ("has_uint32", "uinteger")}
-    clones[2].state = {**clones[2].state, **buffered}
+    clones[1].state = {**clones[1].state, **buffered}
     return [np.random.Generator(clone) for clone in clones]
 
 
@@ -217,25 +252,30 @@ def simulate_batch(
             f"depth {depth} from level {x0.level} overflows exact 64-bit indices "
             f"at branching {m}; reduce the truncation depth"
         )
-    cells = 3 * plays * depth
+    cells = 2 * plays * depth
     cap = size_cap()
     if cells > cap:
         raise exceeded(f"{plays} plays of depth {depth} draw {cells} random values", cap)
-    coins, turns, moves = _streams(master_seed, plays * depth)
+    turns, moves = _streams(master_seed, plays * depth)
 
     payoffs = np.empty(plays)
-    n_i = n_ii = n_rand = 0
+    n_i = n_ii = 0
     for start in range(0, plays, CHUNK_PLAYS):
         rows = min(CHUNK_PLAYS, plays - start)
-        competitive = coins.random((rows, depth)) < params.alpha
-        to_i = competitive & (turns.random((rows, depth)) < 0.5)
-        to_ii = competitive & ~to_i
+        # one uniform per move: below alpha/2 Player I moves, below alpha Player II
+        u = turns.random((rows, depth))
+        to_i = u < params.alpha / 2
+        to_ii = u < params.alpha
+        del u
+        to_ii ^= to_i
+        # transposed, so each step reads one contiguous row; the digits a block at a time
+        to_i, to_ii = to_i.T.copy(), to_ii.T.copy()
         n_i += int(np.count_nonzero(to_i))
         n_ii += int(np.count_nonzero(to_ii))
-        n_rand += competitive.size - int(np.count_nonzero(competitive))
-        # transposed once, so each step reads one contiguous row
-        to_i, to_ii = to_i.T.copy(), to_ii.T.copy()
-        random_digits = moves.integers(0, m, size=(rows, depth), dtype=np.int64).T.copy()
+        random_digits = np.empty((depth, rows), dtype=np.int64)
+        for block in blocks(rows, depth):
+            size = (block.stop - block.start, depth)
+            random_digits[:, block] = moves.integers(0, m, size=size, dtype=np.int64).T
         indices = np.full(rows, x0.index, dtype=np.int64)
         for step in range(depth):
             level = x0.level + step
@@ -251,7 +291,10 @@ def simulate_batch(
                         digits[p] = strat.choose(step, vertex_from_index(m, level, int(indices[p])))
             indices *= m
             indices += digits
+        # this chunk's draws go before the next chunk's are made
+        del to_i, to_ii, random_digits, digits
         payoffs[start : start + rows] = eval_F(spec, indices / float(m**final_level))
+    n_rand = plays * depth - n_i - n_ii
     return SimulationBatch(payoffs, moves_player_i=n_i, moves_player_ii=n_ii, moves_random=n_rand)
 
 

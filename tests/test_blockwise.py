@@ -4,7 +4,9 @@ in the memory of the result plus one block."""
 import numpy as np
 import pytest
 
-from phtree import BoundarySpec, GameParams, GreedyMaxStrategy, GreedyMinStrategy, Vertex, build_un
+from phtree import (
+    BoundarySpec, FixedDigitStrategy, GameParams, GreedyMaxStrategy, GreedyMinStrategy, Vertex, build_un,
+)
 from phtree import capacity, game
 from phtree.boundary import eval_F, sample_Fn
 from phtree.cli import canonical_json
@@ -52,6 +54,19 @@ def test_chunks_give_the_payoffs_of_one_chunk(monkeypatch, m, spec):
     assert (chunked.moves_player_i, chunked.moves_player_ii, chunked.moves_random) == (
         one.moves_player_i, one.moves_player_ii, one.moves_random
     )
+
+
+@pytest.mark.parametrize("block", [5, 13, 10**6])
+def test_digit_blocks_give_the_digits_of_one_draw(monkeypatch, block):
+    # a pure-average run moves by the random digits alone, which are the
+    # (plays, depth) block after the uniforms, however many rows a block holds
+    monkeypatch.setattr(capacity, "BLOCK", block)
+    fixed = FixedDigitStrategy(0, 3)
+    walk = game.simulate_batch(Vertex(3, ()), fixed, fixed, SPECS[0], GameParams(3, 0.0), 6, 50, 6)
+    reference = np.random.default_rng(6)
+    reference.random((50, 6))
+    digits = reference.integers(0, 3, size=(50, 6), dtype=np.int64)
+    assert walk.payoffs.tobytes() == (digits @ 3 ** np.arange(5, -1, -1) / 3.0**6).tobytes()
 
 
 class TestWorkingSet:

@@ -718,7 +718,7 @@ class TestSimulate:
         assert payload["plays"] == 500
         assert payload["truncation_error"] == pytest.approx(3.0**-10)
 
-    @pytest.mark.parametrize("strategy", ["random:x", "fixed:x", "random:", "random:-1"])
+    @pytest.mark.parametrize("strategy", ["random:x", "fixed:x", "random:", "random:-1", f"random:{2**128}"])
     def test_malformed_strategy_exits_2(self, runner, strategy):
         result = runner.invoke(main, [
             "simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear",

@@ -132,6 +132,45 @@ class TestStrategies:
         assert 0 <= first < 3
         assert strat.choose(1, Vertex(3, (1,))) == first
 
+    @pytest.mark.parametrize("key, counter", [
+        (0, (1, 0, 0, 0)),
+        (9, (3, 1, 81, 2)),
+        (2**128 - 1, (2**64 - 1,) * 4),
+        # a first word of 0: numpy's counter c - 1 borrows from the second word
+        (12345, (0, 7, 5, 0)),
+        (2**64 + 3, (0, 0, 0, 1)),
+    ])
+    def test_philox_is_numpys(self, key, counter):
+        c = sum(word << 64 * i for i, word in enumerate(counter))
+        expected = np.random.Philox(key=key, counter=c - 1).random_raw(4)
+        assert game._philox(key, counter) == tuple(int(word) for word in expected)
+
+    def test_uniform_random_is_a_function_of_step_and_vertex(self):
+        # one shared instance asked in two orders, and fresh instances, agree
+        shared = UniformRandomStrategy(9, 3)
+        calls = [(step, Vertex(3, digits)) for step in (0, 1, 5) for digits in [(), (1,), (2, 0, 1)]]
+        first = [shared.choose(step, v) for step, v in calls]
+        again = [shared.choose(step, v) for step, v in reversed(calls)][::-1]
+        fresh = [UniformRandomStrategy(9, 3).choose(step, v) for step, v in calls]
+        assert first == again == fresh
+        # at m = 3 almost no word is rejected: the move is the first word mod 3
+        assert first == [game._philox(9, (step, v.level, v.index, 0))[0] % 3 for step, v in calls]
+
+    def test_uniform_random_rejects_words_past_the_last_multiple_of_m(self):
+        # at m = 2**63 + 1 the largest multiple of m up to 2**64 is m itself,
+        # so about half the words are rejected, and some steps reject all four
+        # words of their first block and read the next attempt's
+        m = 2**63 + 1
+        strat = UniformRandomStrategy(4, m)
+        attempts = []
+        for step in range(40):
+            v = Vertex(m, (step,))
+            words = [word for attempt in range(8) for word in game._philox(4, (step, 1, step, attempt))]
+            first = next(i for i, word in enumerate(words) if word < m)
+            attempts.append(first // 4)
+            assert strat.choose(step, v) == words[first]
+        assert 0 in attempts and max(attempts) >= 1
+
 
 class _PythonFixedDigit(Strategy):
     """Same decisions as FixedDigitStrategy but without batch support."""
@@ -395,6 +434,12 @@ class TestTruncationError:
                                         LINEAR, P, depth=4, plays=4, master_seed=0),
                  ValidationError, "starting vertex and params disagree on branching",
                  id="branching-mismatch"),
+    pytest.param(lambda: UniformRandomStrategy(2**128, 3), ValidationError,
+                 f"random strategy seed must lie in [0, 2**128), got {2**128}", id="seed-past-philox-key"),
+    pytest.param(lambda: UniformRandomStrategy(1, 2**64 + 1), ValidationError,
+                 f"random strategy needs branching m <= 2**64, got {2**64 + 1}", id="random-branching"),
+    pytest.param(lambda: UniformRandomStrategy(1, 3).choose(0, Vertex(3, (2,) * 41)), ValidationError,
+                 "random strategy needs a vertex index below 2**64, got level 41", id="random-deep-vertex"),
 ])
 def test_refusals(call, error, message):
     with pytest.raises(error) as info:
