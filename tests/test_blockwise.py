@@ -94,7 +94,7 @@ class TestWorkingSet:
         _, peak = traced_peak(
             game.simulate_batch, Vertex(3, ()), *strategies, self.TABULATED, self.P, depth, plays, 3
         )
-        chunk_draws = 3 * 8 * game.CHUNK_PLAYS * depth
+        chunk_draws = 2 * 8 * game.CHUNK_PLAYS * depth
         assert peak <= 2 * 8 * plays + chunk_draws
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -749,16 +749,17 @@ class TestSimulate:
         assert "Traceback" not in result.output
 
     def test_capacity_exit_code(self, runner, monkeypatch):
-        # the cap counts the 3 * plays * depth values the engine draws
+        # the cap counts the 2 * plays * depth values the engine draws:
+        # 1,010 for 101 plays of depth 5, and exactly the cap for 100
         monkeypatch.setenv("PHTREE_SIZE_CAP", "1000")
         args = [
             "simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear",
             "--strategy-i", "fixed:0", "--strategy-ii", "fixed:1", "--depth", "5",
         ]
-        result = runner.invoke(main, args + ["--plays", "100"])
+        result = runner.invoke(main, args + ["--plays", "101"])
         assert result.exit_code == 3
         assert result.stderr.startswith("error:")
-        assert runner.invoke(main, args + ["--plays", "50"]).exit_code == 0
+        assert runner.invoke(main, args + ["--plays", "100"]).exit_code == 0
 
     def test_constant_boundary(self, runner):
         result = runner.invoke(main, [

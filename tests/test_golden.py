@@ -100,13 +100,13 @@ CASES = {
     "simulate-greedy": (
         ["simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear", "--plays", "2000",
          "--depth", "10", "--seed", "5", "--advice-n", "4"],
-        "b9708860752e96c134d99ed6fe3fd67632a0e81992c6dc4a5ce0797ce2b406f2",
+        "bbea7e6bd0e7b3ca8a60f7d64042166d30220d5284d7469df0f93c6d772024d5",
     ),
     "simulate-random": (
         ["simulate", "--m", "3", "--alpha", "0.5", "--boundary", "{tabulated}",
          "--plays", "200", "--depth", "8", "--seed", "3",
          "--strategy-i", "random:7", "--strategy-ii", "random:8"],
-        "4b81e4a75a82b3252e7fcab870426f41c7c89f9adad760c5fee7b7b1134e05c9",
+        "d1b7c451e25ddd85a16e0ae123642edd73830ba0741d6fb2c73f62b272d26382",
     ),
     # a per-play strategy from a non-root start: the per-play path must
     # count its steps from x0, not from the root
@@ -114,20 +114,20 @@ CASES = {
         ["simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear", "--x0", "0.2",
          "--strategy-i", "random:7", "--strategy-ii", "greedy-min", "--advice-n", "4",
          "--plays", "300", "--depth", "7", "--seed", "4"],
-        "9b2ba982b3762d50c4b6308577c6dce66c8b4328d777421bf6d2f62222d86946",
+        "68cc3fc9a65b0344cf79df73e38ea532ba9d23544f870fdab2aa5e4245dfa33a",
     ),
     # 70,001 plays span more than one chunk of the engine, plus a remainder
     "simulate-chunks": (
         ["simulate", "--m", "2", "--alpha", "0.7", "--boundary", "linear", "--advice-n", "6",
          "--plays", "70001", "--depth", "9", "--seed", "13"],
-        "2979a998411698e968c2ea4f258fa14331a205993e95febeba858b38d8f5230b",
+        "1e45887b06b8ad28065483da1afcfe777086d55a57ae06ad84ff63d37b78c615",
     ),
     # greedy moves inside the advice depth with tied children: ties break
     # to the lowest successor index
     "simulate-greedy-ties": (
         ["simulate", "--m", "4", "--alpha", "0.7", "--boundary", "{ties}", "--advice-n", "3",
          "--plays", "3000", "--depth", "8", "--seed", "19"],
-        "3925c9c00b42158f045b8b36b44b5a8ba8f4c2cee6717a842c95df0a2a249dd9",
+        "f1da452e92abdc36a6185623559a70a0506128777efc9505332f40a30af323eb",
     ),
     "ucp-rho": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,4,1,8,1,16", "--kmax", "6"],
