@@ -127,10 +127,15 @@ class TestStrategies:
         assert UniformRandomStrategy(np.int32(7), 3).seed == 7
 
     def test_uniform_random_in_range_and_deterministic(self):
-        strat = UniformRandomStrategy(9, 3)
-        first = strat.choose(1, Vertex(3, (1,)))
-        assert 0 <= first < 3
-        assert strat.choose(1, Vertex(3, (1,))) == first
+        # one shared instance asked in two orders, and fresh instances, agree
+        shared = UniformRandomStrategy(9, 3)
+        calls = [(step, Vertex(3, digits)) for step in (0, 1, 5) for digits in [(), (1,), (2, 0, 1)]]
+        first = [shared.choose(step, v) for step, v in calls]
+        again = [shared.choose(step, v) for step, v in reversed(calls)][::-1]
+        fresh = [UniformRandomStrategy(9, 3).choose(step, v) for step, v in calls]
+        assert first == again == fresh
+        # at m = 3 a word is rejected with probability 2**-64: the move is the first word mod 3
+        assert first == [game._philox(9, (step, v.level, v.index, 0))[0] % 3 for step, v in calls]
 
     @pytest.mark.parametrize("key, counter", [
         (0, (1, 0, 0, 0)),
@@ -144,17 +149,6 @@ class TestStrategies:
         c = sum(word << 64 * i for i, word in enumerate(counter))
         expected = np.random.Philox(key=key, counter=c - 1).random_raw(4)
         assert game._philox(key, counter) == tuple(int(word) for word in expected)
-
-    def test_uniform_random_is_a_function_of_step_and_vertex(self):
-        # one shared instance asked in two orders, and fresh instances, agree
-        shared = UniformRandomStrategy(9, 3)
-        calls = [(step, Vertex(3, digits)) for step in (0, 1, 5) for digits in [(), (1,), (2, 0, 1)]]
-        first = [shared.choose(step, v) for step, v in calls]
-        again = [shared.choose(step, v) for step, v in reversed(calls)][::-1]
-        fresh = [UniformRandomStrategy(9, 3).choose(step, v) for step, v in calls]
-        assert first == again == fresh
-        # at m = 3 almost no word is rejected: the move is the first word mod 3
-        assert first == [game._philox(9, (step, v.level, v.index, 0))[0] % 3 for step, v in calls]
 
     def test_uniform_random_rejects_words_past_the_last_multiple_of_m(self):
         # at m = 2**63 + 1 the largest multiple of m up to 2**64 is m itself,
