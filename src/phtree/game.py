@@ -160,10 +160,11 @@ class UniformRandomStrategy(Strategy):
         self._limit = 2**64 - 2**64 % m
 
     def choose(self, step: int, v: Vertex) -> int:
-        if v.index >> 64:
+        index = v.index
+        if index >> 64:
             raise ValidationError(f"random strategy needs a vertex index below 2**64, got level {v.level}")
         for attempt in itertools.count():
-            for word in _philox(self.seed, (step, v.level, v.index, attempt)):
+            for word in _philox(self.seed, (step, v.level, index, attempt)):
                 if word < self._limit:
                     return word % self.m
 
@@ -267,7 +268,7 @@ def simulate_batch(
         to_i = u < params.alpha / 2
         to_ii = u < params.alpha
         del u
-        to_ii ^= to_i
+        to_ii &= ~to_i
         # transposed, so each step reads one contiguous row; the digits a block at a time
         to_i, to_ii = to_i.T.copy(), to_ii.T.copy()
         n_i += int(np.count_nonzero(to_i))
