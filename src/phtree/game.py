@@ -312,10 +312,13 @@ def estimate_value(
     """Estimate the expected payoff from `plays` independent seeded plays."""
     if plays < 2:
         raise ValidationError(f"plays must be >= 2 for a standard error, got {plays}")
-    batch = simulate_batch(x0, strategy_i, strategy_ii, spec, params, depth, plays, master_seed)
+    payoffs = simulate_batch(x0, strategy_i, strategy_ii, spec, params, depth, plays, master_seed).payoffs
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(batch.payoffs))
-        std_error = float(np.std(batch.payoffs, ddof=1) / math.sqrt(plays))
+        mean = float(np.mean(payoffs))
+        # np.std(payoffs, ddof=1) step for step, but in place: no second array of payoffs
+        payoffs -= mean
+        np.square(payoffs, out=payoffs)
+        std_error = math.sqrt(float(np.sum(payoffs)) / (plays - 1)) / math.sqrt(plays)
     if not (math.isfinite(mean) and math.isfinite(std_error)):
         raise ValidationError(
             f"the estimate is not finite (mean {mean}, standard error {std_error}); "

@@ -251,6 +251,16 @@ class TestEstimator:
         assert est.mean == 0.75
         assert est.std_error == 0.0
 
+    @pytest.mark.parametrize("spec", [LINEAR, BoundarySpec.quadratic_centered(),
+                                      BoundarySpec.tabulated([0.0, 0.4, 1.0], [1e150, -3.0, 0.5])])
+    def test_estimate_is_numpys_mean_and_std(self, spec):
+        # the standard error is computed in place on the payoffs, bit for bit as np.std
+        args = (Vertex(3, (1,)), FixedDigitStrategy(2, 3), FixedDigitStrategy(0, 3), spec, P, 9, 1001, 4)
+        payoffs = simulate_batch(*args).payoffs
+        est = estimate_value(*args)
+        assert est.mean == float(np.mean(payoffs))
+        assert est.std_error == float(np.std(payoffs, ddof=1) / math.sqrt(1001))
+
     def test_bitwise_reproducibility(self):
         field = build_un(LINEAR, P, 5)
         args = (root(3), GreedyMaxStrategy(field), GreedyMinStrategy(field),
