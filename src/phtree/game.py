@@ -21,12 +21,13 @@ p of each, so estimates are reproducible bit-for-bit.  A move whose
 uniform is below alpha/2 is Player I's, one below alpha is Player II's,
 and any other takes the random digit.  Copies of the master's bit generator,
 placed with ``advance``, draw them in chunks of ``CHUNK_PLAYS`` rows, the
-digits one ``BLOCK`` of values at a time: the engine's memory is one
-chunk of move masks and digits, one block and the payoffs, and a
+digits one ``capacity.BLOCK`` of values at a time: the engine's memory is
+one chunk of move masks and digits, one block and the payoffs, and a
 passed-in generator is not consumed.  `UniformRandomStrategy` draws from
 no stream: its move is a counter-based Philox4x64-10 function of its
 seed, the step and the vertex.  Means and standard errors use numpy's
-pairwise summation, so merging is order-independent at the 1e-12 level.
+pairwise summation, the latter in place on the payoffs, so merging is
+order-independent at the 1e-12 level.
 """
 
 from __future__ import annotations
