@@ -1,5 +1,6 @@
 """CLI behaviour: reports, reproducibility, exit codes."""
 
+import gc
 import itertools
 import json
 import os
@@ -22,6 +23,7 @@ from phtree import (
     check_field, density_check, interval_of,
 )
 from phtree import capacity
+from phtree import cli as cli_mod
 from phtree import solver as solver_mod
 from phtree.cli import canonical_json, main
 from phtree.solver import field_from_csv
@@ -52,6 +54,43 @@ def test_cli_import_leaves_out_the_float_kernel():
     code = "import sys, phtree.cli; print('phtree._format' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
+
+
+class TestEntryPoint:
+    """``run`` is the process entry; ``main`` is what in-process callers use."""
+
+    @pytest.mark.parametrize("code", [0, 2, 3])
+    def test_run_keeps_the_exit_code_and_freezes_once(self, monkeypatch, code):
+        def exit_with_code():
+            raise SystemExit(code)
+
+        freezes = []
+        monkeypatch.setattr(cli_mod, "main", exit_with_code)
+        monkeypatch.setattr(gc, "freeze", lambda: freezes.append(code))
+        with pytest.raises(SystemExit) as info:
+            cli_mod.run()
+        assert (info.value.code, freezes) == (code, [code])
+
+    def test_main_never_freezes(self, runner):
+        before = gc.get_freeze_count()
+        result = runner.invoke(main, ["dim", "--m", "3", "--alpha", "0.5"])
+        assert (result.exit_code, gc.get_freeze_count()) == (0, before)
+
+    def test_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"phtree": "phtree.cli:run"}
+
+    @pytest.mark.parametrize("alpha, code", [("0.5", 0), ("2", 2)])
+    def test_process_prints_the_in_process_bytes(self, runner, alpha, code):
+        args = ["dim", "--m", "3", "--alpha", alpha]
+        env = {**os.environ, "PYTHONPATH": str(Path(phtree.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-m", "phtree.cli", *args], env=env, capture_output=True)
+        result = runner.invoke(main, args)
+        assert (run.returncode, run.stdout, run.stderr) == (code, result.stdout_bytes, result.stderr_bytes)
+        errors = [line for line in run.stderr.splitlines() if line.startswith(b"error:")]
+        assert len(errors) == (code != 0)
 
 
 def test_each_subcommand_takes_exactly_its_options():
