@@ -11,8 +11,9 @@ is within ``L / m**n`` (``error_bound``) of the limit solution everywhere;
 from __future__ import annotations
 
 import csv
-import io
 import math
+import re
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -176,30 +177,58 @@ class _RowIndex:
 
 
 def field_from_csv(source, params: GameParams) -> LevelField:
-    """Reload a field written by :func:`field_to_csv`."""
+    """Reload a field written by :func:`field_to_csv`.
+
+    Rows may come in any order, and where a (level, index) pair repeats the
+    last row wins.  The rows are parsed into three flat columns, and a level
+    is filled from them only once it has at least m**k rows, so no file
+    makes this allocate a level that it cannot fill.
+    """
     text = source if isinstance(source, str) else source.read()
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows or rows[0] != CSV_HEADER:
+    # the lines as io.StringIO(text) yields them, without its 4-byte-a-character copy
+    reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))
+    if next((row for row in reader if row), None) != CSV_HEADER:
         raise ValidationError(f"expected CSV header {','.join(CSV_HEADER)}")
-    by_level: dict[int, dict[int, float]] = {}
-    for row in rows[1:]:
+    columns = array("q"), array("q"), array("d")
+    put_level, put_index, put_value = (column.append for column in columns)
+    for row in reader:
+        if not row:
+            continue
         try:
             k, j, value = int(row[0]), int(row[1]), float(row[3])
         except (IndexError, ValueError) as exc:
             raise ValidationError(f"malformed CSV row {row!r}") from exc
-        by_level.setdefault(k, {})[j] = value
-    if not by_level or min(by_level) < 0:
+        # past int64, a level lies above or below every level a file can
+        # fill, and an index outside every level
+        try:
+            put_level(k)
+        except OverflowError:
+            put_level(_INT64_MAX if k > 0 else -1)
+        try:
+            put_index(j)
+        except OverflowError:
+            put_index(-1)
+        put_value(value)
+    # last row first, so that np.unique's first occurrence is the last row
+    row_level, row_index, row_value = (np.frombuffer(c, dtype=c.typecode)[::-1] for c in columns)
+    if not row_level.size or row_level.min() < 0:
         raise ValidationError("CSV must hold the field rows of levels 0..n")
-    n = max(by_level)
-    m = params.m
+    n = int(row_level.max())
+    order = np.argsort(row_level, kind="stable")
+    sorted_level = row_level[order]
     levels = []
     for k in range(n + 1):
-        entries = by_level.get(k, {})
-        if entries.keys() != set(range(m**k)):
-            raise ValidationError(f"level {k} must hold the indices 0..{m**k - 1}")
-        levels.append(np.array([entries[j] for j in range(m**k)], dtype=float))
+        start, stop = np.searchsorted(sorted_level, [k, k + 1])
+        rows, size = order[start:stop], params.m**k
+        indices, first = np.unique(row_index[rows], return_index=True) if rows.size >= size else (rows, rows)
+        if indices.size != size or indices[0] != 0 or indices[-1] != size - 1:
+            raise ValidationError(f"level {k} must hold the indices 0..{size - 1}")
+        levels.append(row_value[rows[first]])
     return LevelField(params=params, n=n, levels=tuple(levels))
+
+
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
+_INT64_MAX = 2**63 - 1
 
 
 def field_to_json_obj(field: LevelField) -> dict:
