@@ -191,9 +191,7 @@ def field_from_csv(source, params: GameParams) -> LevelField:
         raise ValidationError(f"expected CSV header {','.join(CSV_HEADER)}")
     columns = array("q"), array("q"), array("d")
     put_level, put_index, put_value = (column.append for column in columns)
-    for row in reader:
-        if not row:
-            continue
+    for row in filter(None, reader):
         try:
             k, j, value = int(row[0]), int(row[1]), float(row[3])
         except (IndexError, ValueError) as exc:

@@ -354,14 +354,20 @@ class TestSerialization:
         field = field_from_csv("level,index,psi_left,value\n" + body, P)
         assert [level.tolist() for level in field.levels] == [[1.0], [5.0, 3.0, 4.0]]
 
-    @pytest.mark.parametrize("level", ["40", str(2**70)])
-    def test_deep_row_refused_at_the_first_short_level(self, level):
-        """A row far below the complete levels names the first level that
-        lacks rows, however deep it claims to be."""
+    @pytest.mark.parametrize("row, message", [
+        ("40,0", "level 3 must hold the indices 0..26"),
+        (f"{2**70},0", "level 3 must hold the indices 0..26"),
+        (f"1,{2**70}", "level 1 must hold the indices 0..2"),
+        (f"{-2**70},0", "CSV must hold the field rows of levels 0..n"),
+    ])
+    def test_out_of_range_row_refused(self, row, message):
+        """Beside complete levels 0..2, a row at a deeper level names the
+        first level that lacks rows, however deep it claims to be, and an
+        index past int64 leaves its level incomplete."""
         body = "".join(f"{k},{j},0,1.0\n" for k in range(3) for j in range(3**k))
         with pytest.raises(ValidationError) as info:
-            field_from_csv(f"level,index,psi_left,value\n{body}{level},0,0,1.0\n", P)
-        assert str(info.value) == "level 3 must hold the indices 0..26"
+            field_from_csv(f"level,index,psi_left,value\n{body}{row},0,1.0\n", P)
+        assert str(info.value) == message
 
     def test_reload_holds_columns_not_rows(self, traced_peak):
         """The n = 10 reload (88,573 rows, 4.3 MB) peaked at 58,171,107 B while it
