@@ -213,10 +213,9 @@ def field_from_csv(source, params: GameParams) -> LevelField:
         raise ValidationError("CSV must hold the field rows of levels 0..n")
     n = int(row_level.max())
     order = np.argsort(row_level, kind="stable")
-    sorted_level = row_level[order]
     levels = []
     for k in range(n + 1):
-        start, stop = np.searchsorted(sorted_level, [k, k + 1])
+        start, stop = np.searchsorted(row_level, [k, k + 1], sorter=order)
         rows, size = order[start:stop], params.m**k
         indices, first = np.unique(row_index[rows], return_index=True) if rows.size >= size else (rows, rows)
         if indices.size != size or indices[0] != 0 or indices[-1] != size - 1:
