@@ -6,142 +6,64 @@ bottom-up construction and certification of its boundary-value fields,
 Monte Carlo tug-of-war cross-checks, unique-continuation analysis of
 vertex subsets, and the closed-form minimal dimension of convergence
 sets.
+
+The package imports lazily (PEP 562): a public name, or one of the
+submodules below, is imported on first use, so ``import phtree`` loads
+neither numpy nor scipy, and scipy loads with the first ``analysis`` name.
 """
 
-from .analysis import (
-    DimensionResult,
-    MinimizationResult,
-    dimension_large_m_limit,
-    fatou_dimension,
-    kl_minimization_oracle,
-)
-from .boundary import BoundarySpec, SampledBoundary, eval_F, modulus_bound, sample_Fn
-from .dpp import (
-    GameParams,
-    check_field,
-    classify,
-    dpp_average,
-    residual_at,
-)
-from .errors import (
-    CapacityError,
-    ContractViolationError,
-    DomainError,
-    InsufficientDepthError,
-    MissingValueError,
-    PHTreeError,
-    StructuralCheckError,
-    ValidationError,
-)
-from .game import (
-    FixedDigitStrategy,
-    GreedyMaxStrategy,
-    GreedyMinStrategy,
-    McEstimate,
-    Strategy,
-    UniformRandomStrategy,
-    estimate_value,
-    simulate_batch,
-    truncation_error,
-)
-from .solver import (
-    LevelField,
-    SolveResult,
-    build_un,
-    compare_fields,
-    error_bound,
-    solve_to_tolerance,
-)
-from .tree import (
-    Interval,
-    Vertex,
-    enumerate_level,
-    interval_of,
-    parse_vertex,
-    psi,
-    root,
-    tree_distance,
-    vertex_from_index,
-)
-from .ucp import (
-    CounterexampleField,
-    CriterionVerdict,
-    DensityResult,
-    PaResult,
-    RhoPattern,
-    SubsetSpec,
-    UcpReport,
-    analyze,
-    build_counterexample,
-    compute_rho,
-    criterion_verdict,
-    density_check,
-    pa_check,
-    unboundedness_probe,
-)
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundarySpec",
-    "CapacityError",
-    "ContractViolationError",
-    "CounterexampleField",
-    "CriterionVerdict",
-    "DensityResult",
-    "DimensionResult",
-    "DomainError",
-    "FixedDigitStrategy",
-    "GameParams",
-    "GreedyMaxStrategy",
-    "GreedyMinStrategy",
-    "InsufficientDepthError",
-    "Interval",
-    "LevelField",
-    "McEstimate",
-    "MinimizationResult",
-    "MissingValueError",
-    "PHTreeError",
-    "PaResult",
-    "RhoPattern",
-    "SampledBoundary",
-    "SolveResult",
-    "Strategy",
-    "StructuralCheckError",
-    "SubsetSpec",
-    "UcpReport",
-    "UniformRandomStrategy",
-    "ValidationError",
-    "Vertex",
-    "analyze",
-    "build_counterexample",
-    "build_un",
-    "check_field",
-    "classify",
-    "compare_fields",
-    "compute_rho",
-    "criterion_verdict",
-    "density_check",
-    "dimension_large_m_limit",
-    "dpp_average",
-    "enumerate_level",
-    "error_bound",
-    "estimate_value",
-    "eval_F",
-    "fatou_dimension",
-    "interval_of",
-    "kl_minimization_oracle",
-    "modulus_bound",
-    "pa_check",
-    "parse_vertex",
-    "psi",
-    "residual_at",
-    "root",
-    "sample_Fn",
-    "simulate_batch",
-    "solve_to_tolerance",
-    "tree_distance",
-    "truncation_error",
-    "unboundedness_probe",
-    "vertex_from_index",
-]
+#: the public names, by the module that defines them
+_EXPORTS = {
+    "analysis": (
+        "DimensionResult MinimizationResult dimension_large_m_limit fatou_dimension"
+        " kl_minimization_oracle"
+    ),
+    "boundary": "BoundarySpec SampledBoundary eval_F modulus_bound sample_Fn",
+    "dpp": "GameParams check_field classify dpp_average residual_at",
+    "errors": (
+        "CapacityError ContractViolationError DomainError InsufficientDepthError"
+        " MissingValueError PHTreeError StructuralCheckError ValidationError"
+    ),
+    "game": (
+        "FixedDigitStrategy GreedyMaxStrategy GreedyMinStrategy McEstimate Strategy"
+        " UniformRandomStrategy estimate_value simulate_batch truncation_error"
+    ),
+    "solver": "LevelField SolveResult build_un compare_fields error_bound solve_to_tolerance",
+    "tree": (
+        "Interval Vertex enumerate_level interval_of parse_vertex psi root tree_distance"
+        " vertex_from_index"
+    ),
+    "ucp": (
+        "CounterexampleField CriterionVerdict DensityResult PaResult RhoPattern SubsetSpec"
+        " UcpReport analyze build_counterexample compute_rho criterion_verdict"
+        " density_check pa_check unboundedness_probe"
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = frozenset({*_EXPORTS, "capacity"})
+
+__all__ = sorted(_HOME)
+
+
+def _submodule(name: str):
+    # the import statement's own path, which ``-X importtime`` reports and
+    # ``importlib.import_module`` bypasses
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _submodule(name)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_submodule(_HOME[name]), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_SUBMODULES})

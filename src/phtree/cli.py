@@ -14,27 +14,32 @@ an unusable input or output file, 3 capacity error or out of memory.
 phtree.cli``): it calls ``main`` and then freezes the garbage collector,
 so the interpreter's final collection skips the tens of thousands of
 objects that the imports left tracked.  ``main`` itself never freezes, so
-in-process callers keep their collector as it was.
+in-process callers keep their collector as it was.  Under ``python -m
+phtree.cli`` the collector is also off while this module's imports run;
+the ``__main__`` guard freezes what they left, turns it back on and calls
+``run``.  The ``phtree`` script imports this module before any of it runs,
+so there the imports run with the collector on.  Each subcommand imports
+the modules it calls when it runs, so ``--help`` loads none of them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
+
+if __name__ == "__main__":
+    gc.disable()  # no collections while the imports run; the guard at the end turns it on
+
 import sys
 from collections.abc import Callable
 
 import click
 import numpy as np
 
+# eager only because perfbench times scipy's import under ``import phtree.cli``
 from . import analysis as analysis_mod
-from . import game as game_mod
-from . import solver as solver_mod
-from . import ucp as ucp_mod
-from .boundary import BoundarySpec
 from .dpp import GameParams
 from .errors import CapacityError, PHTreeError, ValidationError
-from .tree import parse_vertex
 
 EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
@@ -168,6 +173,9 @@ def solve(m, alpha, boundary, depth, tol, fmt, output) -> None:
     """Build the approximating field for the given boundary data."""
 
     def run() -> None:
+        from . import solver as solver_mod
+        from .boundary import BoundarySpec
+
         params = GameParams(m, alpha)
         spec = BoundarySpec.parse(boundary)
         if (depth is None) == (tol is None):
@@ -208,6 +216,11 @@ def simulate(m, alpha, boundary, seed, plays, depth, x0, advice_n, strategy_i, s
     """Monte Carlo tug-of-war estimate of the game value at a vertex."""
 
     def run() -> None:
+        from . import game as game_mod
+        from . import solver as solver_mod
+        from .boundary import BoundarySpec
+        from .tree import parse_vertex
+
         params = GameParams(m, alpha)
         spec = BoundarySpec.parse(boundary)
         start = parse_vertex(x0, m)
@@ -246,6 +259,8 @@ def ucp(m, alpha, set_descriptor, set_file, kmax, resolution, pa_nmax, output) -
     """Unique-continuation analysis of a tree subset."""
 
     def run() -> None:
+        from . import ucp as ucp_mod
+
         params = GameParams(m, alpha)
         if (set_descriptor is None) == (set_file is None):
             raise ValidationError("pass exactly one of --set and --set-file")
@@ -300,4 +315,8 @@ def run() -> None:
 
 
 if __name__ == "__main__":  # pragma: no cover
+    # freeze first: on alone, the collector's first passes would walk every
+    # object the imports left
+    gc.freeze()
+    gc.enable()
     run()

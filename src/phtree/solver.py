@@ -180,9 +180,10 @@ def field_from_csv(source, params: GameParams) -> LevelField:
     """Reload a field written by :func:`field_to_csv`.
 
     Rows may come in any order, and where a (level, index) pair repeats the
-    last row wins.  The rows are parsed into three flat columns, and a level
-    is filled from them only once it has at least m**k rows, so no file
-    makes this allocate a level that it cannot fill.
+    last row wins, and every value a level keeps must be finite.  The rows
+    are parsed into three flat columns, and a level is filled from them only
+    once it has at least m**k rows, so no file makes this allocate a level
+    that it cannot fill.
     """
     text = source if isinstance(source, str) else source.read()
     # the lines as io.StringIO(text) yields them, without its 4-byte-a-character copy
@@ -220,7 +221,12 @@ def field_from_csv(source, params: GameParams) -> LevelField:
         indices, first = np.unique(row_index[rows], return_index=True) if rows.size >= size else (rows, rows)
         if indices.size != size or indices[0] != 0 or indices[-1] != size - 1:
             raise ValidationError(f"level {k} must hold the indices 0..{size - 1}")
-        levels.append(row_value[rows[first]])
+        values = row_value[rows[first]]
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            j = bad[0]
+            raise ValidationError(f"level {k} index {j} holds {values[j]}; field values must be finite")
+        levels.append(values)
     return LevelField(params=params, n=n, levels=tuple(levels))
 
 

@@ -93,6 +93,46 @@ class TestEntryPoint:
         assert len(errors) == (code != 0)
 
 
+class TestEntryImports:
+    """Each subcommand imports what it runs, and only the ``-m`` entry turns
+    the collector off while its imports run."""
+
+    @staticmethod
+    def _python(*args: str) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONPATH": str(Path(phtree.__file__).parents[1])}
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+    @pytest.mark.parametrize("sub", ["solve", "simulate", "ucp", "dim"])
+    def test_help_imports_no_computing_module(self, sub):
+        run = self._python("-X", "importtime", "-m", "phtree.cli", sub, "--help")
+        imported = {line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()}
+        assert run.returncode == 0 and "phtree.dpp" in imported, run.stderr[-500:]
+        assert imported & {"phtree.boundary", "phtree.game", "phtree.solver", "phtree.ucp"} == set()
+
+    def test_module_entry_collects_nothing_while_it_imports(self):
+        """No collection starts between numpy's import and the freeze, and
+        the run ends with the collector on and frozen objects."""
+        code = (
+            "import gc, runpy, sys\n"
+            "early = []\n"
+            "def count(phase, info):\n"
+            "    if phase == 'start' and 'numpy' in sys.modules and not gc.get_freeze_count():\n"
+            "        early.append(info['generation'])\n"
+            "gc.callbacks.append(count)\n"
+            "sys.argv = ['phtree', 'dim', '--m', '3', '--alpha', '0.5']\n"
+            "try:\n"
+            "    runpy.run_module('phtree.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, len(early), gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        )
+        run = self._python("-c", code)
+        assert run.stdout.endswith("}\n0 0 True True\n"), (run.stdout[-100:], run.stderr)
+
+    def test_library_import_leaves_the_collector_alone(self):
+        run = self._python("-c", "import gc, phtree.cli; print(gc.isenabled(), gc.get_freeze_count())")
+        assert (run.returncode, run.stdout) == (0, "True 0\n"), run.stderr
+
+
 def test_each_subcommand_takes_exactly_its_options():
     """A new option, or one removed, needs an edit here."""
     options = {name: [p.name for p in command.params] for name, command in main.commands.items()}

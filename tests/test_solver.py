@@ -369,6 +369,21 @@ class TestSerialization:
             field_from_csv(f"level,index,psi_left,value\n{body}{row},0,1.0\n", P)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("body, message", [
+        ("0,0,0,nan\n1,0,0,inf\n1,1,0,1\n1,2,0,-inf\n", "level 0 index 0 holds nan"),
+        ("0,0,0,1\n1,0,0,1\n1,1,0,1\n1,2,0,-inf\n", "level 1 index 2 holds -inf"),
+        ("0,0,0,1\n1,0,0,1\n1,1,0,1\n1,2,0,1\n1,1,0,inf\n", "level 1 index 1 holds inf"),
+    ], ids=["nan-and-infinities", "last-index", "last-row"])
+    def test_non_finite_value_refused(self, body, message):
+        with pytest.raises(ValidationError) as info:
+            field_from_csv("level,index,psi_left,value\n" + body, P)
+        assert str(info.value) == f"{message}; field values must be finite"
+
+    def test_non_finite_value_replaced_by_a_later_row_is_kept_out(self):
+        body = "0,0,0,nan\n1,0,0,1\n1,1,0,inf\n1,2,0,3\n1,1,0,2\n0,0,0,1\n"
+        field = field_from_csv("level,index,psi_left,value\n" + body, P)
+        assert [level.tolist() for level in field.levels] == [[1.0], [1.0, 2.0, 3.0]]
+
     def test_reload_holds_columns_not_rows(self, traced_peak):
         """The n = 10 reload (88,573 rows, 4.3 MB) peaked at 58,171,107 B while it
         kept every row as a list of str and every value in a dict."""
