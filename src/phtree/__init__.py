@@ -7,8 +7,8 @@ Monte Carlo tug-of-war cross-checks, unique-continuation analysis of
 vertex subsets, and the closed-form minimal dimension of convergence
 sets.
 
-The package imports lazily (PEP 562): a public name, or one of the
-submodules below, is imported on first use, so ``import phtree`` loads
+The package imports lazily (PEP 562): a public name, or a submodule such
+as ``phtree.ucp``, is imported on first use, so ``import phtree`` loads
 neither numpy nor scipy, and scipy loads with the first ``analysis`` name.
 """
 

@@ -17,8 +17,8 @@ objects that the imports left tracked.  ``main`` itself never freezes, so
 in-process callers keep their collector as it was.  Under ``python -m
 phtree.cli`` the collector is also off while this module's imports run;
 the ``__main__`` guard freezes what they left, turns it back on and calls
-``run``.  The ``phtree`` script imports this module before any of it runs,
-so there the imports run with the collector on.  Each subcommand imports
+``run``.  The ``phtree`` script imports this module as ``phtree.cli``, so
+there the imports run with the collector on.  Each subcommand imports
 the modules it calls when it runs, so ``--help`` loads none of them.
 """
 
