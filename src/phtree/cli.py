@@ -1,25 +1,25 @@
 """Command-line front end: reproducible batch runs with canonical reports.
 
-Every run is fully determined by its flags (seeds included): identical
-invocations produce identical output bytes.  JSON reports use sorted keys
-and fixed 17-significant-digit float formatting; CSV fields use the same
-float format.  A report goes straight to its destination, one formatted
-block at a time, so a run holds its result plus one block and never the
-report's text.  The destination is opened only once the object to report
-is complete, so a run that fails before then leaves an existing
-``--output`` file untouched.  Exit codes: 0 success, 2 validation error or
-an unusable input or output file, 3 capacity error or out of memory.
+Each subcommand is one body under the ``_command`` decorator.  The body
+takes the ``GameParams`` of ``--m`` and ``--alpha`` and its own options,
+and returns its report: an object, written as canonical JSON, or a
+callable that passes the report to a ``write`` (solve's CSV).  The
+decorator opens ``--output`` only once the body has returned, so a refused
+run leaves an existing file untouched, and gives each refusal one
+``error:`` line and its exit code: 2 for invalid input or an unusable
+file, 3 for a capacity error or out of memory.
+
+Identical invocations (seeds are flags) write identical bytes: JSON with
+sorted keys and floats as ``%.17g``, CSV with the same floats.  A report
+streams to its destination one block at a time and is never held as text.
 
 ``run`` is the process entry (the ``phtree`` script and ``python -m
-phtree.cli``): it calls ``main`` and then freezes the garbage collector,
-so the interpreter's final collection skips the tens of thousands of
-objects that the imports left tracked.  ``main`` itself never freezes, so
-in-process callers keep their collector as it was.  Under ``python -m
-phtree.cli`` the collector is also off while this module's imports run;
-the ``__main__`` guard freezes what they left, turns it back on and calls
-``run``.  The ``phtree`` script imports this module as ``phtree.cli``, so
-there the imports run with the collector on.  Each subcommand imports
-the modules it calls when it runs, so ``--help`` loads none of them.
+phtree.cli``): it calls ``main``, then freezes the collector, so the
+interpreter's final collection skips the objects the imports left;
+``main`` never freezes.  Under ``python -m phtree.cli`` the collector is
+also off while the imports run, and the ``__main__`` guard freezes what
+they left and turns it back on.  Each body imports the modules it calls,
+so ``--help`` loads none of them.
 """
 
 from __future__ import annotations
@@ -128,180 +128,156 @@ def _fail(message: str, code: int) -> None:
     sys.exit(code)
 
 
-def _run_guarded(fn) -> None:
-    try:
-        fn()
-    except CapacityError as exc:
-        _fail(str(exc), EXIT_CAPACITY)
-    except MemoryError:
-        _fail("out of memory; ask for a smaller problem", EXIT_CAPACITY)
-    except PHTreeError as exc:
-        _fail(str(exc), EXIT_VALIDATION)
-    except UnicodeDecodeError as exc:
-        # each command reads at most one input file, so the message need not name it
-        _fail(f"input file is not UTF-8 text: {exc.reason} at byte {exc.start}", EXIT_VALIDATION)
-    except OSError as exc:
-        message = f"cannot open {exc.filename}: {exc.strerror}" if exc.filename else str(exc)
-        _fail(message, EXIT_VALIDATION)
-
-
 @click.group()
 def main() -> None:
     """Averaging-operator fields on m-branching trees: solve, simulate, analyze."""
 
 
-_common = [
-    click.option("--m", "m", type=int, default=3, show_default=True, help="branching factor"),
-    click.option("--alpha", type=float, required=True, help="competitive-move probability (beta = 1 - alpha)"),
-]
+def _command(*options):
+    """Register the decorated body as the subcommand of ``main`` named and
+    documented by it, taking ``--m``, ``--alpha``, `options` and ``--output``
+    in that order; the module docstring gives the shape."""
+    options = (
+        click.option("--m", "m", type=int, default=3, show_default=True, help="branching factor"),
+        click.option("--alpha", type=float, required=True, help="competitive-move probability (beta = 1 - alpha)"),
+        *options,
+        click.option("--output", default="-", show_default=True, help="report path ('-' = stdout)"),
+    )
+
+    def register(body):
+        def callback(m, alpha, output, **kwargs) -> None:
+            try:
+                report = body(GameParams(m, alpha), **kwargs)
+                with _write_report(output) as write:
+                    if callable(report):
+                        report(write)
+                    else:
+                        canonical_json(report, write)
+            except CapacityError as exc:
+                _fail(str(exc), EXIT_CAPACITY)
+            except MemoryError:
+                _fail("out of memory; ask for a smaller problem", EXIT_CAPACITY)
+            except PHTreeError as exc:
+                _fail(str(exc), EXIT_VALIDATION)
+            except UnicodeDecodeError as exc:
+                # each command reads at most one input file, so the message need not name it
+                _fail(f"input file is not UTF-8 text: {exc.reason} at byte {exc.start}", EXIT_VALIDATION)
+            except OSError as exc:
+                message = f"cannot open {exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+                _fail(message, EXIT_VALIDATION)
+
+        for option in reversed(options):
+            callback = option(callback)
+        return main.command(body.__name__, help=body.__doc__)(callback)
+
+    return register
 
 
-def _with_common(fn):
-    for option in reversed(_common):
-        fn = option(fn)
-    return fn
-
-
-@main.command()
-@_with_common
-@click.option("--boundary", required=True, help="linear | quadratic-centered | constant:<c> | CSV path")
-@click.option("--n", "depth", type=int, default=None, help="build depth")
-@click.option("--tol", type=float, default=None, help="target sup-error instead of a fixed depth")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--output", default="-", show_default=True, help="report path ('-' = stdout)")
-def solve(m, alpha, boundary, depth, tol, fmt, output) -> None:
+@_command(
+    click.option("--boundary", required=True, help="linear | quadratic-centered | constant:<c> | CSV path"),
+    click.option("--n", "depth", type=int, default=None, help="build depth"),
+    click.option("--tol", type=float, default=None, help="target sup-error instead of a fixed depth"),
+    click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True),
+)
+def solve(params, boundary, depth, tol, fmt):
     """Build the approximating field for the given boundary data."""
+    from . import solver as solver_mod
+    from .boundary import BoundarySpec
 
-    def run() -> None:
-        from . import solver as solver_mod
-        from .boundary import BoundarySpec
-
-        params = GameParams(m, alpha)
-        spec = BoundarySpec.parse(boundary)
-        if (depth is None) == (tol is None):
-            raise ValidationError("pass exactly one of --n and --tol")
-        if depth is not None:
-            field, n_used, bound = solver_mod.build_un(spec, params, depth), depth, None
-        else:
-            result = solver_mod.solve_to_tolerance(spec, params, tol)
-            field, n_used, bound = result.field, result.n_used, result.certified_bound
-        if fmt == "csv":
-            with _write_report(output) as write:
-                solver_mod.field_to_csv(field, write)
-            return
-        obj = solver_mod.field_to_json_obj(field)
-        obj["root_value"] = field.root_value
-        if bound is not None:
-            obj["certified"] = True
-            obj["certified_bound"] = bound
-        obj["n_used"] = n_used
-        with _write_report(output) as write:
-            canonical_json(obj, write)
-
-    _run_guarded(run)
+    spec = BoundarySpec.parse(boundary)
+    if (depth is None) == (tol is None):
+        raise ValidationError("pass exactly one of --n and --tol")
+    if depth is not None:
+        field, n_used, bound = solver_mod.build_un(spec, params, depth), depth, None
+    else:
+        result = solver_mod.solve_to_tolerance(spec, params, tol)
+        field, n_used, bound = result.field, result.n_used, result.certified_bound
+    if fmt == "csv":
+        return lambda write: solver_mod.field_to_csv(field, write)
+    obj = solver_mod.field_to_json_obj(field)
+    obj["root_value"] = field.root_value
+    if bound is not None:
+        obj["certified"] = True
+        obj["certified_bound"] = bound
+    obj["n_used"] = n_used
+    return obj
 
 
-@main.command()
-@_with_common
-@click.option("--boundary", required=True)
-@click.option("--seed", type=int, default=0, show_default=True, help="master seed")
-@click.option("--plays", type=int, default=10000, show_default=True)
-@click.option("--depth", type=int, default=20, show_default=True, help="truncation depth")
-@click.option("--x0", default="", help="starting vertex as a digit string, e.g. 0.2.1")
-@click.option("--advice-n", type=int, default=8, show_default=True, help="depth of the advice field for greedy strategies")
-@click.option("--strategy-i", default="greedy-max", show_default=True)
-@click.option("--strategy-ii", default="greedy-min", show_default=True)
-@click.option("--output", default="-", show_default=True)
-def simulate(m, alpha, boundary, seed, plays, depth, x0, advice_n, strategy_i, strategy_ii, output) -> None:
+@_command(
+    click.option("--boundary", required=True),
+    click.option("--seed", type=int, default=0, show_default=True, help="master seed"),
+    click.option("--plays", type=int, default=10000, show_default=True),
+    click.option("--depth", type=int, default=20, show_default=True, help="truncation depth"),
+    click.option("--x0", default="", help="starting vertex as a digit string, e.g. 0.2.1"),
+    click.option("--advice-n", type=int, default=8, show_default=True, help="depth of the advice field for greedy strategies"),
+    click.option("--strategy-i", default="greedy-max", show_default=True),
+    click.option("--strategy-ii", default="greedy-min", show_default=True),
+)
+def simulate(params, boundary, seed, plays, depth, x0, advice_n, strategy_i, strategy_ii):
     """Monte Carlo tug-of-war estimate of the game value at a vertex."""
+    from . import game as game_mod
+    from . import solver as solver_mod
+    from .boundary import BoundarySpec
+    from .tree import parse_vertex
 
-    def run() -> None:
-        from . import game as game_mod
-        from . import solver as solver_mod
-        from .boundary import BoundarySpec
-        from .tree import parse_vertex
-
-        params = GameParams(m, alpha)
-        spec = BoundarySpec.parse(boundary)
-        start = parse_vertex(x0, m)
-        advice = None
-        if strategy_i.startswith("greedy") or strategy_ii.startswith("greedy"):
-            advice = solver_mod.build_un(spec, params, advice_n)
-        s_i = game_mod.strategy_from_name(strategy_i, m, advice)
-        s_ii = game_mod.strategy_from_name(strategy_ii, m, advice)
-        estimate = game_mod.estimate_value(start, s_i, s_ii, spec, params, depth, plays, seed)
-        obj = {
-            "mean": estimate.mean,
-            "std_error": estimate.std_error,
-            "plays": estimate.plays,
-            "truncation_depth": estimate.truncation_depth,
-            "truncation_error": game_mod.truncation_error(spec, params, depth),
-            "m": m,
-            "alpha": params.alpha,
-            "beta": params.beta,
-            "seed": seed,
-        }
-        with _write_report(output) as write:
-            canonical_json(obj, write)
-
-    _run_guarded(run)
+    spec = BoundarySpec.parse(boundary)
+    start = parse_vertex(x0, params.m)
+    advice = None
+    if {strategy_i.strip(), strategy_ii.strip()} & game_mod.GREEDY.keys():
+        advice = solver_mod.build_un(spec, params, advice_n)
+    s_i = game_mod.strategy_from_name(strategy_i, params.m, advice)
+    s_ii = game_mod.strategy_from_name(strategy_ii, params.m, advice)
+    estimate = game_mod.estimate_value(start, s_i, s_ii, spec, params, depth, plays, seed)
+    return {
+        "mean": estimate.mean,
+        "std_error": estimate.std_error,
+        "plays": estimate.plays,
+        "truncation_depth": estimate.truncation_depth,
+        "truncation_error": game_mod.truncation_error(spec, params, depth),
+        "m": params.m,
+        "alpha": params.alpha,
+        "beta": params.beta,
+        "seed": seed,
+    }
 
 
-@main.command()
-@_with_common
-@click.option("--set", "set_descriptor", default=None, help="last-digit:<d> | digit-avoiding:<d> | full-levels:<list>[;doubling] | rho:<list>[;rule]")
-@click.option("--set-file", default=None, help="membership list file, one digit string per line")
-@click.option("--kmax", type=int, default=6, show_default=True, help="ladder stages to compute")
-@click.option("--resolution", type=int, default=3, show_default=True, help="density resolution level")
-@click.option("--pa-nmax", type=int, default=6, show_default=True, help="uniform-hitting lookahead")
-@click.option("--output", default="-", show_default=True)
-def ucp(m, alpha, set_descriptor, set_file, kmax, resolution, pa_nmax, output) -> None:
+@_command(
+    click.option("--set", "set_descriptor", default=None, help="last-digit:<d> | digit-avoiding:<d> | full-levels:<list>[;doubling] | rho:<list>[;rule]"),
+    click.option("--set-file", default=None, help="membership list file, one digit string per line"),
+    click.option("--kmax", type=int, default=6, show_default=True, help="ladder stages to compute"),
+    click.option("--resolution", type=int, default=3, show_default=True, help="density resolution level"),
+    click.option("--pa-nmax", type=int, default=6, show_default=True, help="uniform-hitting lookahead"),
+)
+def ucp(params, set_descriptor, set_file, kmax, resolution, pa_nmax):
     """Unique-continuation analysis of a tree subset."""
+    from . import ucp as ucp_mod
 
-    def run() -> None:
-        from . import ucp as ucp_mod
-
-        params = GameParams(m, alpha)
-        if (set_descriptor is None) == (set_file is None):
-            raise ValidationError("pass exactly one of --set and --set-file")
-        if set_descriptor is not None:
-            subset = ucp_mod.SubsetSpec.parse(set_descriptor, m)
-        else:
-            subset = ucp_mod.SubsetSpec.from_file(set_file, m)
-        report = ucp_mod.analyze(
-            subset, params, k_max=kmax, resolution=resolution, pa_n_max=pa_nmax
-        )
-        obj = report.to_json_obj()
-        obj["alpha"] = params.alpha
-        obj["beta"] = params.beta
-        obj["delta"] = params.delta
-        with _write_report(output) as write:
-            canonical_json(obj, write)
-
-    _run_guarded(run)
+    if (set_descriptor is None) == (set_file is None):
+        raise ValidationError("pass exactly one of --set and --set-file")
+    if set_descriptor is not None:
+        subset = ucp_mod.SubsetSpec.parse(set_descriptor, params.m)
+    else:
+        subset = ucp_mod.SubsetSpec.from_file(set_file, params.m)
+    report = ucp_mod.analyze(subset, params, k_max=kmax, resolution=resolution, pa_n_max=pa_nmax)
+    obj = report.to_json_obj()
+    obj["alpha"] = params.alpha
+    obj["beta"] = params.beta
+    obj["delta"] = params.delta
+    return obj
 
 
-@main.command()
-@_with_common
-@click.option("--output", default="-", show_default=True)
-def dim(m, alpha, output) -> None:
+@_command()
+def dim(params):
     """Minimal Hausdorff dimension of convergence sets (closed form)."""
-
-    def run() -> None:
-        params = GameParams(m, alpha)
-        result = analysis_mod.fatou_dimension(params)
-        obj = {
-            "m": result.m,
-            "alpha": result.alpha,
-            "beta": result.beta,
-            "gamma": result.gamma,
-            "objective": result.objective,
-            "dimension": result.dimension,
-        }
-        with _write_report(output) as write:
-            canonical_json(obj, write)
-
-    _run_guarded(run)
+    result = analysis_mod.fatou_dimension(params)
+    return {
+        "m": result.m,
+        "alpha": result.alpha,
+        "beta": result.beta,
+        "gamma": result.gamma,
+        "objective": result.objective,
+        "dimension": result.dimension,
+    }
 
 
 def run() -> None:

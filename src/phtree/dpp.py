@@ -144,6 +144,15 @@ def residual_at(
     return dpp_average(params, succ) - centre
 
 
+def _label(lo: float, hi: float) -> str:
+    """Label residuals spanning ``[lo, hi]``, each within ``DEFAULT_TOL`` of
+    zero counted as 0: all nonnegative is subharmonious, all nonpositive
+    superharmonious, both harmonious."""
+    if lo >= -DEFAULT_TOL:
+        return HARMONIOUS if hi <= DEFAULT_TOL else SUBHARMONIOUS
+    return SUPERHARMONIOUS if hi <= DEFAULT_TOL else NEITHER
+
+
 def classify(field: Callable[[Vertex], float], v: Vertex, params: GameParams) -> str:
     """Classify `field` at a single vertex from the sign of its residual.
 
@@ -152,9 +161,7 @@ def classify(field: Callable[[Vertex], float], v: Vertex, params: GameParams) ->
     ``DEFAULT_TOL`` of zero is harmonious.
     """
     r = residual_at(field, v, params)
-    if abs(r) <= DEFAULT_TOL:
-        return HARMONIOUS
-    return SUBHARMONIOUS if r > 0 else SUPERHARMONIOUS
+    return _label(r, r)
 
 
 @dataclass(frozen=True)
@@ -190,17 +197,9 @@ def check_field(field) -> FieldCheckReport:
         if abs(residuals[j]) > worst:
             worst = float(abs(residuals[j]))
             worst_level, worst_index = k, j
-    if max_resid <= DEFAULT_TOL and min_resid >= -DEFAULT_TOL:
-        label = HARMONIOUS
-    elif min_resid >= -DEFAULT_TOL:
-        label = SUBHARMONIOUS
-    elif max_resid <= DEFAULT_TOL:
-        label = SUPERHARMONIOUS
-    else:
-        label = NEITHER
     return FieldCheckReport(
         max_abs_residual=worst,
         worst_vertex=vertex_from_index(m, worst_level, worst_index),
-        classification=label,
+        classification=_label(min_resid, max_resid),
         vertices_checked=checked,
     )

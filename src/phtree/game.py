@@ -170,13 +170,17 @@ class UniformRandomStrategy(Strategy):
                     return word % self.m
 
 
+#: the strategies that step by an advice field, by CLI descriptor
+GREEDY = {"greedy-max": GreedyMaxStrategy, "greedy-min": GreedyMinStrategy}
+
+
 def strategy_from_name(name: str, m: int, advice: LevelField | None) -> Strategy:
-    """Build a strategy from a CLI descriptor."""
+    """Build a strategy from a CLI descriptor; surrounding blanks are ignored."""
     name = name.strip()
-    if name == "greedy-max" or name == "greedy-min":
+    if name in GREEDY:
         if advice is None:
             raise ValidationError(f"strategy {name!r} needs an advice field")
-        return GreedyMaxStrategy(advice) if name == "greedy-max" else GreedyMinStrategy(advice)
+        return GREEDY[name](advice)
     kind, colon, arg = name.partition(":")
     if colon and kind in ("fixed", "random"):
         try:
@@ -187,8 +191,7 @@ def strategy_from_name(name: str, m: int, advice: LevelField | None) -> Strategy
             return FixedDigitStrategy(value, m)
         return UniformRandomStrategy(value, m)
     raise ValidationError(
-        f"unknown strategy {name!r}: expected greedy-max, greedy-min, "
-        f"fixed:<digit>, or random:<seed>"
+        f"unknown strategy {name!r}: expected {', '.join(GREEDY)}, fixed:<digit>, or random:<seed>"
     )
 
 

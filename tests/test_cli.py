@@ -184,6 +184,28 @@ class TestFileErrors:
         assert "Traceback" not in result.output
 
 
+#: a value for each option that some subcommand requires, besides ``--alpha``
+REQUIRED_VALUES = {"boundary": "linear"}
+
+
+@pytest.mark.parametrize("name", sorted(main.commands))
+def test_every_command_keeps_the_report_policy(runner, tmp_path, name):
+    """A refused run of any subcommand exits 2 with one error line, writes
+    nothing to stdout and leaves an existing ``--output`` file as it was."""
+    args = [name, "--alpha", "2"]
+    for param in main.commands[name].params:
+        if param.required and param.name != "alpha":
+            args += [param.opts[0], REQUIRED_VALUES[param.name]]
+    out = tmp_path / "report.json"
+    out.write_bytes(b"an earlier report\n")
+    for output in ("-", str(out)):
+        result = runner.invoke(main, [*args, "--output", output])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert isinstance(result.exception, SystemExit)  # no uncaught exception
+        assert result.stderr == "error: alpha must lie in [0, 1], got 2.0\n"
+        assert out.read_bytes() == b"an earlier report\n"
+
+
 def json_text(obj) -> str:
     buf = bytearray()
     canonical_json(obj, buf.extend)
@@ -826,6 +848,26 @@ class TestSimulate:
         assert result.stdout == ""
         assert result.stderr.startswith("error:")
         assert "Traceback" not in result.output
+
+    def test_padded_strategy_names_give_the_unpadded_bytes(self, runner):
+        args = [
+            "simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear",
+            "--plays", "200", "--depth", "6", "--advice-n", "3",
+        ]
+        plain = runner.invoke(main, [*args, "--strategy-i", "greedy-max", "--strategy-ii", "greedy-min"])
+        padded = runner.invoke(main, [*args, "--strategy-i", " greedy-max", "--strategy-ii", " greedy-min"])
+        assert plain.exit_code == 0
+        assert (padded.exit_code, padded.stdout_bytes) == (0, plain.stdout_bytes)
+
+    def test_unknown_strategy_is_refused_before_any_advice_is_built(self, runner):
+        """Advice of depth 30 would exceed the size cap and exit 3, but no
+        strategy asks for it: the typo is the error."""
+        result = runner.invoke(main, [
+            "simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear",
+            "--strategy-i", "greedy-maxx", "--strategy-ii", "fixed:0", "--advice-n", "30",
+        ])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: unknown strategy 'greedy-maxx': expected greedy-max, greedy-min,")
 
     def test_capacity_exit_code(self, runner, monkeypatch):
         # the cap counts the 2 * plays * depth values the engine draws:

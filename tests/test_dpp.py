@@ -244,6 +244,16 @@ class TestResidualAndClassify:
         field = lambda v: -float(v.level)
         assert classify(field, root(3), P) == SUPERHARMONIOUS
 
+    @pytest.mark.parametrize("shift", [0.0, 1e-12, -1e-12, 2e-12, -2e-12, 0.1, -0.1])
+    def test_classify_labels_as_check_field_does(self, shift):
+        """A one-level field with its root raised by `shift` has the single
+        residual -shift; both label it alike, at the tolerance too."""
+        field = build_un(BoundarySpec.constant(0.0), P, 1)
+        levels = (field.levels[0] + shift, field.levels[1])
+        shifted = type(field)(params=field.params, n=field.n, levels=levels)
+        assert residual_at(shifted, root(3), P) == -shift
+        assert classify(shifted, root(3), P) == check_field(shifted).classification
+
     def test_missing_value_names_vertex(self):
         table = {(): 0.0, (0,): 0.0, (1,): 0.0}  # (2,) missing
 
