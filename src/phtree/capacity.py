@@ -1,15 +1,16 @@
-"""The size cap on level enumerations, per-level arrays, scans and draws.
+"""The size cap on level enumerations, per-level arrays, scans, tables and draws.
 
 Everything that materialises a full tree level, a level of ``ucp`` state
-classes or a batch of random draws is checked against one cap, so that an
-accidental ``m**n`` blow-up fails fast with a clear message instead of
-exhausting memory.  The cap is ``2**31`` values unless the
-``PHTREE_SIZE_CAP`` environment variable sets it; there is no other way
-to set it.  The cap counts values, not bytes: a field build fills each
-level `BLOCK` values at a time, so its peak is the field's own bytes plus
-one block.  `BLOCK` also sizes the blocks of rows in which reports are
-formatted and written: a report goes to its destination one block at a
-time, so its peak is the result it prints plus one block, not its text.
+classes, the trie table of an explicit set (m values a row) or a batch of
+random draws is checked against one cap, so that an accidental ``m**n``
+blow-up fails fast with a clear message instead of exhausting memory.
+The cap is ``2**31`` values unless the ``PHTREE_SIZE_CAP`` environment
+variable sets it; there is no other way to set it.  The cap counts
+values, not bytes: a field build fills each level `BLOCK` values at a
+time, so its peak is the field's own bytes plus one block.  `BLOCK` also
+sizes the blocks of rows in which reports are formatted and written: a
+report goes to its destination one block at a time, so its peak is the
+result it prints plus one block, not its text.
 """
 
 from __future__ import annotations

@@ -222,6 +222,7 @@ def simulate(params, boundary, seed, plays, depth, x0, advice_n, strategy_i, str
 
     spec = BoundarySpec.parse(boundary)
     start = parse_vertex(x0, params.m)
+    game_mod.check_counts(depth, plays)  # before any advice is built
     advice = None
     if {strategy_i.strip(), strategy_ii.strip()} & game_mod.GREEDY.keys():
         advice = solver_mod.build_un(spec, params, advice_n)

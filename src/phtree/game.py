@@ -303,6 +303,14 @@ def simulate_batch(
     return SimulationBatch(payoffs, moves_player_i=n_i, moves_player_ii=n_ii, moves_random=n_rand)
 
 
+def check_counts(depth: int, plays: int) -> None:
+    """Refuse what `estimate_value` would: fewer than 2 plays, or a depth below 1."""
+    if plays < 2:
+        raise ValidationError(f"plays must be >= 2 for a standard error, got {plays}")
+    if depth < 1:
+        raise ValidationError(f"depth must be >= 1, got {depth}")
+
+
 def estimate_value(
     x0: Vertex,
     strategy_i: Strategy,
@@ -314,8 +322,7 @@ def estimate_value(
     master_seed,
 ) -> McEstimate:
     """Estimate the expected payoff from `plays` independent seeded plays."""
-    if plays < 2:
-        raise ValidationError(f"plays must be >= 2 for a standard error, got {plays}")
+    check_counts(depth, plays)
     payoffs = simulate_batch(x0, strategy_i, strategy_ii, spec, params, depth, plays, master_seed).payoffs
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.mean(payoffs))

@@ -52,8 +52,10 @@ values only.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Set
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import accumulate
 from operator import truediv
 from pathlib import Path
@@ -317,28 +319,26 @@ class _DigitRuleMachine(_OneLevel):
         return [(2, 0, self.m)] if self.avoiding and state == 2 else self._kids
 
 
-class _TableMachine(_OneLevel):
-    """A finite digit automaton as integer tables: a state is a row id, row s
-    keeps its children at ``child[s * m : s * m + m]`` and its membership at
-    ``member[s]``.  -1 is dead: the table takes both lists over and appends
-    the dead row last, where state -1 finds it as a negative index."""
+class _TableMachine(_OneLevel, Set):
+    """An explicit set as its trie: a digit automaton in integer tables, and
+    the set of its members' digit tuples.  A state is a row id: row s keeps
+    its children at ``child[s * m : s * m + m]`` and its membership at
+    ``member[s]``; -1 is dead, the last row.  The tuples are built only when
+    iterated, in sorted order; the set compares and hashes as their frozenset."""
 
     fixpoint = True
 
-    def __init__(self, m: int, child: list[int], member: list[bool], root: int):
-        self.m = m
-        self._child, self._member, self._root = child, member, root
-        child += [-1] * m
-        member.append(False)
+    def __init__(self, m: int, child: array, member: bytearray, deepest: int):
+        self.m, self.deepest, self._child, self._member, self._size = m, deepest, child, member, member.count(1)
         self._rows, self._digits, self._ones = len(member), range(m), (1,) * m
 
     def initial(self):
-        return self._root
+        return 0 if self._size else -1
 
     def step(self, state, digit):
         return self._child[state * self.m + digit]
 
-    def is_member(self, state) -> bool:
+    def is_member(self, state):
         return self._member[state]
 
     def children(self, state, n=1):
@@ -347,21 +347,59 @@ class _TableMachine(_OneLevel):
         base = state % self._rows * self.m  # the dead row too
         return zip(self._child[base : base + self.m], self._digits, self._ones)
 
+    def __len__(self) -> int:
+        return self._size
 
-def _trie(m: int, members: frozenset[tuple[int, ...]]) -> _TableMachine:
-    """The table of an explicit set: one row per member prefix, the root first."""
-    child, member = [-1] * m, [False]
-    for digits in members:
-        node = 0
+    def __contains__(self, digits) -> bool:
+        try:
+            return bool(self._member[reduce(self.step, _validate_digits(self.m, digits), self.initial())])
+        except (TypeError, ValidationError):
+            return False
+
+    def __iter__(self):
+        m, child, member = self.m, self._child, self._member
+        stack = [(0, ())] if self._size else []
+        while stack:
+            state, digits = stack.pop()
+            if member[state]:
+                yield digits
+            for d in reversed(self._digits):  # popped in digit order
+                if child[state * m + d] >= 0:
+                    stack.append((child[state * m + d], digits + (d,)))
+
+    __hash__ = Set._hash
+
+
+def _trie(m: int, rows: Iterable[tuple[int, ...]]) -> _TableMachine:
+    """The table of an explicit set in one pass over its rows of int digits,
+    each digit checked against m as it comes: one row per member prefix in
+    order of first appearance, the root first.  The cap counts the table's
+    values, the dead row's included, before each row is added."""
+    cap = size_cap()
+    limit = cap // m - 1  # rows besides the dead row
+    refusal = exceeded(f"the explicit set's trie needs more than {cap // m} rows of {m} values", cap)
+    if limit < 1:
+        raise refusal
+    blank = array("i" if limit < 2**31 else "q", [-1]) * m  # 32-bit row ids where they fit
+    child, member, deepest = blank[:], bytearray(1), 0
+    for digits in rows:
+        state = 0
         for d in digits:
-            slot = node * m + d
-            if child[slot] < 0:
-                child[slot] = len(member)
-                child += [-1] * m
-                member.append(False)
-            node = child[slot]
-        member[node] = True
-    return _TableMachine(m, child, member, 0 if members else -1)
+            if not 0 <= d < m:
+                raise ValidationError(f"digit {d} out of range for branching factor {m}")
+            slot = state * m + d
+            state = child[slot]
+            if state < 0:
+                if len(member) == limit:
+                    raise refusal
+                state = child[slot] = len(member)
+                child += blank
+                member.append(0)
+        member[state] = 1
+        deepest = max(deepest, len(digits))
+    child += blank  # the dead row
+    member.append(0)
+    return _TableMachine(m, child, member, deepest)
 
 
 class _PredicateMachine(_OneLevel):
@@ -408,7 +446,7 @@ class SubsetSpec:
     level_rule: str | None = None
     rho: RhoPattern | None = None
     predicate_fn: Callable[[Vertex], bool] | None = field(default=None, compare=False)
-    members: frozenset[tuple[int, ...]] | None = None
+    members: _TableMachine | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _validate_branching(self.m))
@@ -474,20 +512,20 @@ class SubsetSpec:
 
     @classmethod
     def explicit(cls, m: int, vertices: Iterable[Vertex | tuple[int, ...]]) -> "SubsetSpec":
+        """The finite set of `vertices`, held as its trie (`members`)."""
         m = _validate_branching(m)
-        members = set()
-        for v in vertices:
-            if isinstance(v, Vertex) and v.m != m:
-                raise ValidationError("vertex branching differs from the subset's")
-            members.add(v.digits if isinstance(v, Vertex) else _validate_digits(m, v))
-        return cls(kind=KIND_EXPLICIT, m=m, depth_bound=UNBOUNDED_DEPTH, members=frozenset(members))
+        return cls._of_rows(m, (_digits_of(m, v) for v in vertices))
 
     @classmethod
     def from_file(cls, path, m: int) -> "SubsetSpec":
         """One digit-string per line, e.g. ``0.2.1``."""
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         # lazily, so that the first bad line is the one reported
-        return cls.explicit(m, (_parse_digits(line) for line in lines if line.strip()))
+        return cls._of_rows(_validate_branching(m), (_parse_digits(line) for line in lines if line.strip()))
+
+    @classmethod
+    def _of_rows(cls, m: int, rows: Iterable[tuple[int, ...]]) -> "SubsetSpec":
+        return cls(kind=KIND_EXPLICIT, m=m, depth_bound=UNBOUNDED_DEPTH, members=_trie(m, rows))
 
     @classmethod
     def parse(cls, text: str, m: int) -> "SubsetSpec":
@@ -545,7 +583,7 @@ class SubsetSpec:
         if self.kind == KIND_RHO_GENERATED:
             return _RhoGeneratedMachine(m, self.rho, digit)
         if self.kind == KIND_EXPLICIT:
-            return _trie(m, self.members)
+            return self.members
         return _PredicateMachine(m, self.predicate_fn)
 
     def contains(self, v: Vertex) -> bool:
@@ -559,7 +597,7 @@ class SubsetSpec:
         state = machine.initial()
         for d in v.digits:
             state = machine.step(state, d)
-        return machine.is_member(state)
+        return bool(machine.is_member(state))
 
     def is_full_level(self, level: int) -> bool:
         return self.next_full_level_after(level - 1) == level
@@ -581,12 +619,20 @@ class SubsetSpec:
     def max_member_level(self) -> int | None:
         """Largest member level, when finite; None for unbounded families."""
         if self.kind == KIND_EXPLICIT:
-            return max((len(d) for d in self.members), default=0)
+            return self.members.deepest
         if self.kind == KIND_FULL_LEVELS and self.level_rule is None:
             return self.levels[-1]
         if self.kind == KIND_RHO_GENERATED and self.rho.is_finite:
             return self.depth_bound
         return None
+
+
+def _digits_of(m: int, v: Vertex | tuple[int, ...]) -> tuple[int, ...]:
+    if not isinstance(v, Vertex):
+        return _validate_digits(m, v)
+    if v.m != m:
+        raise ValidationError("vertex branching differs from the subset's")
+    return v.digits
 
 
 def _check_digit(m: int, digit: int) -> int:

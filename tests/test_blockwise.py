@@ -1,11 +1,15 @@
 """Blockwise sampling, sweep and payoffs: the bits of whole-array runs,
 in the memory of the result plus one block."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from phtree import (
-    BoundarySpec, FixedDigitStrategy, GameParams, GreedyMaxStrategy, GreedyMinStrategy, Vertex, build_un,
+    BoundarySpec, FixedDigitStrategy, GameParams, GreedyMaxStrategy, GreedyMinStrategy, SubsetSpec, Vertex,
+    build_un,
 )
 from phtree import capacity, game
 from phtree.boundary import eval_F, sample_Fn
@@ -137,6 +141,25 @@ class TestWorkingSet:
         field = build_un(self.TABULATED, self.P, 11)
         length, peak = traced_peak(lambda: self.json_length(field_to_json_obj(field)))
         assert peak <= 1.5 * length
+
+    def test_set_file_holds_its_trie_only(self, tmp_path, traced_peak):
+        """A 20,000-member set file is held as its trie table, with no member
+        tuples: about 1 MB here, against 7 MB with a frozenset of the
+        tuples beside the table."""
+        rng = random.Random(1)
+        members = set()
+        while len(members) < 20_000:
+            members.add(".".join(str(rng.randrange(3)) for _ in range(rng.randint(6, 14))))
+        path = tmp_path / "set.txt"
+        path.write_text("\n".join(members) + "\n", encoding="utf-8")
+
+        def held():
+            base = tracemalloc.get_traced_memory()[0]
+            U = SubsetSpec.from_file(path, 3)
+            U.machine
+            return tracemalloc.get_traced_memory()[0] - base
+
+        assert traced_peak(held)[0] <= 4 * MiB
 
     def test_json_levels_are_the_field_arrays(self):
         field = build_un(self.TABULATED, self.P, 3)

@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -508,7 +509,11 @@ class TestUcp:
         ])
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
-        assert result.stderr.startswith("error: level 4 scan needs 81 state classes")
+        # the 121-row trie of the 81 members is refused before any scan
+        assert result.stderr == (
+            "error: the explicit set's trie needs more than 16 rows of 3 values, "
+            "exceeding the size cap of 50 (set PHTREE_SIZE_CAP to raise it)\n"
+        )
 
     def test_delta_at_huge_branching(self, runner):
         # delta = alpha/2 + beta/m is 1/m at alpha = 0; as 1 - theta it
@@ -588,6 +593,34 @@ class TestWitnessDepth:
         )
         assert run.returncode == 3, run.stderr
         assert run.stderr.startswith(f"error: density resolution {depth} is too deep")
+
+    def test_wide_set_file_trie_under_a_memory_limit(self, tmp_path):
+        """200 members of 3 digits at m = 100,000 make a trie table of 601
+        rows of 100,000 values, 60 times the cap.  Without the table's count
+        the call fills about 500 MB and exits 0 after half a minute, so it
+        runs in a child process held to 1 GB of address space."""
+        rng = random.Random(0)
+        members = tmp_path / "wide.txt"
+        members.write_text(
+            "".join(".".join(str(rng.randrange(10**5)) for _ in range(3)) + "\n" for _ in range(200)),
+            encoding="utf-8",
+        )
+        limit = 1 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(phtree.__file__).parents[1]), "PHTREE_SIZE_CAP": "1000000"}
+        run = subprocess.run(
+            [sys.executable, "-m", "phtree.cli", "ucp", "--m", "100000", "--alpha", "0.5",
+             "--set-file", str(members)],
+            env=env, capture_output=True, text=True, timeout=300, preexec_fn=cap_memory,
+        )
+        assert run.returncode == 3, run.stderr
+        assert run.stderr == (
+            "error: the explicit set's trie needs more than 10 rows of 100000 values, "
+            "exceeding the size cap of 1000000 (set PHTREE_SIZE_CAP to raise it)\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -868,6 +901,23 @@ class TestSimulate:
         ])
         assert result.exit_code == 2
         assert result.stderr.startswith("error: unknown strategy 'greedy-maxx': expected greedy-max, greedy-min,")
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            (["--plays", "0"], "plays must be >= 2 for a standard error, got 0"),
+            (["--depth", "-1"], "depth must be >= 1, got -1"),
+        ],
+        ids=["plays", "depth"],
+    )
+    def test_counts_are_refused_before_any_advice_is_built(self, runner, counts, message):
+        """Advice of depth 30 would exceed the size cap and exit 3; the
+        count is the error."""
+        result = runner.invoke(main, [
+            "simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear", *counts, "--advice-n", "30",
+        ])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
 
     def test_capacity_exit_code(self, runner, monkeypatch):
         # the cap counts the 2 * plays * depth values the engine draws:

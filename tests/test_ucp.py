@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -470,6 +471,66 @@ class TestExplicitTrie:
         assert steps == []
         assert density_check(U, 2).dense_up_to is False
         assert steps
+
+
+class TestSetFile:
+    """A set file loads into the same trie-held set as `explicit` on its rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_explicit_sets(), st.randoms(use_true_random=False), st.integers(0, 5))
+    def test_file_matches_explicit(self, tmp_path_factory, case, rng, depth):
+        m, members, _probes = case
+        members = [d for d in members if d]  # the root's label is a blank line
+        lines = [".".join(map(str, d)) for d in members]
+        rng.shuffle(lines)
+        path = tmp_path_factory.getbasetemp() / "shuffled.txt"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        loaded, given = SubsetSpec.from_file(path, m), SubsetSpec.explicit(m, members)
+        assert loaded == given and hash(loaded) == hash(given)
+        assert loaded.members == frozenset(members) and hash(loaded.members) == hash(frozenset(members))
+        assert len(loaded.members) == len(set(members))
+        assert loaded.max_member_level == given.max_member_level == max(map(len, members), default=0)
+        assert sorted(loaded.members) == list(loaded.members) == sorted(set(members))
+        for level in range(depth + 1):
+            for v in enumerate_level(m, level):
+                assert loaded.contains(v) == given.contains(v) == (v.digits in members)
+        params = GameParams(m, 0.5, 0.5)
+        assert analyze(loaded, params).to_json_obj() == analyze(given, params).to_json_obj()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1\n0.x\n0.7\n", "malformed vertex label '0.x'"),
+            ("1\n0.7\n0.x\n", "digit 7 out of range for branching factor 3"),
+        ],
+        ids=["label-first", "digit-first"],
+    )
+    def test_first_bad_line_is_reported(self, tmp_path, text, message):
+        path = tmp_path / "set.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            SubsetSpec.from_file(path, 3)
+
+    def test_blank_lines_crlf_and_empty_file(self, tmp_path):
+        path = tmp_path / "set.txt"
+        path.write_bytes(b"0.2.1\r\n\r\n  \r\n1\r\n")
+        assert SubsetSpec.from_file(path, 3) == SubsetSpec.explicit(3, [(1,), (0, 2, 1)])
+        path.write_bytes(b"")
+        empty = SubsetSpec.from_file(path, 3)
+        assert empty == SubsetSpec.explicit(3, []) and len(empty.members) == 0
+        assert list(empty.members) == [] and empty.max_member_level == 0
+
+    def test_the_cap_counts_the_trie_table(self, monkeypatch):
+        # root, 0, 0.1 and the dead row: 4 rows of 3 values
+        monkeypatch.setenv("PHTREE_SIZE_CAP", "12")
+        assert len(SubsetSpec.explicit(3, [(0, 1)]).members) == 1
+        monkeypatch.setenv("PHTREE_SIZE_CAP", "11")
+        with pytest.raises(CapacityError, match="^the explicit set's trie needs more than 3 rows of 3 values"):
+            SubsetSpec.explicit(3, [(0, 1)])
+        # past 2**31 rows the row ids take 64 bits
+        monkeypatch.setenv("PHTREE_SIZE_CAP", str(3 * 2**32))
+        wide = SubsetSpec.explicit(3, [(0, 1), (2,)])
+        assert wide == SubsetSpec.explicit(3, [(2,), (0, 1)]) and wide.contains(Vertex(3, (0, 1)))
 
 
 def _reference_ladder(m, members, k_max):
