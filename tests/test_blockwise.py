@@ -144,7 +144,7 @@ class TestWorkingSet:
 
     def test_set_file_holds_its_trie_only(self, tmp_path, traced_peak):
         """A 20,000-member set file is held as its trie table, with no member
-        tuples: about 1 MB here, against 7 MB with a frozenset of the
+        tuples: 1 to 2.5 MB here, against 7 MB with a frozenset of the
         tuples beside the table."""
         rng = random.Random(1)
         members = set()

@@ -597,7 +597,7 @@ class TestWitnessDepth:
     def test_wide_set_file_trie_under_a_memory_limit(self, tmp_path):
         """200 members of 3 digits at m = 100,000 make a trie table of 601
         rows of 100,000 values, 60 times the cap.  Without the table's count
-        the call fills about 500 MB and exits 0 after half a minute, so it
+        the call fills about 500 MB and exits 0 after about 40 s, so it
         runs in a child process held to 1 GB of address space."""
         rng = random.Random(0)
         members = tmp_path / "wide.txt"
