@@ -68,6 +68,15 @@ def check_level_size(m: int, k: int) -> int:
     return m**k
 
 
+def check_table_rows(rows: int, m: int) -> int:
+    """The most rows of m values a table may hold under the cap; raise
+    CapacityError if `rows` of them do not fit."""
+    cap = size_cap()
+    if rows * m > cap:
+        raise exceeded(f"a trie table of {rows} rows of {m} values", cap)
+    return cap // m
+
+
 def blocks(count: int, width: int = 1):
     """Slices that cover ``range(count)`` one block of `BLOCK` values at a
     time, for items of `width` values each (at least one item a block)."""

@@ -61,7 +61,7 @@ from operator import truediv
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .capacity import decimal, exceeded, size_cap
+from .capacity import check_table_rows, decimal, exceeded, size_cap
 from .dpp import GameParams, residual_at
 from .errors import CapacityError, InsufficientDepthError, StructuralCheckError, ValidationError
 from .tree import (
@@ -368,30 +368,28 @@ class _TableMachine(_OneLevel, Set):
                     stack.append((child[state * m + d], digits + (d,)))
 
     __hash__ = Set._hash
+    _from_iterable = classmethod(lambda cls, it: frozenset(it))  # set operations give frozensets
+
+    def __repr__(self) -> str:
+        return f"<explicit set of {self._size} members to level {self.deepest}, m={self.m}>"
 
 
 def _trie(m: int, rows: Iterable[tuple[int, ...]]) -> _TableMachine:
-    """The table of an explicit set in one pass over its rows of int digits,
-    each digit checked against m as it comes: one row per member prefix in
-    order of first appearance, the root first.  The cap counts the table's
-    values, the dead row's included, before each row is added."""
-    cap = size_cap()
-    limit = cap // m - 1  # rows besides the dead row
-    refusal = exceeded(f"the explicit set's trie needs more than {cap // m} rows of {m} values", cap)
-    if limit < 1:
-        raise refusal
+    """The table of an explicit set in one pass over its rows of digits in
+    ``range(m)``: one row per member prefix in order of first appearance,
+    the root first.  The cap counts the table, the dead row included,
+    before each row is added."""
+    limit = check_table_rows(2, m) - 1  # rows besides the dead row
     blank = array("i" if limit < 2**31 else "q", [-1]) * m  # 32-bit row ids where they fit
     child, member, deepest = blank[:], bytearray(1), 0
     for digits in rows:
         state = 0
         for d in digits:
-            if not 0 <= d < m:
-                raise ValidationError(f"digit {d} out of range for branching factor {m}")
             slot = state * m + d
             state = child[slot]
             if state < 0:
                 if len(member) == limit:
-                    raise refusal
+                    check_table_rows(limit + 2, m)  # this row and the dead row pass the cap
                 state = child[slot] = len(member)
                 child += blank
                 member.append(0)
@@ -514,18 +512,21 @@ class SubsetSpec:
     def explicit(cls, m: int, vertices: Iterable[Vertex | tuple[int, ...]]) -> "SubsetSpec":
         """The finite set of `vertices`, held as its trie (`members`)."""
         m = _validate_branching(m)
-        return cls._of_rows(m, (_digits_of(m, v) for v in vertices))
+
+        def rows():
+            for v in vertices:
+                if isinstance(v, Vertex) and v.m != m:
+                    raise ValidationError("vertex branching differs from the subset's")
+                yield v.digits if isinstance(v, Vertex) else _validate_digits(m, v)
+
+        return cls(kind=KIND_EXPLICIT, m=m, depth_bound=UNBOUNDED_DEPTH, members=_trie(m, rows()))
 
     @classmethod
     def from_file(cls, path, m: int) -> "SubsetSpec":
         """One digit-string per line, e.g. ``0.2.1``."""
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         # lazily, so that the first bad line is the one reported
-        return cls._of_rows(_validate_branching(m), (_parse_digits(line) for line in lines if line.strip()))
-
-    @classmethod
-    def _of_rows(cls, m: int, rows: Iterable[tuple[int, ...]]) -> "SubsetSpec":
-        return cls(kind=KIND_EXPLICIT, m=m, depth_bound=UNBOUNDED_DEPTH, members=_trie(m, rows))
+        return cls.explicit(m, (_parse_digits(line) for line in lines if line.strip()))
 
     @classmethod
     def parse(cls, text: str, m: int) -> "SubsetSpec":
@@ -625,14 +626,6 @@ class SubsetSpec:
         if self.kind == KIND_RHO_GENERATED and self.rho.is_finite:
             return self.depth_bound
         return None
-
-
-def _digits_of(m: int, v: Vertex | tuple[int, ...]) -> tuple[int, ...]:
-    if not isinstance(v, Vertex):
-        return _validate_digits(m, v)
-    if v.m != m:
-        raise ValidationError("vertex branching differs from the subset's")
-    return v.digits
 
 
 def _check_digit(m: int, digit: int) -> int:

@@ -511,7 +511,7 @@ class TestUcp:
         assert isinstance(result.exception, SystemExit)
         # the 121-row trie of the 81 members is refused before any scan
         assert result.stderr == (
-            "error: the explicit set's trie needs more than 16 rows of 3 values, "
+            "error: a trie table of 17 rows of 3 values, "
             "exceeding the size cap of 50 (set PHTREE_SIZE_CAP to raise it)\n"
         )
 
@@ -618,7 +618,7 @@ class TestWitnessDepth:
         )
         assert run.returncode == 3, run.stderr
         assert run.stderr == (
-            "error: the explicit set's trie needs more than 10 rows of 100000 values, "
+            "error: a trie table of 11 rows of 100000 values, "
             "exceeding the size cap of 1000000 (set PHTREE_SIZE_CAP to raise it)\n"
         )
 

@@ -428,7 +428,7 @@ class TestExplicitTrie:
         params = GameParams(m, 0.5, 0.5)
         trie = SubsetSpec.explicit(m, members)
         oracle = SubsetSpec.explicit(m, members)
-        oracle.__dict__["machine"] = _PrefixMachine(m, oracle.members)
+        oracle.__dict__["machine"] = _PrefixMachine(m, frozenset(members))
         assert compute_rho(trie, params, 6) == compute_rho(oracle, params, 6)
         assert density_check(trie, resolution) == density_check(oracle, resolution)
         assert pa_check(trie, 4) == pa_check(oracle, 4)
@@ -446,16 +446,18 @@ class TestExplicitTrie:
         closed form; a predicate spec over the prefix automaton walks the
         levels instead, and both give the same result."""
         m, members, _probes = case
-        U = SubsetSpec.explicit(m, members + [()] * with_root)
-        walk = SubsetSpec.predicate(m, lambda v: v.digits in U.members, UNBOUNDED_DEPTH)
-        walk.__dict__["machine"] = _PrefixMachine(m, U.members)
-        resolution = max(U.max_member_level + shift, 0)
+        raw = frozenset(members + [()] * with_root)
+        U = SubsetSpec.explicit(m, raw)
+        walk = SubsetSpec.predicate(m, lambda v: v.digits in raw, UNBOUNDED_DEPTH)
+        walk.__dict__["machine"] = _PrefixMachine(m, raw)
+        resolution = max(max(map(len, raw), default=0) + shift, 0)
         assert density_check(U, resolution) == density_check(walk, resolution)
 
     def test_closed_form_takes_no_step(self):
         """From the deepest member's level on, density_check never visits
         the set's machine; one level above it, it walks."""
-        U = SubsetSpec.explicit(3, [(1,), (0, 2), (2, 1, 0)])
+        members = frozenset({(1,), (0, 2), (2, 1, 0)})
+        U = SubsetSpec.explicit(3, members)
         steps = []
 
         class CountingMachine(_PrefixMachine):
@@ -463,7 +465,7 @@ class TestExplicitTrie:
                 steps.append(state)
                 return super().children(state, n)
 
-        U.__dict__["machine"] = CountingMachine(3, U.members)
+        U.__dict__["machine"] = CountingMachine(3, members)
         for resolution in (3, 4, 10):
             result = density_check(U, resolution)
             witness = interval_of(Vertex(3, (0,) * resolution))
@@ -520,13 +522,23 @@ class TestSetFile:
         assert empty == SubsetSpec.explicit(3, []) and len(empty.members) == 0
         assert list(empty.members) == [] and empty.max_member_level == 0
 
+    def test_members_combine_and_print_as_a_set(self):
+        members = SubsetSpec.explicit(3, [(2, 1), (0,), (0,)]).members
+        assert members | {(1,)} == frozenset({(0,), (2, 1), (1,)})
+        assert members - {(0,)} == {(2, 1)} and isinstance(members & {(0,)}, frozenset)
+        assert repr(members) == "<explicit set of 2 members to level 2, m=3>"
+
     def test_the_cap_counts_the_trie_table(self, monkeypatch):
         # root, 0, 0.1 and the dead row: 4 rows of 3 values
         monkeypatch.setenv("PHTREE_SIZE_CAP", "12")
         assert len(SubsetSpec.explicit(3, [(0, 1)]).members) == 1
         monkeypatch.setenv("PHTREE_SIZE_CAP", "11")
-        with pytest.raises(CapacityError, match="^the explicit set's trie needs more than 3 rows of 3 values"):
+        with pytest.raises(CapacityError, match="^a trie table of 4 rows of 3 values, exceeding the size cap of 11"):
             SubsetSpec.explicit(3, [(0, 1)])
+        # even the empty set needs the root and the dead row
+        monkeypatch.setenv("PHTREE_SIZE_CAP", "5")
+        with pytest.raises(CapacityError, match="^a trie table of 2 rows of 3 values, exceeding the size cap of 5"):
+            SubsetSpec.explicit(3, [])
         # past 2**31 rows the row ids take 64 bits
         monkeypatch.setenv("PHTREE_SIZE_CAP", str(3 * 2**32))
         wide = SubsetSpec.explicit(3, [(0, 1), (2,)])
@@ -692,7 +704,7 @@ def _any_subset(data, m):
         return SubsetSpec.predicate(m, lambda v: v.digits in members, UNBOUNDED_DEPTH)
     U = SubsetSpec.explicit(m, members)
     if kind == "prefix":
-        U.__dict__["machine"] = _PrefixMachine(m, U.members)
+        U.__dict__["machine"] = _PrefixMachine(m, frozenset(members))
     return U
 
 
