@@ -223,8 +223,12 @@ def simulate(params, boundary, seed, plays, depth, x0, advice_n, strategy_i, str
     spec = BoundarySpec.parse(boundary)
     start = parse_vertex(x0, params.m)
     game_mod.check_counts(depth, plays)  # before any advice is built
+    names = (strategy_i.strip(), strategy_ii.strip())
+    for name in names:
+        if name not in game_mod.GREEDY:  # built without advice, so a bad name is refused first
+            game_mod.strategy_from_name(name, params.m, None)
     advice = None
-    if {strategy_i.strip(), strategy_ii.strip()} & game_mod.GREEDY.keys():
+    if set(names) & game_mod.GREEDY.keys():
         advice = solver_mod.build_un(spec, params, advice_n)
     s_i = game_mod.strategy_from_name(strategy_i, params.m, advice)
     s_ii = game_mod.strategy_from_name(strategy_ii, params.m, advice)

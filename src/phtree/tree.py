@@ -126,9 +126,8 @@ def vertex_from_index(m: int, level: int, index: int) -> Vertex:
 
 
 def _parse_digits(text: str) -> tuple[int, ...]:
-    """The digits of a label like ``"0.2.1"`` (empty string = root), unchecked
-    against any branching factor."""
-    text = text.strip()
+    """The digits of a stripped label like ``"0.2.1"`` (empty string = root),
+    unchecked against any branching factor."""
     if not text:
         return ()
     try:
@@ -139,7 +138,7 @@ def _parse_digits(text: str) -> tuple[int, ...]:
 
 def parse_vertex(text: str, m: int) -> Vertex:
     """Parse a digit string like ``"0.2.1"`` (empty string = root)."""
-    return Vertex(m, _parse_digits(text))
+    return Vertex(m, _parse_digits(text.strip()))
 
 
 @dataclass(frozen=True)

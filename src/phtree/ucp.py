@@ -2,19 +2,19 @@
 
 The central question is whether every bounded harmonious function that
 vanishes on U must vanish everywhere.  Finite computation cannot settle
-an infinite-sum criterion from raw membership data alone, so the analyzer
-works with structured subset descriptions (digit rules, full levels, and
-gap-generated sets) for which the needed level scans collapse onto a
-small digit-automaton state space, and it reports a three-valued verdict:
-certified, refuted, or inconclusive at the scanned depth.
+an infinite-sum criterion from raw membership data alone, so a subset is
+its digit automaton plus a trusted depth (``SubsetSpec``): digit rules,
+full levels, gap-generated and explicit sets each build one machine, on
+whose small state space the level scans run.  The analyzer reports a
+three-valued verdict: certified, refuted, or inconclusive.
 
 The machinery:
 
 * ``density_check`` -- does every interval at a given resolution contain
   an image point of U under the base-m expansion map?  Failure refutes
   unique continuation outright (a two-subtree +1/-1 dipole fits in the
-  gap).  Full levels, and explicit sets at or below their deepest member,
-  are answered in closed form; every other case walks the levels.
+  gap).  Whole levels, and sets at or below their deepest member, are
+  answered in closed form; every other case walks the levels.
 * ``pa_check`` -- uniform hitting: every vertex has a U descendant within
   n levels.  Success certifies unique continuation where membership is
   trusted at every depth and the scan probed every reachable state of a
@@ -31,9 +31,10 @@ The machinery:
 * ``unboundedness_probe`` -- the same products as lower bounds forcing
   unboundedness in the divergent case.
 
-Each subset compiles to a digit automaton (``initial()``, ``step(state,
-digit)``, ``is_member(state)``, ``m`` and a ``fixpoint`` flag for finite
-states); digit rules compile to three states and explicit sets to an
+A machine has ``initial()``, ``step(state, digit)``,
+``is_member(state)``, ``m``, a ``fixpoint`` flag for finite states and,
+for the closed forms, ``deepest``, ``whole_levels`` and the gap
+``pattern``; digit rules have three states, and an explicit set is an
 integer table.  For the scans, ``children(state, n)`` gives the distinct
 states n <= ``gap(state)`` levels down (no member lies nearer), each with
 its least first digit and its number of digit strings (a table lists each
@@ -55,7 +56,7 @@ import math
 from array import array
 from collections.abc import Set
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from itertools import accumulate
 from operator import truediv
 from pathlib import Path
@@ -213,20 +214,32 @@ class RhoPattern:
 # digit automata for membership
 # ----------------------------------------------------------------------
 
-class _OneLevel:
-    """A machine whose members may lie on any level: its scans move one
-    level at a time."""
+class _Machine:
+    """A machine's defaults: its members may lie on any level, so its scans
+    move one level at a time, and it offers no closed form."""
+
+    deepest = None  # the deepest member level, when finite
+    whole_levels = False  # the members are complete levels
+    pattern = None  # the gap pattern of a gap-generated set
 
     def gap(self, state) -> int:
         return 1
 
 
-class _FullLevelsMachine:
-    fixpoint = False  # a state is its level, one per level
+@dataclass(frozen=True)
+class _FullLevelsMachine(_Machine):
+    """The complete `levels`, continued by repeated doubling under the
+    ``"doubling"`` rule; a state is its level, one per level."""
 
-    def __init__(self, m: int, spec: "SubsetSpec"):
-        self.m = m
-        self._spec = spec
+    m: int
+    levels: tuple[int, ...]
+    rule: str | None
+    fixpoint = False
+    whole_levels = True
+
+    @property
+    def deepest(self) -> int | None:
+        return self.levels[-1] if self.rule is None else None
 
     def initial(self):
         return 0
@@ -235,28 +248,49 @@ class _FullLevelsMachine:
         return state + 1
 
     def is_member(self, state) -> bool:
-        return self._spec.is_full_level(state)
+        return self.is_full_level(state)
+
+    def is_full_level(self, level: int) -> bool:
+        return self.next_full_level_after(level - 1) == level
+
+    def next_full_level_after(self, level: int) -> int | None:
+        for l in self.levels:
+            if l > level:
+                return l
+        if self.rule == "doubling":
+            l = self.levels[-1]
+            while l <= level:
+                l *= 2
+            return l
+        return None
 
     def gap(self, state) -> int:
         """Levels before membership can next hold: to the next full level."""
-        level = self._spec.next_full_level_after(state)
+        level = self.next_full_level_after(state)
         return UNBOUNDED_DEPTH if level is None else level - state
 
     def children(self, state, n=1):
         return [(state + n, 0, self.m**n)]
 
 
-class _RhoGeneratedMachine:
+@dataclass(frozen=True)
+class _RhoGeneratedMachine(_Machine):
     """Tracks (stage, offset within stage, all-distinguished-so-far,
     stage root in U); membership happens exactly at stage boundaries on
-    all-distinguished paths whose stage root was not a member."""
+    all-distinguished paths whose stage root was not a member, and a
+    finite pattern's members end at its last stage."""
 
-    def __init__(self, m: int, pattern: RhoPattern, digit: int):
-        self.m = m
-        self.pattern = pattern
-        self.digit = digit
-        self.fixpoint = pattern.continuation == CYCLE
-        self._term = cache(pattern.term)
+    m: int
+    digit: int
+    pattern: RhoPattern = field()  # required: the base's None is for other machines
+
+    def __post_init__(self) -> None:
+        pattern = self.pattern
+        self.__dict__.update(
+            fixpoint=pattern.continuation == CYCLE,
+            deepest=pattern.eta(len(pattern.prefix)) if pattern.is_finite else None,
+            _term=cache(pattern.term),
+        )
 
     def initial(self):
         return (1, 0, True, False)
@@ -291,18 +325,21 @@ class _RhoGeneratedMachine:
         return [(kept, 0, 1), (lost, int(n == 1), self.m**n - 1)]
 
 
-class _DigitRuleMachine(_OneLevel):
+@dataclass(frozen=True)
+class _DigitRuleMachine(_Machine):
     """A digit rule's three states: 0 the root, 1 the members, 2 the rest.
     `last-digit` goes to 1 on `digit` and to 2 on any other; `digit-avoiding`
     goes to 2 on `digit` and stays there, and to 1 on any other."""
 
+    m: int
+    digit: int
+    avoiding: bool
     fixpoint = True
 
-    def __init__(self, m: int, digit: int, avoiding: bool):
-        self.m, self.digit, self.avoiding = m, digit, avoiding
-        self._on, self._off = (2, 1) if avoiding else (1, 2)  # `digit`'s state, the others'
-        kids = [(self._on, digit, 1), (self._off, int(digit == 0), m - 1)]
-        self._kids = kids if digit == 0 else kids[::-1]
+    def __post_init__(self) -> None:
+        on, off = (2, 1) if self.avoiding else (1, 2)  # `digit`'s state, the others'
+        kids = [(on, self.digit, 1), (off, int(self.digit == 0), self.m - 1)]
+        self.__dict__.update(_on=on, _off=off, _kids=kids if self.digit == 0 else kids[::-1])
 
     def initial(self):
         return 0
@@ -319,7 +356,7 @@ class _DigitRuleMachine(_OneLevel):
         return [(2, 0, self.m)] if self.avoiding and state == 2 else self._kids
 
 
-class _TableMachine(_OneLevel, Set):
+class _TableMachine(_Machine, Set):
     """An explicit set as its trie: a digit automaton in integer tables, and
     the set of its members' digit tuples.  A state is a row id: row s keeps
     its children at ``child[s * m : s * m + m]`` and its membership at
@@ -400,12 +437,13 @@ def _trie(m: int, rows: Iterable[tuple[int, ...]]) -> _TableMachine:
     return _TableMachine(m, child, member, deepest)
 
 
-class _PredicateMachine(_OneLevel):
-    fixpoint = False
+@dataclass(frozen=True)
+class _PredicateMachine(_Machine):
+    """A test on vertices; a state is the digits read so far."""
 
-    def __init__(self, m: int, fn: Callable[[Vertex], bool]):
-        self.m = m
-        self.fn = fn
+    m: int
+    fn: Callable[[Vertex], bool]
+    fixpoint = False
 
     def initial(self):
         return ()
@@ -424,44 +462,33 @@ class _PredicateMachine(_OneLevel):
 # subset specifications
 # ----------------------------------------------------------------------
 
-KIND_PREDICATE = "predicate"
-KIND_FULL_LEVELS = "full-levels"
-KIND_LAST_DIGIT = "last-digit"
-KIND_DIGIT_AVOIDING = "digit-avoiding"
-KIND_RHO_GENERATED = "rho-generated"
-KIND_EXPLICIT = "explicit"
-
-
 @dataclass(frozen=True)
 class SubsetSpec:
-    """A membership-testable subset of the tree, trusted to `depth_bound`."""
+    """A subset of the tree as its digit automaton, with membership trusted
+    to `depth_bound`.  Subsets are equal when their machines, depths and
+    branching factors are: an explicit set's trie compares as the set of
+    its members' digit tuples, whatever its branching factor."""
 
-    kind: str
-    m: int
-    depth_bound: int
-    digit: int | None = None
-    levels: tuple[int, ...] | None = None
-    level_rule: str | None = None
-    rho: RhoPattern | None = None
-    predicate_fn: Callable[[Vertex], bool] | None = field(default=None, compare=False)
-    members: _TableMachine | None = None
+    machine: _Machine
+    depth_bound: int = UNBOUNDED_DEPTH
+    m: int = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", _validate_branching(self.m))
+        object.__setattr__(self, "m", self.machine.m)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def last_digit(cls, m: int, digit: int) -> "SubsetSpec":
         """Vertices whose final digit is `digit` (members at every level >= 1)."""
-        digit = _check_digit(m, digit)
-        return cls(kind=KIND_LAST_DIGIT, m=m, depth_bound=UNBOUNDED_DEPTH, digit=digit)
+        m = _validate_branching(m)
+        return cls(_DigitRuleMachine(m, _check_digit(m, digit), avoiding=False))
 
     @classmethod
     def digit_avoiding(cls, m: int, digit: int) -> "SubsetSpec":
         """Vertices none of whose digits equals `digit` (a Cantor-type set)."""
-        digit = _check_digit(m, digit)
-        return cls(kind=KIND_DIGIT_AVOIDING, m=m, depth_bound=UNBOUNDED_DEPTH, digit=digit)
+        m = _validate_branching(m)
+        return cls(_DigitRuleMachine(m, _check_digit(m, digit), avoiding=True))
 
     @classmethod
     def full_levels(
@@ -478,13 +505,7 @@ class SubsetSpec:
             raise ValidationError("full-levels needs levels >= 1")
         if rule not in (None, "doubling"):
             raise ValidationError(f"unknown full-levels rule {rule!r}")
-        return cls(
-            kind=KIND_FULL_LEVELS,
-            m=m,
-            depth_bound=UNBOUNDED_DEPTH,
-            levels=level_tuple,
-            level_rule=rule,
-        )
+        return cls(_FullLevelsMachine(_validate_branching(m), level_tuple, rule))
 
     @classmethod
     def rho_generated(
@@ -492,21 +513,20 @@ class SubsetSpec:
     ) -> "SubsetSpec":
         """The gap-generated set: below every non-member vertex at each
         stage frontier, the single all-`digit` path of the stage's gap
-        length ends in a member."""
-        digit = _check_digit(m, digit)
-        pattern = RhoPattern.coerce(rho)
-        depth = pattern.eta(len(pattern.prefix)) if pattern.is_finite else UNBOUNDED_DEPTH
-        return cls(
-            kind=KIND_RHO_GENERATED, m=m, depth_bound=depth, digit=digit, rho=pattern
-        )
+        length ends in a member.  A finite pattern is trusted to its last
+        stage."""
+        m = _validate_branching(m)
+        machine = _RhoGeneratedMachine(m, _check_digit(m, digit), RhoPattern.coerce(rho))
+        return cls(machine, UNBOUNDED_DEPTH if machine.deepest is None else machine.deepest)
 
     @classmethod
     def predicate(
         cls, m: int, fn: Callable[[Vertex], bool], depth_bound: int
     ) -> "SubsetSpec":
+        """The vertices where `fn` holds; subsets compare by their function."""
         if depth_bound < 1:
             raise ValidationError("predicate subsets need a positive depth bound")
-        return cls(kind=KIND_PREDICATE, m=m, depth_bound=depth_bound, predicate_fn=fn)
+        return cls(_PredicateMachine(_validate_branching(m), fn), depth_bound)
 
     @classmethod
     def explicit(cls, m: int, vertices: Iterable[Vertex | tuple[int, ...]]) -> "SubsetSpec":
@@ -519,14 +539,14 @@ class SubsetSpec:
                     raise ValidationError("vertex branching differs from the subset's")
                 yield v.digits if isinstance(v, Vertex) else _validate_digits(m, v)
 
-        return cls(kind=KIND_EXPLICIT, m=m, depth_bound=UNBOUNDED_DEPTH, members=_trie(m, rows()))
+        return cls(_trie(m, rows()))
 
     @classmethod
     def from_file(cls, path, m: int) -> "SubsetSpec":
         """One digit-string per line, e.g. ``0.2.1``."""
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = (line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines())
         # lazily, so that the first bad line is the one reported
-        return cls.explicit(m, (_parse_digits(line) for line in lines if line.strip()))
+        return cls.explicit(m, (_parse_digits(line) for line in lines if line))
 
     @classmethod
     def parse(cls, text: str, m: int) -> "SubsetSpec":
@@ -574,18 +594,12 @@ class SubsetSpec:
 
     # -- structure -------------------------------------------------------
 
-    @cached_property
-    def machine(self):
-        m, digit = self.m, self.digit
-        if self.kind in (KIND_LAST_DIGIT, KIND_DIGIT_AVOIDING):
-            return _DigitRuleMachine(m, digit, self.kind == KIND_DIGIT_AVOIDING)
-        if self.kind == KIND_FULL_LEVELS:
-            return _FullLevelsMachine(m, self)
-        if self.kind == KIND_RHO_GENERATED:
-            return _RhoGeneratedMachine(m, self.rho, digit)
-        if self.kind == KIND_EXPLICIT:
-            return self.members
-        return _PredicateMachine(m, self.predicate_fn)
+    @property
+    def members(self) -> _TableMachine:
+        """An explicit set's trie: the set of its members' digit tuples."""
+        if not isinstance(self.machine, Set):
+            raise AttributeError(f"{type(self.machine).__name__} lists no members")
+        return self.machine
 
     def contains(self, v: Vertex) -> bool:
         if v.m != self.m:
@@ -600,36 +614,14 @@ class SubsetSpec:
             state = machine.step(state, d)
         return bool(machine.is_member(state))
 
-    def is_full_level(self, level: int) -> bool:
-        return self.next_full_level_after(level - 1) == level
-
-    def next_full_level_after(self, level: int) -> int | None:
-        if self.kind != KIND_FULL_LEVELS:
-            return None
-        for l in self.levels:
-            if l > level:
-                return l
-        if self.level_rule == "doubling":
-            l = self.levels[-1]
-            while l <= level:
-                l *= 2
-            return l
-        return None
-
     @property
     def max_member_level(self) -> int | None:
         """Largest member level, when finite; None for unbounded families."""
-        if self.kind == KIND_EXPLICIT:
-            return self.members.deepest
-        if self.kind == KIND_FULL_LEVELS and self.level_rule is None:
-            return self.levels[-1]
-        if self.kind == KIND_RHO_GENERATED and self.rho.is_finite:
-            return self.depth_bound
-        return None
+        return self.machine.deepest
 
 
 def _check_digit(m: int, digit: int) -> int:
-    _validate_branching(m)
+    """`digit` as an int in range(m), for a validated `m`."""
     if not 0 <= _integer(digit, "digit") < m:
         raise ValidationError(f"digit {digit} out of range for branching {m}")
     return int(digit)
@@ -738,7 +730,7 @@ def _walk(machine, cap: int):
     return _scan(machine, {start: 1}, members, 0, cap, firsts={start: ()})
 
 
-class _InteriorMachine(_OneLevel):
+class _InteriorMachine(_Machine):
     """A machine paired with the flag "every digit so far was 0"; its
     members are the wrapped machine's members off the all-zero path, whose
     expansion points lie in the open interior of the start interval."""
@@ -802,8 +794,9 @@ def density_check(U: SubsetSpec, resolution_level: int) -> DensityResult:
     """Check that every interval at the given resolution contains an image
     point of U in its interior; on failure return a witness interval.
 
-    Full levels, and an explicit set with no member deeper than the
-    resolution, are answered in closed form, without a level walk.  A
+    Whole levels, and a set trusted below its deepest member where that
+    lies no deeper than the resolution, are answered in closed form,
+    without a level walk.  A
     resolution d with m**d >= 2**1075 is refused with CapacityError: its
     witness would print as a point, and no walk goes deeper."""
     if resolution_level < 0:
@@ -814,14 +807,14 @@ def density_check(U: SubsetSpec, resolution_level: int) -> DensityResult:
         )
     _check_resolution(U.m, resolution_level)
     # closed form: an interior image point below a level-d vertex needs a
-    # member strictly deeper than d; a full level deeper than d gives each one
-    deepest = U.max_member_level if U.kind in (KIND_FULL_LEVELS, KIND_EXPLICIT) else None
-    if deepest is not None and deepest <= resolution_level:
+    # member strictly deeper than d, where membership is trusted; a whole
+    # level deeper than d gives each one
+    machine, cap = U.machine, size_cap()
+    if machine.deepest is not None and machine.deepest <= resolution_level < U.depth_bound:
         witness = interval_of(Vertex(U.m, (0,) * resolution_level))
         return DensityResult(False, witness, resolution_level, True)
-    if U.kind == KIND_FULL_LEVELS:
+    if machine.whole_levels:
         return DensityResult(True, None, resolution_level, True)
-    machine, cap = U.machine, size_cap()
     for level, _, _, firsts in _walk(machine, cap):
         if level == resolution_level:
             break
@@ -1244,7 +1237,7 @@ class CounterexampleField:
         )
 
 
-class _CoveredMachine(_OneLevel):
+class _CoveredMachine(_Machine):
     """A counterexample field's classes: the set machine's state, or None at
     and below a member, where the field is 0.  None may come up as several
     children; the scan adds their counts."""
@@ -1347,7 +1340,8 @@ def analyze(
 
     verdict: str | None = None
     reason = ""
-    if U.kind == KIND_FULL_LEVELS and U.level_rule is not None:
+    pattern = U.machine.pattern
+    if U.machine.whole_levels and U.max_member_level is None:
         verdict = VERDICT_UCP
         reason = (
             "complete member levels recur unboundedly; a vanishing function "
@@ -1360,14 +1354,14 @@ def analyze(
             "inside the gap vanishes on U but not everywhere"
         )
     elif (
-        U.rho is not None
-        and not U.rho.is_finite
+        pattern is not None
+        and not pattern.is_finite
         and report.p1_ok is True
         and report.p2_ok is True
         and density.dense_up_to
         and report.frontier_empty_at is None
     ):
-        series = criterion_verdict(U.rho, params=params)
+        series = criterion_verdict(pattern, params=params)
         if series.diverges is True:
             verdict = VERDICT_UCP
             reason = f"gap series diverges: {series.reason}"

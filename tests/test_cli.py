@@ -903,6 +903,24 @@ class TestSimulate:
         assert result.stderr.startswith("error: unknown strategy 'greedy-maxx': expected greedy-max, greedy-min,")
 
     @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("fixedd:0", "unknown strategy 'fixedd:0': expected greedy-max, greedy-min, fixed:<digit>, or random:<seed>"),
+            ("fixed:x", "strategy 'fixed:x' needs an integer after fixed:"),
+            ("fixed:7", "digit 7 out of range for branching 3"),
+        ],
+        ids=["unknown", "not-an-integer", "out-of-range"],
+    )
+    def test_bad_name_beside_a_greedy_one_is_refused_before_any_advice_is_built(self, runner, name, message):
+        """The greedy name needs advice of depth 30, which would exceed the
+        size cap and exit 3; the other name is the error."""
+        result = runner.invoke(main, [
+            "simulate", "--m", "3", "--alpha", "0.5", "--boundary", "linear",
+            "--strategy-i", "greedy-max", "--strategy-ii", name, "--advice-n", "30",
+        ])
+        assert (result.exit_code, result.stderr) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "counts, message",
         [
             (["--plays", "0"], "plays must be >= 2 for a standard error, got 0"),

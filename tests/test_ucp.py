@@ -42,6 +42,7 @@ from phtree.ucp import (
     _DigitRuleMachine,
     _FullLevelsMachine,
     _InteriorMachine,
+    _Machine,
     _PredicateMachine,
     _RhoGeneratedMachine,
     _TableMachine,
@@ -130,9 +131,9 @@ class TestMembership:
         assert U.contains(Vertex(3, (1, 2)))
         assert not U.contains(Vertex(3, (1, 2, 0)))
         doubling = SubsetSpec.full_levels(3, [2, 4], rule="doubling")
-        assert doubling.is_full_level(16)
-        assert not doubling.is_full_level(12)
-        assert doubling.next_full_level_after(9) == 16
+        assert doubling.machine.is_full_level(16)
+        assert not doubling.machine.is_full_level(12)
+        assert doubling.machine.next_full_level_after(9) == 16
 
     def test_rho_generated_first_stages(self):
         U = SubsetSpec.rho_generated(3, RhoPattern((1, 4), "cycle"), 0)
@@ -176,12 +177,12 @@ class TestMembership:
             SubsetSpec.explicit(3, [Vertex(2, (1,))])
 
     def test_parse_descriptors(self):
-        assert SubsetSpec.parse("last-digit:0", 3).kind == "last-digit"
-        assert SubsetSpec.parse("digit-avoiding:1", 3).digit == 1
+        assert SubsetSpec.parse("last-digit:0", 3).machine == _DigitRuleMachine(3, 0, avoiding=False)
+        assert SubsetSpec.parse("digit-avoiding:1", 3).machine == _DigitRuleMachine(3, 1, avoiding=True)
         full = SubsetSpec.parse("full-levels:2,4,8;doubling", 3)
-        assert full.level_rule == "doubling"
+        assert full.machine.rule == "doubling"
         rho = SubsetSpec.parse("rho:1,4;digit=2", 3)
-        assert rho.digit == 2 and rho.rho.continuation == "cycle"
+        assert rho.machine.digit == 2 and rho.machine.pattern.continuation == "cycle"
         with pytest.raises(ValidationError):
             SubsetSpec.parse("nonsense", 3)
         with pytest.raises(ValidationError):
@@ -205,8 +206,8 @@ class TestMembership:
 
     def test_numpy_integer_descriptors(self):
         U = SubsetSpec.last_digit(3, np.int64(1))
-        assert U == SubsetSpec.last_digit(3, 1) and type(U.digit) is int
-        assert SubsetSpec.full_levels(3, [np.int64(2)]).levels == (2,)
+        assert U == SubsetSpec.last_digit(3, 1) and type(U.machine.digit) is int
+        assert SubsetSpec.full_levels(3, [np.int64(2)]).machine.levels == (2,)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_digit_rules_match_their_definitions(self, m):
@@ -227,7 +228,7 @@ class TestMembership:
         m = 10**5
         for U in (SubsetSpec.last_digit(m, 7), SubsetSpec.digit_avoiding(m, 7)):
             assert [k for _, _, k in U.machine.children(0)] == [m - 1, 1]
-            assert U.contains(Vertex(m, (7, 3, 7))) == (U.kind == "last-digit")
+            assert U.contains(Vertex(m, (7, 3, 7))) == (not U.machine.avoiding)
 
     def test_numpy_integer_branching(self):
         U = SubsetSpec.last_digit(np.int64(3), 1)
@@ -240,9 +241,27 @@ class TestMembership:
         twin = SubsetSpec.explicit(3, [(2,), (0, 1)])
         assert U.machine is U.machine
         assert U.contains(Vertex(3, (0, 1)))
-        # the cached machine is not a field: equality and hashing ignore it
+        # equality and hashing follow the machine: a trie is the set of its members
         assert U == twin and hash(U) == hash(twin)
         assert len({U, twin}) == 1
+
+    def test_predicates_compare_by_their_function(self):
+        def first(v):
+            return v.level == 1
+
+        def second(v):
+            return v.level == 1
+
+        U = SubsetSpec.predicate(3, first, 5)
+        assert U == SubsetSpec.predicate(3, first, 5) and hash(U) == hash(SubsetSpec.predicate(3, first, 5))
+        assert U != SubsetSpec.predicate(3, second, 5)
+        assert U != SubsetSpec.predicate(3, first, 6)
+
+    @pytest.mark.parametrize("members", [[(1,)], []], ids=["one", "empty"])
+    def test_explicit_sets_of_other_branching_differ(self, members):
+        narrow, wide = SubsetSpec.explicit(2, members), SubsetSpec.explicit(3, members)
+        assert narrow.members == wide.members  # the same digit tuples
+        assert narrow != wide and len({narrow, wide}) == 2
 
     def test_depth_bound_enforced(self):
         U = SubsetSpec.predicate(3, lambda v: v.level == 1, depth_bound=4)
@@ -378,9 +397,10 @@ class TestWitnessOracle:
             assert list(reps.items()) == list(first.items())
 
 
-class _PrefixMachine:
+class _PrefixMachine(_Machine):
     """Reference automaton for explicit sets: a state is the digit tuple read
-    so far while it is a prefix of some member, else None (dead)."""
+    so far while it is a prefix of some member, else None (dead).  It names
+    no deepest member, so no closed form applies to it."""
 
     fixpoint = True
 
@@ -398,9 +418,6 @@ class _PrefixMachine:
 
     def is_member(self, state):
         return state in self.members
-
-    def gap(self, state):
-        return 1
 
     def children(self, state, n=1):
         first, count = {}, collections.Counter()
@@ -427,8 +444,7 @@ class TestExplicitTrie:
         m, members, probes = case
         params = GameParams(m, 0.5, 0.5)
         trie = SubsetSpec.explicit(m, members)
-        oracle = SubsetSpec.explicit(m, members)
-        oracle.__dict__["machine"] = _PrefixMachine(m, frozenset(members))
+        oracle = SubsetSpec(_PrefixMachine(m, frozenset(members)))
         assert compute_rho(trie, params, 6) == compute_rho(oracle, params, 6)
         assert density_check(trie, resolution) == density_check(oracle, resolution)
         assert pa_check(trie, 4) == pa_check(oracle, 4)
@@ -443,13 +459,13 @@ class TestExplicitTrie:
     @example((3, [(), (1, 2)], []), False, -1)
     def test_closed_form_matches_level_walk(self, case, with_root, shift):
         """At and past its deepest member an explicit set is answered in
-        closed form; a predicate spec over the prefix automaton walks the
-        levels instead, and both give the same result."""
+        closed form; a subset over the prefix automaton, which names no
+        deepest member, walks the levels instead, and both give the same
+        result."""
         m, members, _probes = case
         raw = frozenset(members + [()] * with_root)
         U = SubsetSpec.explicit(m, raw)
-        walk = SubsetSpec.predicate(m, lambda v: v.digits in raw, UNBOUNDED_DEPTH)
-        walk.__dict__["machine"] = _PrefixMachine(m, raw)
+        walk = SubsetSpec(_PrefixMachine(m, raw))
         resolution = max(max(map(len, raw), default=0) + shift, 0)
         assert density_check(U, resolution) == density_check(walk, resolution)
 
@@ -457,15 +473,17 @@ class TestExplicitTrie:
         """From the deepest member's level on, density_check never visits
         the set's machine; one level above it, it walks."""
         members = frozenset({(1,), (0, 2), (2, 1, 0)})
-        U = SubsetSpec.explicit(3, members)
         steps = []
 
         class CountingMachine(_PrefixMachine):
+            deepest = 3  # as the trie of these members names it
+
             def children(self, state, n=1):
                 steps.append(state)
                 return super().children(state, n)
 
-        U.__dict__["machine"] = CountingMachine(3, members)
+        assert SubsetSpec.explicit(3, members).max_member_level == CountingMachine.deepest
+        U = SubsetSpec(CountingMachine(3, members))
         for resolution in (3, 4, 10):
             result = density_check(U, resolution)
             witness = interval_of(Vertex(3, (0,) * resolution))
@@ -527,6 +545,8 @@ class TestSetFile:
         assert members | {(1,)} == frozenset({(0,), (2, 1), (1,)})
         assert members - {(0,)} == {(2, 1)} and isinstance(members & {(0,)}, frozenset)
         assert repr(members) == "<explicit set of 2 members to level 2, m=3>"
+        with pytest.raises(AttributeError, match="^_DigitRuleMachine lists no members$"):
+            SubsetSpec.last_digit(3, 0).members
 
     def test_the_cap_counts_the_trie_table(self, monkeypatch):
         # root, 0, 0.1 and the dead row: 4 rows of 3 values
@@ -702,10 +722,9 @@ def _any_subset(data, m):
     members = data.draw(st.sets(st.lists(st.integers(0, m - 1), max_size=5).map(tuple), max_size=8))
     if kind == "predicate":
         return SubsetSpec.predicate(m, lambda v: v.digits in members, UNBOUNDED_DEPTH)
-    U = SubsetSpec.explicit(m, members)
     if kind == "prefix":
-        U.__dict__["machine"] = _PrefixMachine(m, frozenset(members))
-    return U
+        return SubsetSpec(_PrefixMachine(m, frozenset(members)))
+    return SubsetSpec.explicit(m, members)
 
 
 class TestChildren:
@@ -1192,7 +1211,7 @@ class TestAnalyze:
 
     def test_hitting_reason_names_an_infinite_automaton(self, monkeypatch):
         U = SubsetSpec.parse("last-digit:0", 3)
-        monkeypatch.setattr(U.machine, "fixpoint", False)
+        monkeypatch.setattr(type(U.machine), "fixpoint", False)
         report = analyze(U, P)
         assert report.verdict.startswith("inconclusive-at-depth-")
         assert "the membership automaton is not finite-state" in report.verdict_reason
