@@ -1,19 +1,27 @@
-"""Report text of float64 arrays: the exact bytes of ``"%.17g" % v``.
+"""Report text of number columns: ``"%d"`` of integers, ``"%.17g" % v`` of float64.
 
 ``write_rows(write, columns)`` passes the text of a table to a ``write``
 callable, one block of ``capacity.BLOCK`` rows at a time, so a report is
 never held whole: its destination gets each block as it is formatted.
 Each row is the concatenation of its columns: a str column is written as
-it is on every row, and a float64 array column (the only kind of float
-column) gives that row's value as ``"%.17g" % v``, byte for byte what the
-``%`` operator gives value by value.  A block is one ``(rows, width)``
-matrix of little-endian 8-byte words in which every column has fixed
-places and unused bytes are NUL; deleting the NUL bytes in one
-``translate`` gives the block's text, which ``write`` gets in one call.
+it is on every row, a range column gives that row's integer as ``"%d"``,
+and a float64 array column (the only kind of float column) gives that
+row's value as ``"%.17g" % v``, byte for byte what the ``%`` operator
+gives value by value.  A block is one ``(rows, width)`` matrix of
+little-endian 8-byte words in which every column has fixed places and
+unused bytes are NUL; deleting the NUL bytes in one ``translate`` gives
+the block's text, which ``write`` gets in one call.
 
-The kernel covers +-0.0 and 1e-4 <= |x| < 1e15, where "%.17g" uses fixed
-notation.  There x = f * 2**e with a 53-bit integer f.  With E the decimal
-exponent of x, the 17 significant digits are
+A number's slot is words of 16-bit lanes, a digit in each lane's low
+byte: ``_SLOT_WORDS`` words for a float, and for an integer column just
+enough words for its largest value, its digits at the end.  The last byte
+of a number's slot stays NUL (the high byte of the 17th digit's lane, or
+of the integer's last lane), so a one-byte str column after a number, a
+separator, is OR-ed into it once the number is written.
+
+The float kernel covers +-0.0 and 1e-4 <= |x| < 1e15, where "%.17g" uses
+fixed notation.  There x = f * 2**e with a 53-bit integer f.  With E the
+decimal exponent of x, the 17 significant digits are
 D = round-half-even(f * 5**s / 2**k), where s = 16 - E and k = -(e + s);
 in this range 1 <= k <= 46, and f * 5**s < 2**100 is formed exactly from
 32-bit limbs in uint64 arithmetic (not ``np.longdouble``, which is a plain
@@ -63,6 +71,8 @@ _QUADS = (_GROUP_DIGITS + ord("0")).astype("<u2", order="C").view(_WORD)[:, 0]
 _LAST_NONZERO = ((_GROUP_DIGITS != 0) * np.arange(1, 5, dtype=np.int8)).max(axis=1)
 #: ``_LANES[c]`` keeps the first c lanes of a word
 _LANES = np.array([(1 << 16 * c) - 1 for c in range(5)], dtype=np.uint64)
+#: 10, 100, ..., 10**18: an integer has one digit more than it reaches of these
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 _EXPONENTS = range(_LOW_E, _HIGH_E)
 #: by E - _LOW_E: the bytes "0.000"[:1 - E] at bytes 1.. of word 0 (below 1)
 _PREFIXES = np.array(
@@ -87,10 +97,10 @@ _HIDDEN = np.uint64(1 << 52)
 _FALLBACK_WIDTH = 24
 _SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 
-#: words of one value's slot in a block.  Word 0 holds the sign, "0.000"[:p]
+#: words of one float's slot in a block.  Word 0 holds the sign, "0.000"[:p]
 #: (fixed notation below 1), the first digit and a slot for "."; words 1..4
 #: hold digits 1..16 in the low bytes of their lanes, each lane's high byte
-#: a slot for "."
+#: a slot for "." (after digits 1..14 only)
 _SLOT_WORDS = 5
 
 
@@ -121,6 +131,17 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # than half a unit of the 17th digit below it for every E of the range
     q += (rem > half) | ((rem == half) & (q & 1 == 1))
     return exp10, q
+
+
+def _put_ints(out: np.ndarray, column: range) -> None:
+    """Write ``"%d" % j`` of each j of `column`, a range of non-negative
+    integers, into the rows of `out`: four digits a word, ending at its
+    last lane, and NUL lanes before them."""
+    j = np.arange(column.start, column.stop, column.step, dtype=np.int64)
+    blank = 4 * out.shape[1] - 1 - np.searchsorted(_POWERS_OF_TEN, j, side="right")
+    for w in reversed(range(out.shape[1])):
+        j, g = np.divmod(j, 10**4)
+        out[:, w] = _QUADS.take(g) & ~_LANES.take(blank - 4 * w, mode="clip")
 
 
 def _put_floats(out: np.ndarray, x: np.ndarray) -> None:
@@ -182,29 +203,43 @@ def _const_words(text: str) -> np.ndarray:
     return np.frombuffer(data + bytes(-len(data) % 8), _WORD)
 
 
-def write_rows(write: Callable[[bytes], object], columns: Sequence[str | np.ndarray]) -> None:
+def write_rows(write: Callable[[bytes], object], columns: Sequence[str | range | np.ndarray]) -> None:
     """Pass the text of a table to `write`, one block of rows per call.
 
     Each row is the concatenation of `columns`: a str (ASCII, no NUL) on
-    every row, or the row's element of a float64 column as ``"%.17g" % v``.
+    every row, the row's element of a range of non-negative integers as
+    ``"%d"``, or the row's element of a float64 column as ``"%.17g" % v``.
     A float column is an array, or any sized object whose slice by a block
-    of rows is one.  All float columns have the same length; a table of no
-    rows makes no call.  Each block's text goes to `write` as soon as it is
-    formatted, so no block outlives its own step.
+    of rows is one.  All number columns have the same length; a table of no
+    rows makes no call.  A one-byte str right after a number rides in the
+    number slot's spare last byte.  Each block's text goes to `write` as
+    soon as it is formatted, so no block outlives its own step.
     """
-    consts = [_const_words(c) if isinstance(c, str) else None for c in columns]
-    count = min(len(c) for c, words in zip(columns, consts) if words is None)
-    width = sum(_SLOT_WORDS if words is None else len(words) for words in consts)
+    slots: list[list] = []  # [put, column, words, spare byte]; a str's column is its words
+    for column in columns:
+        if isinstance(column, range):
+            digits = len(str(max((*column[:1], *column[-1:]), default=0)))
+            slots.append([_put_ints, column, -(-digits // 4), 0])
+        elif not isinstance(column, str):
+            slots.append([_put_floats, column, _SLOT_WORDS, 0])
+        elif len(column) == 1 and slots and slots[-1][0] and not slots[-1][3]:
+            slots[-1][3] = ord(column)
+        else:
+            const = _const_words(column)
+            slots.append([None, const, len(const), 0])
+    count = min(len(column) for put, column, _, _ in slots if put)
+    width = sum(words for _, _, words, _ in slots)
     for rows in blocks(count):
         # the matrix lives in a bytearray, which translate reads without a copy
         buffer = bytearray(8 * width * (rows.stop - rows.start))
         block = np.frombuffer(buffer, _WORD).reshape(-1, width)
         col = 0
-        for column, words in zip(columns, consts):
-            if words is None:
-                _put_floats(block[:, col : col + _SLOT_WORDS], column[rows])
-                col += _SLOT_WORDS
+        for put, column, words, spare in slots:
+            slot = block[:, col : col + words]
+            col += words
+            if put is None:
+                slot[:] = column
             else:
-                block[:, col : col + len(words)] = words
-                col += len(words)
+                put(slot, column[rows])
+                slot[:, -1] |= np.uint64(spare << 56)
         write(buffer.translate(None, b"\0"))

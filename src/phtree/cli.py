@@ -52,7 +52,8 @@ def canonical_json(obj, write: Callable[[bytes], object]) -> None:
     A float64 array (a field level) is rendered by ``_format.write_rows``
     straight to `write`, a block of items at a time, with its exact integer
     kernel for 0.0 and 1e-4 <= |v| < 1e15 and the ``%`` operator for every
-    other value; the bytes are those of formatting each item alone.
+    other value; the bytes are those of formatting each item alone.  Each
+    item's row is its value and one str, the comma, newline and next indent.
     """
 
     def put(obj, pad: str) -> None:
@@ -62,10 +63,9 @@ def canonical_json(obj, write: Callable[[bytes], object]) -> None:
                 write(b"[]")
                 return
             from . import _format  # only float-level reports need its tables
-            write(b"[\n")
-            _format.write_rows(write, [child_pad, obj[:-1], ",\n"])
-            # no separator after the last item
-            _format.write_rows(write, [child_pad, obj[-1:], f"\n{pad}]"])
+            write(f"[\n{child_pad}".encode())
+            _format.write_rows(write, [obj[:-1], f",\n{child_pad}"])
+            _format.write_rows(write, [obj[-1:], f"\n{pad}]"])
             return
         if isinstance(obj, (dict, list, tuple)):
             if isinstance(obj, dict):

@@ -146,34 +146,30 @@ CSV_HEADER = ["level", "index", "psi_left", "value"]
 def field_to_csv(field: LevelField, write: Callable[[bytes], object]) -> None:
     """Pass the field to `write` as ASCII CSV rows ``level,index,psi_left,value``.
 
-    Floats are ``"%.17g" % v``, so no field needs CSV quoting, and the
-    index is ``"%d"``.  ``_format.write_rows`` renders each level a block of
-    ``capacity.BLOCK`` rows at a time with its exact integer kernel, and
-    falls back to the ``%`` operator for values outside its range; each
-    block goes to `write` as soon as it is formatted.
+    The index is ``"%d"`` and the floats ``"%.17g" % v``, so no field needs
+    CSV quoting.  ``_format.write_rows`` renders each level a block of
+    ``capacity.BLOCK`` rows at a time, the floats with its exact integer
+    kernel or the ``%`` operator outside its range, and passes each block
+    to `write` as soon as it is formatted.
     """
     from . import _format  # only float-level reports need its tables
     write(",".join(CSV_HEADER).encode() + b"\n")
-    m = field.params.m
     for k, arr in enumerate(field.levels):
-        # "%.17g" prints a whole float below 1e15 as "%d" does; a level of
-        # 1e15 vertices would take 8 PB
-        index, psi = _RowIndex(arr.size, 1.0), _RowIndex(arr.size, float(m**k))
-        _format.write_rows(write, [f"{k},", index, ",", psi, ",", arr, "\n"])
+        _format.write_rows(write, [f"{k},", range(arr.size), ",", _PsiLeft(arr.size), ",", arr, "\n"])
 
 
-class _RowIndex:
-    """The float column ``index / scale`` of a level's rows, built one block
-    at a time as ``_format.write_rows`` slices it."""
+class _PsiLeft:
+    """The float column ``index / count`` of a level's `count` rows (m**k at
+    level k), built one block at a time as ``_format.write_rows`` slices it."""
 
-    def __init__(self, count: int, scale: float):
-        self.count, self.scale = count, scale
+    def __init__(self, count: int):
+        self.count = count
 
     def __len__(self) -> int:
         return self.count
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        return np.arange(rows.start, rows.stop, dtype=float) / self.scale
+        return np.arange(rows.start, rows.stop, dtype=float) / self.count
 
 
 def field_from_csv(source, params: GameParams) -> LevelField:

@@ -1,15 +1,20 @@
-"""The report float kernel against ``format(x, ".17g")``, value by value.
+"""The report number kernels against ``format(x, ".17g")`` and ``str(j)``,
+value by value.
 
 ``_format.write_rows`` renders ±0.0 and 1e-4 <= |x| < 1e15 with exact integer
 arithmetic and every other value with "%.17g" itself; either way each
-value's bytes must be those of ``format(x, ".17g")``.
+value's bytes must be those of ``format(x, ".17g")``.  A range column's
+integers are digits in a slot as wide as its largest value.  A one-byte
+separator after a number rides in the number slot's last byte and must land
+right after the number's text.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phtree import _format
+from phtree import _format, capacity
 
 
 def _neighbours(x):
@@ -32,6 +37,7 @@ float_arrays = st.lists(bit_patterns, min_size=1, max_size=64).map(
 
 
 def rendered(values):
+    """Each value's text; the "\n" after it rides in the value's slot."""
     text = bytearray()
     _format.write_rows(text.extend, [values, "\n"])
     return text.decode().split("\n")[:-1]
@@ -51,8 +57,36 @@ def test_kernel_matches_format(values):
     assert rendered(values) == [format(x, ".17g") for x in values.tolist()]
 
 
+@settings(max_examples=200, deadline=None)
+@given(start=st.integers(0, 2**31 - 1), size=st.integers(1, 30), block=st.integers(1, 8))
+# 0 and the one- and two-digit edges
+@example(start=0, size=11, block=4)
+# 9999 fills a word, 10**4 takes a second
+@example(start=9990, size=10, block=4)
+@example(start=9990, size=20, block=8)
+# 10**8 - 1 fills two words, 10**8 takes a third
+@example(start=10**8 - 5, size=5, block=2)
+@example(start=10**8 - 5, size=10, block=3)
+# the deepest index under the default size cap
+@example(start=2**31 - 8, size=8, block=5)
+def test_integer_column_matches_str(start, size, block):
+    """Rows of a range, whatever block of it a slice starts mid-range; the
+    separator after the integer rides in its slot, whose last lane the
+    largest value fills."""
+    column = range(start, start + size)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(capacity, "BLOCK", block)
+        text = bytearray()
+        _format.write_rows(text.extend, [column, ";", column[::-1], "\n"])
+    assert text.decode() == "".join(f"{j};{i}\n" for j, i in zip(column, column[::-1]))
+
+
 def test_columns_of_a_row():
     values = np.array([0.5, -2.0, 1e-300])
     text = bytearray()
     _format.write_rows(text.extend, ["<", values, ",", values[::-1], ">\n"])
     assert text.decode() == "<0.5,1e-300>\n<-2,-2>\n<1e-300,0.5>\n"
+    # one one-byte str rides after a number; a second, or a longer str, is a column
+    text = bytearray()
+    _format.write_rows(text.extend, [range(9998, 10001), ",", ";", values, ", ", range(3), "\n"])
+    assert text.decode() == "9998,;0.5, 0\n9999,;-2, 1\n10000,;1e-300, 2\n"

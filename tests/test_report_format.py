@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phtree import BoundarySpec, GameParams, build_un, capacity
@@ -115,6 +115,8 @@ def fields(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(field=fields())
+# an index that crosses 10**4, from one word of digits to two
+@example(field=build_un(BoundarySpec.quadratic_centered(), GameParams(10, 0.5, 0.5), 5))
 def test_field_to_csv_matches_element_wise(field):
     lines = csv_text(field).split("\n")
     assert lines[0] == "level,index,psi_left,value"
