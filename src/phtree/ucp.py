@@ -912,6 +912,7 @@ class UcpReport:
             "inconclusive_ladder": self.inconclusive_ladder,
             "depth_scanned": self.depth_scanned,
             "density_dense": None if self.density is None else self.density.dense_up_to,
+            "density_definitive": None if self.density is None else self.density.definitive,
             "density_witness": (
                 None
                 if self.density is None or self.density.witness_gap is None

@@ -717,6 +717,24 @@ def test_ucp_fuzz(descriptor, m, alpha, scans, cap):
 
 
 @pytest.mark.parametrize(
+    "descriptor, definitive",
+    [
+        # density is checked at the trusted depth 5, where no level is left to probe
+        ("rho:1,4;finite", False),
+        # the walk of a finite automaton ends at a repeated set of states
+        ("digit-avoiding:1", True),
+    ],
+)
+def test_ucp_says_whether_density_is_definitive(descriptor, definitive):
+    result = CliRunner().invoke(main, ["ucp", "--m", "3", "--alpha", "0.5", "--set", descriptor])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.stdout)
+    assert report["density_dense"] is False
+    assert report["density_definitive"] is definitive
+    assert report["verdict"].startswith("no-UCP" if definitive else "inconclusive")
+
+
+@pytest.mark.parametrize(
     "args",
     [
         # gamma underflows to 0.0

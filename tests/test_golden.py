@@ -131,49 +131,49 @@ CASES = {
     ),
     "ucp-rho": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,4,1,8,1,16", "--kmax", "6"],
-        "90a2d5190e69e4f0a39b647191d2ed0c86d28347a4d3bd4a4a432b8eb2d854ad",
+        "3bf3bf25bf6c3bf64d57fe9a37c19a8e6e6898cedcbe19f7cfbdbebba2e1b887",
     ),
     # one ucp report per scan path: density refuted by the interior scan,
     # uniform hitting, the full-levels closed form, a long probe ladder with
     # P2 counts, a ladder that runs out of trusted depth, and an explicit set
     "ucp-digit-avoiding": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "digit-avoiding:1"],
-        "4650f925b19c93d3afe0be8069295cef636f3d1f342e2ffcfbf56b8cfbc196aa",
+        "fb43aecc16f9ac1ee6a63a1616e105fcfe7d3d137155a2e198ad3db40d81a23f",
     ),
     "ucp-last-digit": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "last-digit:2"],
-        "9f78dfc5a09b61ef993b7b6da21e0e1b2d8179606ab73ea0fc7480005f986062",
+        "0308e907cfc01909a38d841e2b7dfb4691699b516b597e19ce68cd732fd1e21e",
     ),
     "ucp-full-levels-doubling": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "full-levels:1,3;doubling"],
-        "d13a420c48d2f47bcb9f7cfafceed6c309887987cd81113d93060bae263e439e",
+        "289668eac3c26d5432df8171212c149b442adbf1a56c9e99ae4677a39e1df868",
     ),
     "ucp-rho-arith": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,2;arith=1", "--kmax", "40"],
-        "7b8fcee53b54d3faa3b6c5b32fc3f7adf3ab35064d32c5df3ad4effdfcdd39c4",
+        "c23b03c582293d1625abe0088b7fa484035e66f878611b59d017e03d2cf8b2c3",
     ),
     # 17 geometric stages to the probe limit, 196,607 levels in all
     "ucp-rho-geom": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,2;geom=2", "--kmax", "30"],
-        "b8866e7810835abcb6fe9cce9fb55b9b28c063f591d04ebcf16cfbbbda60bf5f",
+        "54bd9a7bfa63d92aeb96c30cbf39d1bfd5a7d4c3e2771cd5a268a0039d1626b4",
     ),
     "ucp-rho-finite": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:1,2,3;finite"],
-        "8058cf1f9561313d41fb6489e7dab290bdff10079b2059c83d689060648b160f",
+        "49b42f38feae9941627eb961eefac3902c2b7437e47b2be8af3b51ce29c457d6",
     ),
     # one member, 0^6: hitting holds within 6 levels, but a +1/-1 field on
     # the subtrees of 1.0 and 1.1 vanishes on it, so the verdict stays open
     "ucp-rho-finite-single": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set", "rho:6;finite"],
-        "c853a2201f50124399183fdef15a5e83ceeec91b12c6d6e4547dcb0741704584",
+        "ea8c6175af239bc7f7e07dabc3838ed901309e4780f94c26e429ffdbba6be54b",
     ),
     "ucp-set-file": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set-file", "{set_file}"],
-        "80fae5993553808c3fe1a7ea9c3c27ba26e76129c17a0d1f8fa5fe97613ef951",
+        "2914a00bf7ef8e665216cfcf65619ec17db714fab0e3df9397d81ca299941cce",
     ),
     "ucp-set-file-deep": (
         ["ucp", "--m", "3", "--alpha", "0.5", "--set-file", "{deep_set_file}"],
-        "7e362a991f1e3e07e00079958e39b4ab1db118a3d274062996f60d2fdc4debca",
+        "9e76c417eac60f9253625c09fbb5e3bb40658069d17c26ad10b98101a82acada",
     ),
     "dim": (
         ["dim", "--m", "3", "--alpha", "0.5"],

@@ -1188,6 +1188,7 @@ class TestAnalyze:
             "inconclusive_ladder": False,
             "depth_scanned": depth_scanned,
             "density_dense": False,
+            "density_definitive": True,
             "density_witness": {"left": 0.0, "right": 1 / 27},
             "pa_holds": False,
             "pa_n": None,
@@ -1262,6 +1263,7 @@ class TestAnalyze:
         obj = report.to_json_obj()
         assert obj["verdict"] == VERDICT_NO_UCP
         assert obj["density_dense"] is False
+        assert obj["density_definitive"] is True
         assert obj["density_witness"] == {"left": pytest.approx(1 / 3), "right": pytest.approx(2 / 3)}
         assert set(obj) >= {
             "rho", "eta", "partial_sum", "p1_ok", "p2_ok", "pa_holds",
