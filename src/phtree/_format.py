@@ -134,8 +134,8 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _put_ints(out: np.ndarray, column: range) -> None:
-    """Write ``"%d" % j`` of each j of `column`, a range of non-negative
-    integers, into the rows of `out`: four digits a word, ending at its
+    """Write ``"%d" % j`` of each j of `column`, an ascending range of
+    non-negative integers, into the rows of `out`: four digits a word, ending at its
     last lane, and NUL lanes before them."""
     j = np.arange(column.start, column.stop, column.step, dtype=np.int64)
     blank = 4 * out.shape[1] - 1 - np.searchsorted(_POWERS_OF_TEN, j, side="right")
@@ -207,18 +207,19 @@ def write_rows(write: Callable[[bytes], object], columns: Sequence[str | range |
     """Pass the text of a table to `write`, one block of rows per call.
 
     Each row is the concatenation of `columns`: a str (ASCII, no NUL) on
-    every row, the row's element of a range of non-negative integers as
-    ``"%d"``, or the row's element of a float64 column as ``"%.17g" % v``.
-    A float column is an array, or any sized object whose slice by a block
-    of rows is one.  All number columns have the same length; a table of no
-    rows makes no call.  A one-byte str right after a number rides in the
-    number slot's spare last byte.  Each block's text goes to `write` as
-    soon as it is formatted, so no block outlives its own step.
+    every row, the row's element of an ascending range of non-negative
+    integers as ``"%d"``, or the row's element of a float64 column as
+    ``"%.17g" % v``.  A float column is an array, or any sized object whose
+    slice by a block of rows is one.  All number columns have the same
+    length; a table of no rows makes no call.  A one-byte str right after a
+    number rides in the number slot's spare last byte.  Each block's text
+    goes to `write` as soon as it is formatted, so no block outlives its
+    own step.
     """
     slots: list[list] = []  # [put, column, words, spare byte]; a str's column is its words
     for column in columns:
         if isinstance(column, range):
-            digits = len(str(max((*column[:1], *column[-1:]), default=0)))
+            digits = len(str(max(column[-1:], default=0)))
             slots.append([_put_ints, column, -(-digits // 4), 0])
         elif not isinstance(column, str):
             slots.append([_put_floats, column, _SLOT_WORDS, 0])

@@ -70,15 +70,15 @@ def test_kernel_matches_format(values):
 # the deepest index under the default size cap
 @example(start=2**31 - 8, size=8, block=5)
 def test_integer_column_matches_str(start, size, block):
-    """Rows of a range, whatever block of it a slice starts mid-range; the
-    separator after the integer rides in its slot, whose last lane the
-    largest value fills."""
+    """Rows of a range, whatever block of it a slice starts mid-range, next
+    to a narrower one; the separator after each integer rides in its slot,
+    whose last lane the largest value fills."""
     column = range(start, start + size)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(capacity, "BLOCK", block)
         text = bytearray()
-        _format.write_rows(text.extend, [column, ";", column[::-1], "\n"])
-    assert text.decode() == "".join(f"{j};{i}\n" for j, i in zip(column, column[::-1]))
+        _format.write_rows(text.extend, [column, ";", range(size), "\n"])
+    assert text.decode() == "".join(f"{j};{i}\n" for i, j in enumerate(column))
 
 
 def test_columns_of_a_row():
