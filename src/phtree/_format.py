@@ -135,8 +135,8 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _put_ints(out: np.ndarray, column: range) -> None:
     """Write ``"%d" % j`` of each j of `column`, an ascending range of
-    non-negative integers, into the rows of `out`: four digits a word, ending at its
-    last lane, and NUL lanes before them."""
+    non-negative integers, into the rows of `out`: four digits a word,
+    ending at its last lane, and NUL lanes before them."""
     j = np.arange(column.start, column.stop, column.step, dtype=np.int64)
     blank = 4 * out.shape[1] - 1 - np.searchsorted(_POWERS_OF_TEN, j, side="right")
     for w in reversed(range(out.shape[1])):
