@@ -2,12 +2,13 @@
 
 Builtin families (identity, centred square, constants) are evaluated
 exactly; tabulated data is completed to a continuous function by
-piecewise-linear interpolation between samples.  Every spec works out its
-own exact Lipschitz constant: 1 for the identity and the centred square,
-0 for a constant and the maximal sample slope for tabulated data, so the
-solver's bound ``L / m**n`` is always certified.  ``sample_Fn`` produces
-the flat array of left-endpoint samples ``F(j / m**n)`` that seeds the
-solver.
+piecewise-linear interpolation between samples, from knot arrays built
+once per spec.  Every spec works out its own exact Lipschitz constant: 1
+for the identity and the centred square, 0 for a constant and the maximal
+sample slope for tabulated data, so the solver's bound ``L / m**n`` is
+always certified.  ``sample_Fn`` produces the flat array of left-endpoint
+samples ``F(j / m**n)`` that seeds the solver; a block of samples with no
+knot in it is one affine piece, computed without a knot search.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ class BoundarySpec:
 
     ``lipschitz_bound`` is F's exact Lipschitz constant, worked out from
     the kind and the samples; a constant that is not finite is refused.
+    ``knots`` holds a tabulated spec's samples as two read-only float64
+    arrays (None for a builtin kind).
     """
 
     kind: str
@@ -42,6 +45,7 @@ class BoundarySpec:
     ts: tuple[float, ...] | None = None
     vs: tuple[float, ...] | None = None
     lipschitz_bound: float = field(init=False, compare=False)
+    knots: tuple[np.ndarray, np.ndarray] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_LINEAR, KIND_QUADRATIC, KIND_CONSTANT, KIND_TABULATED):
@@ -61,13 +65,19 @@ class BoundarySpec:
             raise ValidationError(f"boundary value must be finite, got {self.value}")
         if self.vs is not None and not all(math.isfinite(v) for v in self.vs):
             raise ValidationError("tabulated boundary values must be finite")
+        knots = None
         if self.kind == KIND_TABULATED:
-            bound = _max_slope(self.ts, self.vs)
+            knots = (np.array(self.ts), np.array(self.vs))
+            for array in knots:
+                array.flags.writeable = False
+            with np.errstate(over="ignore"):  # the maximal sample slope
+                bound = float(np.max(np.abs(np.diff(knots[1])) / np.diff(knots[0])))
         else:
             bound = 0.0 if self.kind == KIND_CONSTANT else 1.0
         if not math.isfinite(bound):
             raise ValidationError(f"the Lipschitz constant of the samples is not finite: {bound}")
         object.__setattr__(self, "lipschitz_bound", bound)
+        object.__setattr__(self, "knots", knots)
 
     # -- constructors -------------------------------------------------
 
@@ -140,11 +150,6 @@ class BoundarySpec:
         )
 
 
-def _max_slope(ts, vs) -> float:
-    """The maximal sample slope, the interpolant's exact Lipschitz constant."""
-    return max(abs(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:]))
-
-
 def eval_F(spec: BoundarySpec, t):
     """Evaluate F at a scalar or array of points in [0, 1]."""
     arr = np.asarray(t, dtype=float)
@@ -158,7 +163,7 @@ def eval_F(spec: BoundarySpec, t):
     elif spec.kind == KIND_CONSTANT:
         out = np.full_like(arr, spec.value)
     else:
-        out = np.interp(arr, spec.ts, spec.vs)
+        out = np.interp(arr, *spec.knots)
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out
@@ -182,14 +187,26 @@ class SampledBoundary:
 
 
 def sample_Fn(spec: BoundarySpec, m: int, n: int) -> SampledBoundary:
-    """Sample F at the level-n left endpoints ``j / m**n``."""
+    """Sample F at the level-n left endpoints ``j / m**n``, a block at a time.
+
+    A tabulated block strictly between knots t_k and t_k+1 takes
+    ``np.interp``'s own arithmetic, ``(t - t_k) * slope_k + v_k``, with no
+    knot search; any other block goes through ``eval_F``, so a sample on a
+    knot keeps the knot's value, a -0.0 included.
+    """
     if n < 0:
         raise ValidationError(f"level must be >= 0, got {n}")
     count = check_level_size(m, n)
     values = np.empty(count)
-    # a block of t at a time: each sample is the same element-wise arithmetic
     for block in blocks(count):
-        values[block] = eval_F(spec, np.arange(block.start, block.stop, dtype=float) / float(m**n))
+        t = np.arange(block.start, block.stop, dtype=float) / float(m**n)
+        if spec.knots is not None:
+            ts, vs = spec.knots
+            k = min(int(np.searchsorted(ts, t[0], side="right")) - 1, len(ts) - 2)
+            if ts[k] < t[0] and t[-1] < ts[k + 1]:
+                values[block] = (t - ts[k]) * ((vs[k + 1] - vs[k]) / (ts[k + 1] - ts[k])) + vs[k]
+                continue
+        values[block] = eval_F(spec, t)
     return SampledBoundary(m=m, n=n, values=values)
 
 

@@ -17,19 +17,29 @@ from phtree.cli import canonical_json
 from phtree.dpp import operator_average
 from phtree.solver import field_to_csv, field_to_json_obj
 
+TABULATED = BoundarySpec.tabulated([0.0, 0.3, 0.7, 1.0], [0.0, 0.9, 0.2, 1.0])
+#: knots on the level grids (1/3 for m = 3 and 9; 1/8, 1/2 and 3/4 for m = 2
+#: and 8) and -0.0 values: a sample on a knot keeps its -0.0, one between two
+#: knots of value -0.0 reads +0.0; at m = 2 the knot 1/2 is the last sample of
+#: a block
+ON_GRID = BoundarySpec.tabulated(
+    [0.0, 0.125, 1 / 3, 0.5, 0.75, 1.0], [-0.0, -0.0, 0.25, -0.0, -0.5, -0.0]
+)
 SPECS = [
     BoundarySpec.linear(),
     BoundarySpec.quadratic_centered(),
     BoundarySpec.constant(-0.375),
-    BoundarySpec.tabulated([0.0, 0.3, 0.7, 1.0], [0.0, 0.9, 0.2, 1.0]),
+    TABULATED,
+    ON_GRID,
 ]
+SPEC_IDS = [spec.kind for spec in SPECS[:-1]] + ["tabulated-on-grid"]
 #: per branching, a depth whose deepest level (and the level above it) spans
 #: several blocks of 5 plus a remainder
 DEPTHS = {2: 7, 3: 4, 8: 2, 9: 2}
 MiB = 1 << 20
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 @pytest.mark.parametrize("m", sorted(DEPTHS))
 def test_blocks_give_the_bits_of_whole_levels(monkeypatch, m, spec):
     monkeypatch.setattr(capacity, "BLOCK", 5)
@@ -43,7 +53,22 @@ def test_blocks_give_the_bits_of_whole_levels(monkeypatch, m, spec):
         assert field.levels[k].tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+def test_every_block_holding_a_knot_samples_to_the_bits_of_eval_F(monkeypatch):
+    # knots 1/200 apart and blocks of 5 samples 1/128 apart: every block holds
+    # several knots, and the knots at multiples of 1/8 are samples
+    monkeypatch.setattr(capacity, "BLOCK", 5)
+    values = np.random.default_rng(34).uniform(-1.0, 1.0, 201)
+    values[::5] = -0.0
+    spec = BoundarySpec.tabulated(np.arange(201) / 200, values)
+    whole = eval_F(spec, np.arange(128, dtype=float) / 128.0)
+    assert sample_Fn(spec, 2, 7).values.tobytes() == whole.tobytes()
+    for knots in spec.knots:
+        assert knots.dtype == np.float64 and not knots.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            knots[0] = 1.0
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 @pytest.mark.parametrize("m", sorted(DEPTHS))
 def test_chunks_give_the_payoffs_of_one_chunk(monkeypatch, m, spec):
     params = GameParams(m, 0.6, 0.4)
@@ -75,7 +100,6 @@ def test_digit_blocks_give_the_digits_of_one_draw(monkeypatch, block):
 
 class TestWorkingSet:
     P = GameParams(3, 0.5, 0.5)
-    TABULATED = SPECS[-1]
     #: one block of float64 values
     BLOCK_BYTES = 8 * capacity.BLOCK
     #: a block of CSV rows is formatted in about 41 such blocks at once: its
@@ -87,16 +111,16 @@ class TestWorkingSet:
         pass
 
     def test_build_holds_the_field_plus_one_block(self, traced_peak):
-        field, peak = traced_peak(build_un, self.TABULATED, self.P, 12)
+        field, peak = traced_peak(build_un, TABULATED, self.P, 12)
         assert peak <= sum(a.nbytes for a in field.levels) + MiB
 
     def test_engine_holds_the_payoffs_plus_one_chunk(self, monkeypatch, traced_peak):
         monkeypatch.setattr(game, "CHUNK_PLAYS", 1 << 12)
-        advice = build_un(self.TABULATED, self.P, 8)
+        advice = build_un(TABULATED, self.P, 8)
         plays, depth = 200_000, 10
         strategies = (GreedyMaxStrategy(advice), GreedyMinStrategy(advice))
         _, peak = traced_peak(
-            game.simulate_batch, Vertex(3, ()), *strategies, self.TABULATED, self.P, depth, plays, 3
+            game.simulate_batch, Vertex(3, ()), *strategies, TABULATED, self.P, depth, plays, 3
         )
         chunk_draws = 2 * 8 * game.CHUNK_PLAYS * depth
         assert peak <= 2 * 8 * plays + chunk_draws
@@ -112,7 +136,7 @@ class TestWorkingSet:
         }[fmt]
         peaks = {}
         for n in (10, 11, 12):
-            field = build_un(self.TABULATED, self.P, n)
+            field = build_un(TABULATED, self.P, n)
             _, peaks[n] = traced_peak(report, field)
         assert peaks[11] <= self.FEW_BLOCKS * self.BLOCK_BYTES
         assert peaks[12] <= peaks[10] + self.BLOCK_BYTES
@@ -130,7 +154,7 @@ class TestWorkingSet:
         return length[0]
 
     def test_json_report_holds_its_text_twice(self, traced_peak):
-        field = build_un(self.TABULATED, self.P, 10)
+        field = build_un(TABULATED, self.P, 10)
         obj = field_to_json_obj(field)
         obj["root_value"] = field.root_value
         obj["n_used"] = 10
@@ -138,7 +162,7 @@ class TestWorkingSet:
         assert peak <= 2.25 * length
 
     def test_json_report_holds_its_text_once(self, traced_peak):
-        field = build_un(self.TABULATED, self.P, 11)
+        field = build_un(TABULATED, self.P, 11)
         length, peak = traced_peak(lambda: self.json_length(field_to_json_obj(field)))
         assert peak <= 1.5 * length
 
@@ -162,6 +186,6 @@ class TestWorkingSet:
         assert traced_peak(held)[0] <= 4 * MiB
 
     def test_json_levels_are_the_field_arrays(self):
-        field = build_un(self.TABULATED, self.P, 3)
+        field = build_un(TABULATED, self.P, 3)
         levels = field_to_json_obj(field)["levels"]
         assert all(np.shares_memory(a, b) for a, b in zip(levels, field.levels))

@@ -2,12 +2,14 @@
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phtree import capacity
 from phtree import (
     BoundarySpec,
     DomainError,
@@ -136,6 +138,27 @@ tabulated_samples = st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=12, unique=Tr
         st.lists(st.floats(-1e6, 1e6), min_size=len(inner) + 2, max_size=len(inner) + 2),
     )
 )
+
+
+@st.composite
+def sampled_levels(draw):
+    """(m, n, ts, vs): knots both on the level-n grid j / m**n and off it,
+    values that include +0.0 and -0.0."""
+    m, n = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    on_grid = draw(st.lists(st.integers(1, m**n - 1), max_size=6))
+    off_grid = draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), max_size=6))
+    ts = (0.0, *sorted({j / float(m**n) for j in on_grid} | set(off_grid)), 1.0)
+    value = st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6)
+    return m, n, ts, tuple(draw(st.lists(value, min_size=len(ts), max_size=len(ts))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(level=sampled_levels(), block=st.integers(1, 40))
+def test_samples_are_the_bits_of_interp(level, block):
+    m, n, ts, vs = level
+    with mock.patch.object(capacity, "BLOCK", block):
+        values = sample_Fn(BoundarySpec.tabulated(ts, vs), m, n).values
+    assert values.tobytes() == np.interp(np.arange(m**n, dtype=float) / float(m**n), ts, vs).tobytes()
 
 
 class TestLipschitzConstant:

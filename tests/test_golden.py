@@ -38,6 +38,14 @@ WIDE_CSV = (
     "0.3333333333333333,1e15\n0.4,-9.75e16\n0.5,0.1\n0.6,-123.456\n"
     "0.6666666666666666,-1e-4\n0.8,4.5e20\n0.9,-0.75\n1,1e-8\n"
 )
+#: a tabulated boundary whose knots all lie on the m=3 grid of level 9 and
+#: three of whose sample knots are -0: a sample on a knot takes the knot's
+#: value, sign of zero included; knot-free blocks of samples lie between
+#: knots; "{knots}" in a case's arguments is its path
+KNOTS_CSV = (
+    "t,value\n0,-0\n0.1111111111111111,-0\n0.3333333333333333,-0\n0.4444444444444444,0.25\n"
+    "0.6666666666666666,-0.5\n1,-0\n"
+)
 #: a small explicit subset for m=3; "{set_file}" in a case's arguments is its path
 SET_FILE = "1\n0.2\n2.1.0\n2.2.2.1\n"
 #: an explicit subset for m=3 with one member at depth 31, so that its density
@@ -92,6 +100,12 @@ CASES = {
         ["solve", "--m", "3", "--alpha", "0.5", "--boundary", "{wide}", "--n", "10",
          "--format", "csv"],
         "3d6cabe32099f5112ff231063d266375d3eabdd24edd5d361d8c6b486a7cb53a",
+    ),
+    # 19,683 samples in three blocks, the last between two knots
+    "solve-m3-n9-knots-csv": (
+        ["solve", "--m", "3", "--alpha", "0.5", "--boundary", "{knots}", "--n", "9",
+         "--format", "csv"],
+        "a2039fb4d9b878062404fa33499b5e1ea04dc4e668248606f9a8db68dc9d4dab",
     ),
     "solve-m3-tol-linear-json": (
         ["solve", "--m", "3", "--alpha", "0.5", "--boundary", "linear", "--tol", "0.02"],
@@ -204,6 +218,13 @@ def wide(tmp_path):
 
 
 @pytest.fixture()
+def knots(tmp_path):
+    path = tmp_path / "knots.csv"
+    path.write_text(KNOTS_CSV, encoding="utf-8")
+    return path
+
+
+@pytest.fixture()
 def set_file(tmp_path):
     path = tmp_path / "set.txt"
     path.write_text(SET_FILE, encoding="utf-8")
@@ -218,11 +239,11 @@ def deep_set_file(tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_bytes(name, tabulated, ties, wide, set_file, deep_set_file, tmp_path):
+def test_report_bytes(name, tabulated, ties, wide, knots, set_file, deep_set_file, tmp_path):
     template, digest = CASES[name]
     paths = {
-        "{tabulated}": tabulated, "{ties}": ties, "{wide}": wide, "{set_file}": set_file,
-        "{deep_set_file}": deep_set_file,
+        "{tabulated}": tabulated, "{ties}": ties, "{wide}": wide, "{knots}": knots,
+        "{set_file}": set_file, "{deep_set_file}": deep_set_file,
     }
     args = [str(paths.get(a, a)) for a in template]
     runner = CliRunner()
