@@ -202,7 +202,7 @@ def sample_Fn(spec: BoundarySpec, m: int, n: int) -> SampledBoundary:
         t = np.arange(block.start, block.stop, dtype=float) / float(m**n)
         if spec.knots is not None:
             ts, vs = spec.knots
-            k = min(int(np.searchsorted(ts, t[0], side="right")) - 1, len(ts) - 2)
+            k = int(np.searchsorted(ts, t[0], side="right")) - 1
             if ts[k] < t[0] and t[-1] < ts[k + 1]:
                 values[block] = (t - ts[k]) * ((vs[k + 1] - vs[k]) / (ts[k + 1] - ts[k])) + vs[k]
                 continue
